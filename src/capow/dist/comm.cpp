@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -614,6 +615,25 @@ void Communicator::gather(int root, std::span<const double> mine,
     }
   } else {
     send(root, kGatherTag, mine);
+  }
+}
+
+std::vector<double> flatten(linalg::ConstMatrixView v) {
+  std::vector<double> out(v.size());
+  for (std::size_t r = 0; r < v.rows(); ++r) {
+    std::memcpy(out.data() + r * v.cols(), v.row(r),
+                v.cols() * sizeof(double));
+  }
+  return out;
+}
+
+void unflatten(std::span<const double> data, linalg::MatrixView v) {
+  if (data.size() != v.size()) {
+    throw std::invalid_argument("unflatten: payload size mismatch");
+  }
+  for (std::size_t r = 0; r < v.rows(); ++r) {
+    std::memcpy(v.row(r), data.data() + r * v.cols(),
+                v.cols() * sizeof(double));
   }
 }
 

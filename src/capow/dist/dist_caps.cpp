@@ -1,7 +1,6 @@
 #include "capow/dist/dist_caps.hpp"
 
 #include <array>
-#include <cstring>
 #include <stdexcept>
 
 #include "capow/blas/gemm_ref.hpp"
@@ -27,25 +26,6 @@ constexpr int kOperandTagBase = 100;  // + depth * 16 + subproblem
 constexpr int kResultTagBase = 4000;  // + depth * 16 + subproblem
 constexpr int kScatterTag = 300;
 constexpr int kGatherTag = 302;
-
-std::vector<double> flatten(ConstMatrixView v) {
-  std::vector<double> out(v.size());
-  for (std::size_t i = 0; i < v.rows(); ++i) {
-    std::memcpy(out.data() + i * v.cols(), v.row(i),
-                v.cols() * sizeof(double));
-  }
-  return out;
-}
-
-void unflatten(std::span<const double> data, MatrixView v) {
-  if (data.size() != v.size()) {
-    throw std::invalid_argument("unflatten: payload size mismatch");
-  }
-  for (std::size_t i = 0; i < v.rows(); ++i) {
-    std::memcpy(v.row(i), data.data() + i * v.cols(),
-                v.cols() * sizeof(double));
-  }
-}
 
 // Leader side: materialize the 14 classic-Strassen operand combinations,
 // all A sides first, then all B sides.
@@ -274,19 +254,6 @@ void dist_block_gemm(Communicator& comm, ConstMatrixView a,
   } else if (local_c.rows() > 0) {
     comm.send(0, kGatherTag, flatten(local_c.view()));
   }
-}
-
-void dist_caps_multiply_resilient(Communicator& comm,
-                                  const RecoveryContext& ctx,
-                                  ConstMatrixView a, ConstMatrixView b,
-                                  MatrixView c, const DistCapsOptions& opts) {
-  CAPOW_TSPAN_ARGS2("dist_caps.resilient", "dist", "rank", comm.rank(),
-                    "generation", static_cast<std::int64_t>(ctx.generation));
-  // The round-robin split already adapts to comm.size(), and the root's
-  // operand views are process-shared, so a recovered generation — even
-  // one whose physical rank 0 died — is simply a fresh deterministic
-  // solve on the current membership.
-  dist_caps_multiply(comm, a, b, c, opts);
 }
 
 }  // namespace capow::dist

@@ -14,7 +14,6 @@
 
 #include "capow/capsalg/caps.hpp"
 #include "capow/dist/comm.hpp"
-#include "capow/dist/recovery.hpp"
 #include "capow/linalg/matrix.hpp"
 
 namespace capow::dist {
@@ -38,6 +37,19 @@ struct DistCapsOptions {
 /// receives C = A * B; other ranks pass empty matrices (their views are
 /// ignored). Dimensions must be even above the distribution threshold.
 /// Throws std::invalid_argument on rank-0 shape errors.
+///
+/// Any communicator size works: the seven sub-products spread over
+/// however many ranks `comm` holds (round-robin below seven ranks, a
+/// seven-way group split from seven up). That is what makes it the
+/// elastic body too — call it directly under
+/// World::run_elastic. A recovered generation needs no operand
+/// reconstruction: it is a clean deterministic re-run on the new
+/// membership, the CAPS analogue of restarting the BFS level. Because
+/// ranks are in-process threads sharing the root's operand views, any
+/// physical rank can serve as virtual root 0, so even root death is
+/// recoverable. Respawn re-runs bit-identically (same rank count, same
+/// split schedule); shrink recomputes correctly on the survivors with a
+/// different work distribution.
 void dist_caps_multiply(Communicator& comm, linalg::ConstMatrixView a,
                         linalg::ConstMatrixView b, linalg::MatrixView c,
                         const DistCapsOptions& opts = {});
@@ -47,25 +59,5 @@ void dist_caps_multiply(Communicator& comm, linalg::ConstMatrixView a,
 /// rows with the dense base kernel, root gathers. Collective.
 void dist_block_gemm(Communicator& comm, linalg::ConstMatrixView a,
                      linalg::ConstMatrixView b, linalg::MatrixView c);
-
-/// Elastic dist-CAPS: the body to run under World::run_elastic.
-/// dist_caps_multiply already adapts to any communicator size (the
-/// seven sub-products round-robin over however many ranks exist), so
-/// recovery needs no operand reconstruction: a recovered generation is
-/// a clean deterministic re-run on the new membership — the CAPS
-/// analogue of restarting the BFS level. Because ranks are in-process
-/// threads sharing the root's operand views, *any* physical rank can
-/// serve as virtual root 0, which is what makes even root death
-/// recoverable. Respawn re-runs bit-identically (same rank count, same
-/// split schedule); shrink recomputes correctly on the survivors with a
-/// different work distribution. The `ctx` is unused beyond the span
-/// annotation — the signature exists so call sites treat both resilient
-/// kernels uniformly.
-void dist_caps_multiply_resilient(Communicator& comm,
-                                  const RecoveryContext& ctx,
-                                  linalg::ConstMatrixView a,
-                                  linalg::ConstMatrixView b,
-                                  linalg::MatrixView c,
-                                  const DistCapsOptions& opts = {});
 
 }  // namespace capow::dist

@@ -93,9 +93,10 @@ RecoveryReport World::run_elastic(
   // from driver state — the agreement protocol a real elastic runtime
   // runs, and real deterministic traffic in the final generation's comm
   // matrix. Generation 0 skips it and is byte-identical to a plain run.
-  const auto wrapped = [this, &body](Communicator& comm) {
+  const auto wrapped = [this, &body, &opts](Communicator& comm) {
     RecoveryContext ctx;
     ctx.generation = generation();
+    ctx.policy = opts.policy;
     if (ctx.generation > 0) {
 #if CAPOW_TELEMETRY_ENABLED
       telemetry::SpanScope span(

@@ -67,10 +67,14 @@ struct RecoveryOptions {
 
 /// What the body learns about the membership it runs under. Generation
 /// 0 always has an empty failed set; recovered generations carry the
-/// set every rank agreed on in the bitmap round.
+/// set every rank agreed on in the bitmap round. A default-constructed
+/// context is a plain (non-elastic) run.
 struct RecoveryContext {
   std::uint64_t generation = 0;
   std::vector<int> failed_ranks;  ///< agreed, sorted physical ranks
+  /// The run's policy. Kernels that keep recovery state (SUMMA's panel
+  /// cache) spend traffic on it only when a death would be respawned.
+  RecoveryPolicy policy = RecoveryPolicy::kAbort;
 
   bool recovered() const noexcept { return generation > 0; }
 };

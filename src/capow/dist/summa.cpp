@@ -29,6 +29,8 @@ constexpr int kColBcastBase = 2000;  // + step
 constexpr int kReplicateA = 3000;
 constexpr int kReplicateB = 3001;
 constexpr int kLayerReduce = 3002;
+constexpr int kPanelReplica = 3100;  // + owner grid rank
+constexpr int kPanelRestore = 3200;  // + owner grid rank
 
 struct RankCoord {
   int i;      // grid row
@@ -103,49 +105,29 @@ std::vector<double> checked_recv(Communicator& comm, const AbftState& st,
   return payload;
 }
 
-std::vector<double> flatten(ConstMatrixView v) {
-  std::vector<double> out(v.size());
-  for (std::size_t r = 0; r < v.rows(); ++r) {
-    std::memcpy(out.data() + r * v.cols(), v.row(r),
-                v.cols() * sizeof(double));
-  }
-  return out;
-}
-
-void unflatten(std::span<const double> data, MatrixView v) {
-  if (data.size() != v.size()) {
-    throw std::invalid_argument("summa: payload size mismatch");
-  }
-  for (std::size_t r = 0; r < v.rows(); ++r) {
-    std::memcpy(v.row(r), data.data() + r * v.cols(),
-                v.cols() * sizeof(double));
-  }
-}
-
-// Root scatters the (i, j) blocks of `m` to layer-0 ranks; returns this
-// rank's block. `nb` is the block dimension.
-Matrix scatter_blocks(Communicator& comm, const GridSpec& g,
-                      const AbftState& st, ConstMatrixView m, std::size_t nb,
-                      int tag) {
+// Root scatters the (i, j) blocks of `m` to layer-0 ranks, which store
+// theirs in `mine` (nb x nb).
+void scatter_blocks(Communicator& comm, const GridSpec& g,
+                    const AbftState& st, ConstMatrixView m, MatrixView mine,
+                    int tag) {
+  const std::size_t nb = mine.rows();
   CAPOW_TSPAN_ARGS1("summa.scatter", "dist", "nb", nb);
   const RankCoord me = coord_of(comm.rank(), g);
-  Matrix mine(nb, nb);
   if (comm.rank() == 0) {
     for (int i = 0; i < g.rows; ++i) {
       for (int j = 0; j < g.cols; ++j) {
         auto block = m.block(i * nb, j * nb, nb, nb);
         const int dest = rank_of(i, j, 0, g);
         if (dest == 0) {
-          linalg::copy(block, mine.view());
+          linalg::copy(block, mine);
         } else {
           checked_send(comm, st, dest, tag, flatten(block));
         }
       }
     }
   } else if (me.layer == 0) {
-    unflatten(checked_recv(comm, st, 0, tag), mine.view());
+    unflatten(checked_recv(comm, st, 0, tag), mine);
   }
-  return mine;
 }
 
 void gather_blocks(Communicator& comm, const GridSpec& g, const AbftState& st,
@@ -166,6 +148,45 @@ void gather_blocks(Communicator& comm, const GridSpec& g, const AbftState& st,
     }
   } else if (me.layer == 0) {
     checked_send(comm, st, 0, kGatherC, flatten(mine));
+  }
+}
+
+// Layer 0 replicates its scattered blocks to the other layers (the
+// c-fold memory cost that buys the communication reduction).
+void replicate_layers(Communicator& comm, const GridSpec& g,
+                      const AbftState& st, const RankCoord& me,
+                      MatrixView a_own, MatrixView b_own) {
+  CAPOW_TSPAN_ARGS1("summa.replicate", "dist", "layer", me.layer);
+  if (me.layer == 0) {
+    for (int l = 1; l < g.layers; ++l) {
+      checked_send(comm, st, rank_of(me.i, me.j, l, g), kReplicateA,
+                   flatten(a_own));
+      checked_send(comm, st, rank_of(me.i, me.j, l, g), kReplicateB,
+                   flatten(b_own));
+    }
+  } else {
+    unflatten(checked_recv(comm, st, rank_of(me.i, me.j, 0, g), kReplicateA),
+              a_own);
+    unflatten(checked_recv(comm, st, rank_of(me.i, me.j, 0, g), kReplicateB),
+              b_own);
+  }
+}
+
+// Sum-reduces the layers' partial C blocks onto layer 0.
+void reduce_layers(Communicator& comm, const GridSpec& g, const AbftState& st,
+                   const RankCoord& me, MatrixView c_acc) {
+  CAPOW_TSPAN_ARGS1("summa.layer_reduce", "dist", "layer", me.layer);
+  if (me.layer == 0) {
+    Matrix part(c_acc.rows(), c_acc.cols());
+    for (int l = 1; l < g.layers; ++l) {
+      unflatten(checked_recv(comm, st, rank_of(me.i, me.j, l, g),
+                             kLayerReduce),
+                part.view());
+      linalg::add_inplace(c_acc, part.view());
+    }
+  } else {
+    checked_send(comm, st, rank_of(me.i, me.j, 0, g), kLayerReduce,
+                 flatten(c_acc));
   }
 }
 
@@ -243,24 +264,6 @@ std::size_t negotiate_dim(Communicator& comm, ConstMatrixView a,
   return static_cast<std::size_t>(dims[0]);
 }
 
-}  // namespace
-
-void GridSpec::validate() const {
-  if (rows <= 0 || cols <= 0 || layers <= 0) {
-    throw std::invalid_argument("GridSpec: non-positive dimension");
-  }
-  if (rows != cols) {
-    throw std::invalid_argument("GridSpec: this implementation requires a "
-                                "square in-plane grid");
-  }
-  if (rows % layers != 0) {
-    throw std::invalid_argument(
-        "GridSpec: layers must divide the grid dimension");
-  }
-}
-
-namespace {
-
 // Shared collective driver: run_attempt executes one full scattered
 // multiply into c; the root then verifies it end-to-end and broadcasts
 // the verdict so every rank takes the same branch (a rank deciding
@@ -306,127 +309,6 @@ void guarded_collective(Communicator& comm, ConstMatrixView a,
     if (comm.rank() == 0) abft::record_retried();
   }
 }
-
-}  // namespace
-
-void summa_multiply(Communicator& comm, const GridSpec& grid,
-                    ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                    const abft::AbftConfig& cfg) {
-  grid.validate();
-  if (grid.layers != 1) {
-    throw std::invalid_argument("summa_multiply: layers must be 1");
-  }
-  if (comm.size() != grid.ranks()) {
-    throw std::invalid_argument("summa_multiply: comm size != grid ranks");
-  }
-  CAPOW_TSPAN_ARGS1("summa.multiply", "dist", "rank", comm.rank());
-
-  const std::size_t n = negotiate_dim(comm, a, b, c, grid);
-  const std::size_t nb = n / grid.rows;
-  const RankCoord me = coord_of(comm.rank(), grid);
-
-  AbftState st;
-  guarded_collective(comm, a, b, c, cfg, st, "summa", [&] {
-    Matrix a_own = scatter_blocks(comm, grid, st, a, nb, kScatterA);
-    Matrix b_own = scatter_blocks(comm, grid, st, b, nb, kScatterB);
-    Matrix c_acc = Matrix::zeros(nb);
-    Matrix a_panel(nb, nb), b_panel(nb, nb);
-
-    for (int step = 0; step < grid.rows; ++step) {
-      summa_step(comm, grid, st, me, step, a_own.view(), b_own.view(),
-                 a_panel, b_panel, c_acc.view());
-    }
-    gather_blocks(comm, grid, st, c_acc.view(), c, nb);
-  });
-}
-
-void summa_multiply(Communicator& comm, const GridSpec& grid,
-                    ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  summa_multiply(comm, grid, a, b, c, abft::AbftConfig{});
-}
-
-void multiply_25d(Communicator& comm, const GridSpec& grid,
-                  ConstMatrixView a, ConstMatrixView b, MatrixView c,
-                  const abft::AbftConfig& cfg) {
-  grid.validate();
-  if (comm.size() != grid.ranks()) {
-    throw std::invalid_argument("multiply_25d: comm size != grid ranks");
-  }
-  CAPOW_TSPAN_ARGS2("summa.multiply_25d", "dist", "rank", comm.rank(),
-                    "layers", grid.layers);
-
-  const std::size_t n = negotiate_dim(comm, a, b, c, grid);
-  const std::size_t nb = n / grid.rows;
-  const RankCoord me = coord_of(comm.rank(), grid);
-
-  AbftState st;
-  guarded_collective(comm, a, b, c, cfg, st, "2.5D multiply", [&] {
-    // Layer 0 holds the initial distribution...
-    Matrix a_own = scatter_blocks(comm, grid, st, a, nb, kScatterA);
-    Matrix b_own = scatter_blocks(comm, grid, st, b, nb, kScatterB);
-
-    // ...and replicates it to the other layers (the c-fold memory cost
-    // that buys the communication reduction).
-    {
-      CAPOW_TSPAN_ARGS1("summa.replicate", "dist", "layer", me.layer);
-      if (me.layer == 0) {
-        for (int l = 1; l < grid.layers; ++l) {
-          checked_send(comm, st, rank_of(me.i, me.j, l, grid), kReplicateA,
-                       flatten(a_own.view()));
-          checked_send(comm, st, rank_of(me.i, me.j, l, grid), kReplicateB,
-                       flatten(b_own.view()));
-        }
-      } else {
-        unflatten(checked_recv(comm, st, rank_of(me.i, me.j, 0, grid),
-                               kReplicateA),
-                  a_own.view());
-        unflatten(checked_recv(comm, st, rank_of(me.i, me.j, 0, grid),
-                               kReplicateB),
-                  b_own.view());
-      }
-    }
-
-    // Each layer runs its disjoint slice of the k-steps.
-    Matrix c_acc = Matrix::zeros(nb);
-    Matrix a_panel(nb, nb), b_panel(nb, nb);
-    const int steps_per_layer = grid.rows / grid.layers;
-    const int first = me.layer * steps_per_layer;
-    for (int s = 0; s < steps_per_layer; ++s) {
-      summa_step(comm, grid, st, me, first + s, a_own.view(), b_own.view(),
-                 a_panel, b_panel, c_acc.view());
-    }
-
-    // Sum-reduce partial C blocks onto layer 0.
-    {
-      CAPOW_TSPAN_ARGS1("summa.layer_reduce", "dist", "layer", me.layer);
-      if (me.layer == 0) {
-        for (int l = 1; l < grid.layers; ++l) {
-          const auto part =
-              checked_recv(comm, st, rank_of(me.i, me.j, l, grid),
-                           kLayerReduce);
-          Matrix tmp(nb, nb);
-          unflatten(part, tmp.view());
-          linalg::add_inplace(c_acc.view(), tmp.view());
-        }
-      } else {
-        checked_send(comm, st, rank_of(me.i, me.j, 0, grid), kLayerReduce,
-                     flatten(c_acc.view()));
-      }
-    }
-
-    gather_blocks(comm, grid, st, c_acc.view(), c, nb);
-  });
-}
-
-void multiply_25d(Communicator& comm, const GridSpec& grid,
-                  ConstMatrixView a, ConstMatrixView b, MatrixView c) {
-  multiply_25d(comm, grid, a, b, c, abft::AbftConfig{});
-}
-
-namespace {
-
-constexpr int kPanelReplica = 3100;  // + owner grid rank
-constexpr int kPanelRestore = 3200;  // + owner grid rank
 
 /// [a | b | a_sum | b_sum] — the wire form a slot travels in, both for
 /// generation-0 replication and for the restore to a replacement rank.
@@ -486,165 +368,201 @@ bool contains_rank(const std::vector<int>& ranks, int r) {
   return false;
 }
 
-/// Can this recovered generation skip the re-scatter and rebuild from
-/// the cache? Every input (shared cache state after the generation-0
-/// join, the agreed failed set, the grid geometry, the identity of the
-/// virtual->physical mapping) is identical on every rank and — because
-/// recv outcomes are dataflow-deterministic — identical across
+/// What an elastic run does with the panel cache in this generation.
+enum class PanelPlan {
+  kNone,       ///< plain run, or the cache cannot help
+  kReplicate,  ///< generation 0 under respawn: fill the cache
+  kRestore,    ///< recovered generation: rebuild from the cache
+};
+
+/// Every input (shared cache state after the previous generation's join,
+/// the agreed failed set, the policy, the grid geometry, the identity of
+/// the virtual->physical mapping) is identical on every rank and —
+/// because recv outcomes are dataflow-deterministic — identical across
 /// identical runs, so all ranks of all runs take the same branch.
-bool use_cached_panels(const PanelCacheSet& cache, const RecoveryContext& ctx,
-                       bool identity_mapping, int grid_ranks,
-                       std::size_t nb) {
-  if (!cache.enabled || !ctx.recovered() || ctx.failed_ranks.empty()) {
-    return false;
+PanelPlan plan_panels(const PanelCacheSet* cache, const RecoveryContext& ctx,
+                      bool identity_mapping, int grid_ranks,
+                      std::size_t nb) {
+  // Replication traffic is real comm and costs bandwidth, so it is spent
+  // only when a death would be respawned. Physical-rank-keyed slots
+  // only line up with virtual grid positions when the mapping is the
+  // identity (respawn); a shrunk world re-maps.
+  if (cache == nullptr || ctx.policy != RecoveryPolicy::kRespawn ||
+      !identity_mapping ||
+      cache->own.size() < static_cast<std::size_t>(grid_ranks) ||
+      cache->replica.size() < static_cast<std::size_t>(grid_ranks)) {
+    return PanelPlan::kNone;
   }
-  // Physical-rank-keyed slots only line up with virtual grid positions
-  // when the mapping is the identity (respawn); a shrunk world re-maps.
-  if (!identity_mapping) return false;
-  if (cache.own.size() < static_cast<std::size_t>(grid_ranks) ||
-      cache.replica.size() < static_cast<std::size_t>(grid_ranks)) {
-    return false;
+  if (!ctx.recovered()) {
+    return grid_ranks > 1 ? PanelPlan::kReplicate : PanelPlan::kNone;
   }
+  if (ctx.failed_ranks.empty()) return PanelPlan::kNone;
   for (int r = 0; r < grid_ranks; ++r) {
     if (!contains_rank(ctx.failed_ranks, r)) {
-      const PanelSlot& own = cache.own[static_cast<std::size_t>(r)];
-      if (!own.valid || own.nb != nb) return false;
+      const PanelSlot& own = cache->own[static_cast<std::size_t>(r)];
+      if (!own.valid || own.nb != nb) return PanelPlan::kNone;
     } else {
       // The dead rank's panels live with its buddy — who must itself be
       // alive and must have completed the replication recv in time.
       const int holder = (r + 1) % grid_ranks;
       if (holder == r || contains_rank(ctx.failed_ranks, holder)) {
-        return false;
+        return PanelPlan::kNone;
       }
-      const PanelSlot& rep = cache.replica[static_cast<std::size_t>(r)];
-      if (!rep.valid || rep.nb != nb) return false;
+      const PanelSlot& rep = cache->replica[static_cast<std::size_t>(r)];
+      if (!rep.valid || rep.nb != nb) return PanelPlan::kNone;
     }
   }
-  return true;
+  return PanelPlan::kRestore;
 }
 
-}  // namespace
+// Buddy replication: each grid rank ships its checksummed panels one
+// rank clockwise and keeps the copy its counter-clockwise neighbour
+// ships.
+void replicate_panels(Communicator& comm, PanelCacheSet& cache,
+                      ConstMatrixView a_own, ConstMatrixView b_own) {
+  const int r = comm.rank();
+  CAPOW_TSPAN_ARGS1("summa.replicate_panels", "dist", "rank", r);
+  PanelSlot mine = make_slot(a_own, b_own);
+  const int buddy = (r + 1) % comm.size();
+  const int owner = (r - 1 + comm.size()) % comm.size();
+  comm.send(buddy, kPanelReplica + r, slot_payload(mine));
+  const Message m = comm.recv(owner, kPanelReplica + owner);
+  cache.replica[static_cast<std::size_t>(owner)] =
+      slot_from_payload(m.payload, a_own.rows(), "replicated");
+  cache.own[static_cast<std::size_t>(r)] = std::move(mine);
+}
 
-void summa_multiply_resilient(Communicator& comm, const RecoveryContext& ctx,
-                              PanelCacheSet& cache, ConstMatrixView a,
-                              ConstMatrixView b, MatrixView c,
-                              const abft::AbftConfig& cfg) {
-  // Dimension negotiation runs over the *full* communicator (idle
-  // spares included) so a bad root call aborts every rank identically.
-  std::vector<double> dims(1, 0.0);
-  if (comm.rank() == 0 && a.square() && b.square() && c.square() &&
-      a.rows() == b.rows() && a.rows() == c.rows() && a.rows() > 0) {
-    dims[0] = static_cast<double>(a.rows());
+// Reconstruction: buddies restore the dead ranks' panels over the wire
+// (deterministic order: ascending victim), survivors reload their own
+// cached copies, and nobody re-touches the root operands.
+void restore_panels(Communicator& comm, const PanelCacheSet& cache,
+                    const RecoveryContext& ctx, MatrixView a_own,
+                    MatrixView b_own) {
+  const int r = comm.rank();
+  CAPOW_TSPAN_ARGS2("summa.restore_panels", "dist", "rank", r, "failed",
+                    static_cast<std::int64_t>(ctx.failed_ranks.size()));
+  for (int v : ctx.failed_ranks) {
+    if (v >= comm.size()) continue;  // dead idle spare: nothing lost
+    const int holder = (v + 1) % comm.size();
+    if (r == holder) {
+      comm.send(v, kPanelRestore + v,
+                slot_payload(cache.replica[static_cast<std::size_t>(v)]));
+    } else if (r == v) {
+      const Message m = comm.recv(holder, kPanelRestore + v);
+      const PanelSlot got =
+          slot_from_payload(m.payload, a_own.rows(), "restored");
+      unflatten(got.a, a_own);
+      unflatten(got.b, b_own);
+    }
   }
-  comm.broadcast(0, dims);
-  if (dims[0] == 0.0) {
-    throw std::invalid_argument(
-        "summa_multiply_resilient: root operands must be square, equal, "
-        "and nonempty");
+  if (!contains_rank(ctx.failed_ranks, r)) {
+    const PanelSlot& own = cache.own[static_cast<std::size_t>(r)];
+    unflatten(own.a, a_own);
+    unflatten(own.b, b_own);
   }
-  const std::size_t n = static_cast<std::size_t>(dims[0]);
+}
 
-  // Largest grid the current membership can field: g*g ranks with n
-  // divisible by g (g = 1 always qualifies, so any world size works —
-  // which is exactly what lets a shrunk generation re-run the job).
-  int g = 1;
-  for (int cand = 2; cand * cand <= comm.size(); ++cand) {
-    if (n % static_cast<std::size_t>(cand) == 0) g = cand;
+// The one SUMMA collective behind summa_multiply and multiply_25d. Every
+// rank of `comm` takes part in the dimension negotiation; the first
+// grid.ranks() then run, inside guarded_collective: scatter (or, in a
+// recovered respawn generation, restore from the panel cache), replicate
+// across layers, the layer's slice of the k-steps, reduce across layers,
+// gather.
+void run_grid(Communicator& comm, const GridSpec& grid, ConstMatrixView a,
+              ConstMatrixView b, MatrixView c, const abft::AbftConfig& cfg,
+              const RecoveryContext& ctx, PanelCacheSet* cache,
+              const char* what) {
+  if (comm.size() < grid.ranks()) {
+    throw std::invalid_argument(std::string(what) +
+                                ": communicator smaller than the grid");
   }
-  const int grid_ranks = g * g;
-  CAPOW_TSPAN_ARGS3("summa.resilient", "dist", "rank", comm.rank(), "grid",
-                    g, "generation",
-                    static_cast<std::int64_t>(ctx.generation));
-  if (comm.rank() >= grid_ranks) return;  // idle spare this generation
+  const std::size_t n = negotiate_dim(comm, a, b, c, grid);
+  const int grid_ranks = grid.ranks();
+  if (comm.rank() >= grid_ranks) return;  // idle spare
   Communicator grid_comm = comm.sub(grid_ranks);
 
-  const GridSpec grid{g, g, 1};
-  const std::size_t nb = n / static_cast<std::size_t>(g);
+  const std::size_t nb = n / static_cast<std::size_t>(grid.rows);
   const RankCoord me = coord_of(grid_comm.rank(), grid);
-  const bool identity_mapping = comm.size() == comm.world_size();
-  const bool cached =
-      use_cached_panels(cache, ctx, identity_mapping, grid_ranks, nb);
-  // Replication makes sense only while the cache can be used later:
-  // physical-keyed slots from a non-identity generation never match.
-  const bool replicate = cache.enabled && identity_mapping &&
-                         ctx.generation == 0 && grid_ranks > 1 &&
-                         cache.own.size() >= static_cast<std::size_t>(
-                                                 grid_ranks) &&
-                         cache.replica.size() >= static_cast<std::size_t>(
-                                                     grid_ranks);
-
-  // A resilient run that skipped end-to-end verification would be a
-  // contradiction; promote an unset mode to correct.
-  abft::AbftConfig rcfg = cfg;
-  if (abft::resolve_mode(rcfg) == abft::AbftMode::kOff) {
-    rcfg.mode = abft::AbftMode::kCorrect;
-  }
+  const PanelPlan plan = plan_panels(
+      cache, ctx, comm.size() == comm.world_size(), grid_ranks, nb);
 
   AbftState st;
-  guarded_collective(grid_comm, a, b, c, rcfg, st, "resilient summa", [&] {
-    const int r = grid_comm.rank();
+  guarded_collective(grid_comm, a, b, c, cfg, st, what, [&] {
     Matrix a_own(nb, nb), b_own(nb, nb);
-    if (!cached) {
-      a_own = scatter_blocks(grid_comm, grid, st, a, nb, kScatterA);
-      b_own = scatter_blocks(grid_comm, grid, st, b, nb, kScatterB);
-      // Buddy replication: each rank ships its checksummed panels one
-      // rank clockwise. Only the first ABFT attempt replicates — a
-      // retry re-scatters the same operands, so the cache is already
-      // exact (and both sides branch on st.salt, staying matched).
-      if (replicate && st.salt == 0) {
-        CAPOW_TSPAN_ARGS1("summa.replicate_panels", "dist", "rank", r);
-        PanelSlot mine = make_slot(a_own.view(), b_own.view());
-        const int buddy = (r + 1) % grid_ranks;
-        const int owner = (r - 1 + grid_ranks) % grid_ranks;
-        grid_comm.send(buddy, kPanelReplica + r, slot_payload(mine));
-        const Message m = grid_comm.recv(owner, kPanelReplica + owner);
-        cache.replica[static_cast<std::size_t>(owner)] =
-            slot_from_payload(m.payload, nb, "replicated");
-        cache.own[static_cast<std::size_t>(r)] = std::move(mine);
-      }
+    if (plan == PanelPlan::kRestore) {
+      restore_panels(grid_comm, *cache, ctx, a_own.view(), b_own.view());
     } else {
-      // Reconstruction: buddies restore the dead ranks' panels over the
-      // wire (deterministic order: ascending victim), survivors reload
-      // their own cached copies, and nobody re-touches the root
-      // operands — the scatter is skipped entirely.
-      CAPOW_TSPAN_ARGS2("summa.restore_panels", "dist", "rank", r,
-                        "failed", static_cast<std::int64_t>(
-                                      ctx.failed_ranks.size()));
-      for (int v : ctx.failed_ranks) {
-        if (v >= grid_ranks) continue;  // dead idle spare: nothing lost
-        const int holder = (v + 1) % grid_ranks;
-        if (r == holder) {
-          grid_comm.send(
-              v, kPanelRestore + v,
-              slot_payload(cache.replica[static_cast<std::size_t>(v)]));
-        } else if (r == v) {
-          const Message m = grid_comm.recv(holder, kPanelRestore + v);
-          const PanelSlot got = slot_from_payload(m.payload, nb, "restored");
-          unflatten(got.a, a_own.view());
-          unflatten(got.b, b_own.view());
-        }
+      scatter_blocks(grid_comm, grid, st, a, a_own.view(), kScatterA);
+      scatter_blocks(grid_comm, grid, st, b, b_own.view(), kScatterB);
+      // Only the first ABFT attempt replicates — a retry re-scatters the
+      // same operands, so the cache is already exact (and both sides
+      // branch on st.salt, staying matched).
+      if (plan == PanelPlan::kReplicate && st.salt == 0) {
+        replicate_panels(grid_comm, *cache, a_own.view(), b_own.view());
       }
-      if (!contains_rank(ctx.failed_ranks, r)) {
-        const PanelSlot& own = cache.own[static_cast<std::size_t>(r)];
-        unflatten(own.a, a_own.view());
-        unflatten(own.b, b_own.view());
-      }
+    }
+    if (grid.layers > 1) {
+      replicate_layers(grid_comm, grid, st, me, a_own.view(), b_own.view());
     }
 
     Matrix c_acc = Matrix::zeros(nb);
     Matrix a_panel(nb, nb), b_panel(nb, nb);
-    for (int step = 0; step < g; ++step) {
-      summa_step(grid_comm, grid, st, me, step, a_own.view(), b_own.view(),
-                 a_panel, b_panel, c_acc.view());
+    const int steps_per_layer = grid.rows / grid.layers;
+    const int first = me.layer * steps_per_layer;
+    for (int s = 0; s < steps_per_layer; ++s) {
+      summa_step(grid_comm, grid, st, me, first + s, a_own.view(),
+                 b_own.view(), a_panel, b_panel, c_acc.view());
     }
+
+    if (grid.layers > 1) reduce_layers(grid_comm, grid, st, me, c_acc.view());
     gather_blocks(grid_comm, grid, st, c_acc.view(), c, nb);
   });
 }
 
-void summa_multiply_resilient(Communicator& comm, const RecoveryContext& ctx,
-                              PanelCacheSet& cache, ConstMatrixView a,
-                              ConstMatrixView b, MatrixView c) {
-  summa_multiply_resilient(comm, ctx, cache, a, b, c, abft::AbftConfig{});
+}  // namespace
+
+void GridSpec::validate() const {
+  if (rows <= 0 || cols <= 0 || layers <= 0) {
+    throw std::invalid_argument("GridSpec: non-positive dimension");
+  }
+  if (rows != cols) {
+    throw std::invalid_argument("GridSpec: this implementation requires a "
+                                "square in-plane grid");
+  }
+  if (rows % layers != 0) {
+    throw std::invalid_argument(
+        "GridSpec: layers must divide the grid dimension");
+  }
+}
+
+GridSpec GridSpec::largest_square(std::size_t n, int ranks) noexcept {
+  int g = 1;
+  for (int cand = 2; cand * cand <= ranks; ++cand) {
+    if (n % static_cast<std::size_t>(cand) == 0) g = cand;
+  }
+  return GridSpec{g, g, 1};
+}
+
+void summa_multiply(Communicator& comm, const GridSpec& grid,
+                    ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                    const abft::AbftConfig& cfg, const RecoveryContext& ctx,
+                    PanelCacheSet* cache) {
+  grid.validate();
+  if (grid.layers != 1) {
+    throw std::invalid_argument("summa_multiply: layers must be 1");
+  }
+  CAPOW_TSPAN_ARGS1("summa.multiply", "dist", "rank", comm.rank());
+  run_grid(comm, grid, a, b, c, cfg, ctx, cache, "summa");
+}
+
+void multiply_25d(Communicator& comm, const GridSpec& grid,
+                  ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                  const abft::AbftConfig& cfg) {
+  grid.validate();
+  CAPOW_TSPAN_ARGS2("summa.multiply_25d", "dist", "rank", comm.rank(),
+                    "layers", grid.layers);
+  run_grid(comm, grid, a, b, c, cfg, RecoveryContext{}, nullptr,
+           "2.5D multiply");
 }
 
 }  // namespace capow::dist

@@ -35,41 +35,13 @@ struct GridSpec {
   /// Throws std::invalid_argument when degenerate or (for this
   /// implementation) non-square in the plane.
   void validate() const;
+
+  /// The elastic grid rule: the largest g x g grid (one layer) with
+  /// g * g <= ranks and n % g == 0. g = 1 always qualifies, so any
+  /// membership fields a grid, which is what lets a shrunk generation
+  /// re-run the job.
+  static GridSpec largest_square(std::size_t n, int ranks) noexcept;
 };
-
-/// Collective SUMMA: C = A * B on a rows x cols grid (layers must be 1).
-/// Rank 0 passes the operands; n must be divisible by grid.rows and
-/// grid.cols. Every rank of `comm` must call it; comm.size() must equal
-/// grid.ranks().
-///
-/// ABFT (abft::resolve_mode semantics — the no-config overload still
-/// honors CAPOW_ABFT): in detect/correct mode every point-to-point
-/// payload carries a compensated end-to-end checksum word, compared
-/// bitwise on receipt — an application-level check independent of the
-/// transport's link CRC (which PR 2's comm.corrupt site already covers).
-/// Rank 0 additionally guards the whole product with Huang–Abraham
-/// checksums; in correct mode a failed verdict triggers a collective
-/// re-run (bounded by cfg.max_retries) from the pristine root operands.
-/// With the mode off, the wire format is bit-identical to the
-/// pre-ABFT protocol.
-void summa_multiply(Communicator& comm, const GridSpec& grid,
-                    linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                    linalg::MatrixView c);
-void summa_multiply(Communicator& comm, const GridSpec& grid,
-                    linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                    linalg::MatrixView c, const abft::AbftConfig& cfg);
-
-/// Collective 2.5D multiply: the rows x cols grid is replicated
-/// `layers` times; each layer computes a disjoint slice of the k-steps
-/// and the result is sum-reduced across layers. Requires
-/// grid.rows == grid.cols, layers dividing grid.rows, and n divisible
-/// by grid.rows. ABFT semantics match summa_multiply.
-void multiply_25d(Communicator& comm, const GridSpec& grid,
-                  linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                  linalg::MatrixView c);
-void multiply_25d(Communicator& comm, const GridSpec& grid,
-                  linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                  linalg::MatrixView c, const abft::AbftConfig& cfg);
 
 /// One rank's checksummed operand panels, cached for reconstruction.
 /// `a`/`b` are bit-exact flattened copies of the nb x nb blocks the
@@ -85,17 +57,13 @@ struct PanelSlot {
   double a_sum = 0.0, b_sum = 0.0;
 };
 
-/// Driver-owned panel replication cache for summa_multiply_resilient.
+/// Driver-owned panel replication cache for an elastic summa_multiply.
 /// Outlives generations (the caller holds it across run_elastic's
 /// re-runs). Indexed by *physical* rank; the single-writer discipline
 /// mirrors RankCommBlock: during a generation, own[r] is written only
 /// by rank r's thread and replica[o] only by o's buddy's thread, and
 /// the generation join is the happens-before edge to the readers.
 struct PanelCacheSet {
-  /// Arm buddy replication (set by the driver when the respawn policy
-  /// is in play; replication traffic is real comm and costs bandwidth,
-  /// so shrink/abort runs leave it off).
-  bool enabled = false;
   std::vector<PanelSlot> own;
   std::vector<PanelSlot> replica;
 
@@ -105,27 +73,50 @@ struct PanelCacheSet {
         replica(static_cast<std::size_t>(ranks)) {}
 };
 
-/// Elastic SUMMA: the body to run under World::run_elastic. Adapts to
-/// whatever communicator it is handed instead of demanding an exact
-/// rank count: picks the largest g with g*g <= comm.size() and
-/// n % g == 0, runs SUMMA on the first g*g virtual ranks (comm.sub),
-/// and idles the spares. With `cache.enabled`, generation 0 buddy-
-/// replicates each grid rank's scattered panels to rank (r+1) % g*g;
-/// a recovered respawn generation then skips the re-scatter, restores
-/// dead ranks' panels from their buddies (bitwise checksum-verified),
-/// and recomputes — bit-identical to the fault-free run because the
-/// panels are exact copies feeding the identical gemm sequence. When
-/// the cache cannot cover the failed set (adjacent victims, changed
-/// grid, shrink remapping) it falls back to a full re-scatter. The
-/// whole product is guarded end-to-end by abft::AbftGuard; an unset
-/// cfg.mode is promoted to kCorrect (a resilient run that skipped
-/// verification would be a contradiction).
-void summa_multiply_resilient(Communicator& comm, const RecoveryContext& ctx,
-                              PanelCacheSet& cache, linalg::ConstMatrixView a,
-                              linalg::ConstMatrixView b, linalg::MatrixView c);
-void summa_multiply_resilient(Communicator& comm, const RecoveryContext& ctx,
-                              PanelCacheSet& cache, linalg::ConstMatrixView a,
-                              linalg::ConstMatrixView b, linalg::MatrixView c,
-                              const abft::AbftConfig& cfg);
+/// Collective SUMMA: C = A * B on a rows x cols grid (layers must be 1).
+/// Rank 0 passes the operands; n must be divisible by grid.rows and
+/// grid.cols. Every rank of `comm` must call it, and comm.size() must
+/// be at least grid.ranks(): every rank takes part in the dimension
+/// broadcast, then ranks beyond grid.ranks() idle while the first
+/// grid.ranks() run the grid.
+///
+/// ABFT (abft::resolve_mode semantics — an unset cfg.mode honors
+/// CAPOW_ABFT): in detect/correct mode every point-to-point payload
+/// carries a compensated end-to-end checksum word, compared bitwise on
+/// receipt — an application-level check independent of the transport's
+/// link CRC (which the comm.corrupt fault site already covers). Rank 0
+/// additionally guards the whole product with Huang–Abraham checksums;
+/// in correct mode a failed verdict triggers a collective re-run
+/// (bounded by cfg.max_retries) from the pristine root operands. With
+/// the mode off, the wire format is bit-identical to the pre-ABFT
+/// protocol.
+///
+/// Elastic use: run it under World::run_elastic with
+/// GridSpec::largest_square(n, comm.size()) as the grid, the body's
+/// `ctx`, and a driver-owned `cache`. Under the respawn policy,
+/// generation 0 buddy-replicates each grid rank's scattered panels to
+/// rank (r+1) % grid.ranks(); a recovered generation then skips the
+/// re-scatter, restores dead ranks' panels from their buddies (bitwise
+/// checksum-verified), and recomputes — bit-identical to the fault-free
+/// run because the panels are exact copies feeding the identical gemm
+/// sequence. When the cache cannot cover the failed set (adjacent
+/// victims, changed grid, shrink remapping) it falls back to a full
+/// re-scatter. With a default `ctx` or no `cache` nothing is
+/// replicated, and the wire is that of a plain run.
+void summa_multiply(Communicator& comm, const GridSpec& grid,
+                    linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                    linalg::MatrixView c, const abft::AbftConfig& cfg = {},
+                    const RecoveryContext& ctx = {},
+                    PanelCacheSet* cache = nullptr);
+
+/// Collective 2.5D multiply: the rows x cols grid is replicated
+/// `layers` times; each layer computes a disjoint slice of the k-steps
+/// and the result is sum-reduced across layers. Requires
+/// grid.rows == grid.cols, layers dividing grid.rows, and n divisible
+/// by grid.rows. Communicator size and ABFT semantics match
+/// summa_multiply.
+void multiply_25d(Communicator& comm, const GridSpec& grid,
+                  linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                  linalg::MatrixView c, const abft::AbftConfig& cfg = {});
 
 }  // namespace capow::dist
