@@ -41,21 +41,25 @@ TEST_P(CapsCorrectnessTest, MatchesReference) {
       << "n=" << p.n << " cutoff=" << p.cutoff << " bfs=" << p.bfs_depth;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CapsCorrectnessTest,
-    ::testing::Values(CapsCase{1, 8, 4},      // base case directly
-                      CapsCase{8, 8, 4},
-                      CapsCase{16, 8, 4},     // one BFS level
-                      CapsCase{16, 8, 0},     // pure DFS
-                      CapsCase{64, 8, 0},     // deep pure DFS
-                      CapsCase{64, 8, 1},     // BFS then DFS
-                      CapsCase{64, 8, 2},
-                      CapsCase{64, 8, 9},     // pure BFS
-                      CapsCase{100, 16, 1},   // padded, mixed
-                      CapsCase{128, 16, 2},
-                      CapsCase{129, 32, 4},   // padded
-                      CapsCase{256, 64, 4},
-                      CapsCase{256, 32, 1}));
+// Namespace-scope constants, so each case prints the same bytes, and so
+// names its test the same, in every build.
+constexpr CapsCase kCorrectnessCases[] = {
+    {1, 8, 4},     // base case directly
+    {8, 8, 4},
+    {16, 8, 4},    // one BFS level
+    {16, 8, 0},    // pure DFS
+    {64, 8, 0},    // deep pure DFS
+    {64, 8, 1},    // BFS then DFS
+    {64, 8, 2},
+    {64, 8, 9},    // pure BFS
+    {100, 16, 1},  // padded, mixed
+    {128, 16, 2},
+    {129, 32, 4},  // padded
+    {256, 64, 4},
+    {256, 32, 1}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CapsCorrectnessTest,
+                         ::testing::ValuesIn(kCorrectnessCases));
 
 TEST(Caps, ParallelMatchesSerialBitwise) {
   const std::size_t n = 128;
@@ -190,12 +194,12 @@ TEST_P(CapsCountTest, InstrumentedCountsMatchClosedForm) {
             caps_total_traffic_bytes(p.n, cost));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, CapsCountTest,
-    ::testing::Values(CapsCase{32, 8, 4}, CapsCase{32, 8, 0},
-                      CapsCase{64, 8, 1}, CapsCase{100, 16, 2},
-                      CapsCase{128, 32, 4}, CapsCase{64, 64, 4},
-                      CapsCase{48, 8, 2}));
+constexpr CapsCase kCountCases[] = {
+    {32, 8, 4},   {32, 8, 0},   {64, 8, 1}, {100, 16, 2},
+    {128, 32, 4}, {64, 64, 4},  {48, 8, 2}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, CapsCountTest,
+                         ::testing::ValuesIn(kCountCases));
 
 TEST(Caps, MoreFlopsThanStrassenButSameProducts) {
   // CAPS pays extra O(n^2) work (operand copies / DFS accumulation) for
