@@ -100,7 +100,9 @@ void BM_KernelGflops(benchmark::State& state) {
           ? static_cast<double>(after.hits - before.hits) / acquires
           : 0.0;
 }
-BENCHMARK(BM_KernelGflops)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelGflops)
+    ->DenseRange(0, static_cast<int>(blas::kernel_registry().size()) - 1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RealGemmBlocking(benchmark::State& state) {
   const std::size_t n = 256;

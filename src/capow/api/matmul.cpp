@@ -33,19 +33,6 @@ std::string tile_str(std::size_t mr, std::size_t nr) {
   return std::to_string(mr) + "x" + std::to_string(nr);
 }
 
-/// "generic=4x4, avx2=4x8, fma=6x8" — every registered kernel with the
-/// register tile that selects it, for validation error messages.
-std::string kernel_tile_listing() {
-  std::string s;
-  for (const blas::MicroKernel& k : blas::kernel_registry()) {
-    if (!s.empty()) s += ", ";
-    s += k.name;
-    s += "=";
-    s += tile_str(k.mr, k.nr);
-  }
-  return s;
-}
-
 }  // namespace
 
 void validate_options(const MatmulOptions& opts) {
@@ -57,7 +44,7 @@ void validate_options(const MatmulOptions& opts) {
         "matmul: blocking requests a " + tile_str(bl.mr, bl.nr) +
         " register tile, which matches no registered microkernel (valid "
         "kernel=tile combinations: " +
-        kernel_tile_listing() + ")");
+        blas::kernel_tile_listing() + ")");
   }
   if (opts.kernel && *opts.kernel != pinned->id) {
     const blas::MicroKernel* requested = blas::find_kernel(*opts.kernel);
@@ -66,7 +53,8 @@ void validate_options(const MatmulOptions& opts) {
         (requested != nullptr ? requested->name : "?") +
         "' conflicts with the blocking parameters, whose " +
         tile_str(bl.mr, bl.nr) + " tile pins kernel '" + pinned->name +
-        "' (valid kernel=tile combinations: " + kernel_tile_listing() + ")");
+        "' (valid kernel=tile combinations: " + blas::kernel_tile_listing() +
+        ")");
   }
 }
 

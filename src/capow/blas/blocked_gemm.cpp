@@ -40,22 +40,6 @@ void block_multiply(const MicroKernel& k, const double* packed_a,
   trace::count_flops(2ull * mc_cur * nc_cur * kc_cur);
 }
 
-// Every registered kernel with the register tile that selects it
-// ("generic=4x4, avx2=4x8, fma=6x8") — so tile/kernel mismatch errors
-// tell the caller what the valid combinations are.
-std::string kernel_tile_listing() {
-  std::string s;
-  for (const MicroKernel& k : kernel_registry()) {
-    if (!s.empty()) s += ", ";
-    s += k.name;
-    s += "=";
-    s += std::to_string(k.mr);
-    s += "x";
-    s += std::to_string(k.nr);
-  }
-  return s;
-}
-
 }  // namespace
 
 const MicroKernel& resolve_kernel(const GemmOptions& opts) {
@@ -86,7 +70,8 @@ const MicroKernel& resolve_kernel(const GemmOptions& opts) {
     }
     return *k;
   }
-  return select_kernel(opts.kernel);
+  return opts.machine && !opts.kernel ? model_kernel(*opts.machine)
+                                      : select_kernel(opts.kernel);
 }
 
 BlockingParams resolve_blocking(const GemmOptions& opts) {

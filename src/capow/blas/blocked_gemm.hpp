@@ -33,7 +33,9 @@ namespace capow::blas {
 ///    `kernel` (if also set) and the tile must agree — this keeps runs
 ///    with pinned BlockingParams deterministic under CAPOW_KERNEL.
 ///  - otherwise the kernel is select_kernel(kernel) — explicit request,
-///    else CAPOW_KERNEL, else fastest supported — and blocking is
+///    else CAPOW_KERNEL, else fastest supported — except that a
+///    `machine` without an explicit `kernel` takes model_kernel(machine),
+///    the choice capped at that machine's flops per cycle. Blocking is
 ///    select_blocking(machine, kernel) or default_blocking_for(kernel).
 struct GemmOptions {
   std::optional<BlockingParams> blocking;

@@ -39,9 +39,10 @@ std::uint64_t blocked_gemm_sync_count(std::size_t n, std::size_t k,
 sim::WorkProfile blocked_gemm_profile(std::size_t n,
                                       const machine::MachineSpec& spec,
                                       unsigned threads) {
-  // Resolve the kernel exactly as blas::gemm would (CAPOW_KERNEL, else
-  // fastest supported) so the analytic blocking matches execution.
-  const BlockingParams bp = select_blocking(spec, select_kernel());
+  // Block for the kernel blas::gemm runs when given this machine: the
+  // host's choice capped at the modelled core's flops per cycle, so the
+  // model never depends on a wider host ISA than `spec` has.
+  const BlockingParams bp = select_blocking(spec, model_kernel(spec));
   const double w = sizeof(double);
   const double traffic = blocked_gemm_traffic_bytes(n, n, n, bp);
   const double footprint = 3.0 * static_cast<double>(n) * n * w;

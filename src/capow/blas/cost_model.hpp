@@ -36,7 +36,8 @@ std::uint64_t blocked_gemm_sync_count(std::size_t n, std::size_t k,
                                       const BlockingParams& bp);
 
 /// Builds the simulator work profile for an n x n x n blocked DGEMM on
-/// `spec` with `threads` workers (blocking chosen via select_blocking).
+/// `spec` with `threads` workers (blocking chosen via
+/// select_blocking(spec, model_kernel(spec))).
 /// When all three operands fit in the LLC only compulsory traffic hits
 /// DRAM; otherwise the full streaming traffic does.
 sim::WorkProfile blocked_gemm_profile(std::size_t n,

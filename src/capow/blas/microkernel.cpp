@@ -183,14 +183,69 @@ bool supported_fma() {
          __builtin_cpu_supports("fma") != 0;
 }
 
+// ---------------------------------------------------------------------
+// avx512 — 12x16 tile: 24 zmm accumulators (12 rows x 2 vectors of 8
+// doubles) + 2 B vectors + 1 A broadcast, within the 32 architectural
+// zmm registers. Each C element runs acc = fma(a, b, acc) over p in the
+// same order as the fma kernel and is added to C once per call, so at
+// equal kc the result is bit-identical to `fma`.
+// ---------------------------------------------------------------------
+
+__attribute__((target("avx512f"))) void kernel_avx512_12x16(
+    const double* astripe, const double* bstripe, std::size_t kc, double* c,
+    std::size_t ldc) {
+  __m512d acc[12][2];
+#pragma GCC unroll 12
+  for (std::size_t r = 0; r < 12; ++r) {
+    acc[r][0] = _mm512_setzero_pd();
+    acc[r][1] = _mm512_setzero_pd();
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const __m512d b0 = _mm512_loadu_pd(bstripe + p * 16);
+    const __m512d b1 = _mm512_loadu_pd(bstripe + p * 16 + 8);
+    const double* ap = astripe + p * 12;
+#pragma GCC unroll 12
+    for (std::size_t r = 0; r < 12; ++r) {
+      const __m512d ar = _mm512_set1_pd(ap[r]);
+      acc[r][0] = _mm512_fmadd_pd(ar, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_pd(ar, b1, acc[r][1]);
+    }
+  }
+#pragma GCC unroll 12
+  for (std::size_t r = 0; r < 12; ++r) {
+    double* crow = c + r * ldc;
+    _mm512_storeu_pd(crow, _mm512_add_pd(_mm512_loadu_pd(crow), acc[r][0]));
+    _mm512_storeu_pd(crow + 8,
+                     _mm512_add_pd(_mm512_loadu_pd(crow + 8), acc[r][1]));
+  }
+}
+
+bool supported_avx512() { return __builtin_cpu_supports("avx512f") != 0; }
+
+// Ascending preference; flops_per_cycle is two issue ports of each
+// kernel's widest arithmetic (scalar mul+add, 4-wide mul+add, 4-wide
+// FMA, 8-wide FMA).
 constexpr MicroKernel kKernels[] = {
-    {MicroKernelId::kGeneric, "generic", 4, 4, kernel_generic_4x4,
+    {MicroKernelId::kGeneric, "generic", 4, 4, 2.0, kernel_generic_4x4,
      pack_a_t<4>, pack_b_t<4>, supported_generic},
-    {MicroKernelId::kAvx2, "avx2", 4, 8, kernel_avx2_4x8, pack_a_t<4>,
+    {MicroKernelId::kAvx2, "avx2", 4, 8, 8.0, kernel_avx2_4x8, pack_a_t<4>,
      pack_b_t<8>, supported_avx2},
-    {MicroKernelId::kFma, "fma", 6, 8, kernel_fma_6x8, pack_a_t<6>,
+    {MicroKernelId::kFma, "fma", 6, 8, 16.0, kernel_fma_6x8, pack_a_t<6>,
      pack_b_t<8>, supported_fma},
+    {MicroKernelId::kAvx512, "avx512", 12, 16, 32.0, kernel_avx512_12x16,
+     pack_a_t<12>, pack_b_t<16>, supported_avx512},
 };
+
+// run_micro_tile's edge scratch is a fixed stack tile; every kernel's
+// register tile must fit in it.
+constexpr bool tiles_fit_edge_scratch() {
+  for (const MicroKernel& k : kKernels) {
+    if (k.mr > kMaxMicroTileRows || k.nr > kMaxMicroTileCols) return false;
+  }
+  return true;
+}
+static_assert(tiles_fit_edge_scratch(),
+              "raise kMaxMicroTileRows/Cols to the largest registered tile");
 
 }  // namespace
 
@@ -218,6 +273,19 @@ const MicroKernel* find_kernel_for_tile(std::size_t mr,
   return nullptr;
 }
 
+std::string kernel_tile_listing() {
+  std::string s;
+  for (const MicroKernel& k : kKernels) {
+    if (!s.empty()) s += ", ";
+    s += k.name;
+    s += "=";
+    s += std::to_string(k.mr);
+    s += "x";
+    s += std::to_string(k.nr);
+  }
+  return s;
+}
+
 std::optional<MicroKernelId> env_kernel_override() {
   // Parsed exactly once: the override is a per-process experiment knob,
   // and re-reading it mid-run would let two halves of one measurement
@@ -235,7 +303,7 @@ std::optional<MicroKernelId> env_kernel_override() {
       return;
     }
     error = "CAPOW_KERNEL: unknown kernel '" + std::string(value) +
-            "' (expected generic, avx2, fma, or auto)";
+            "' (expected auto or one of " + kernel_tile_listing() + ")";
   });
   if (!error.empty()) throw std::invalid_argument(error);
   return cached;
@@ -259,6 +327,18 @@ const MicroKernel& select_kernel(std::optional<MicroKernelId> requested) {
     if (k.supported()) best = &k;
   }
   // The generic kernel is unconditionally supported, so best != null.
+  return *best;
+}
+
+const MicroKernel& model_kernel(const machine::MachineSpec& spec) {
+  const MicroKernel& chosen = select_kernel();
+  if (chosen.flops_per_cycle <= spec.core.flops_per_cycle) return chosen;
+  const MicroKernel* best = &kKernels[0];
+  for (const MicroKernel& k : kKernels) {
+    if (k.supported() && k.flops_per_cycle <= spec.core.flops_per_cycle) {
+      best = &k;
+    }
+  }
   return *best;
 }
 

@@ -32,17 +32,29 @@ double kernel_tolerance(std::size_t n) {
          std::numeric_limits<double>::epsilon();
 }
 
-TEST(KernelRegistry, HasAllThreeVariants) {
+TEST(KernelRegistry, HasEveryVariant) {
   const auto kernels = kernel_registry();
-  ASSERT_EQ(kernels.size(), 3u);
+  ASSERT_EQ(kernels.size(), 4u);
   EXPECT_EQ(kernels[0].id, MicroKernelId::kGeneric);
   EXPECT_STREQ(kernels[0].name, "generic");
   EXPECT_EQ(kernels[1].id, MicroKernelId::kAvx2);
   EXPECT_STREQ(kernels[1].name, "avx2");
   EXPECT_EQ(kernels[2].id, MicroKernelId::kFma);
   EXPECT_STREQ(kernels[2].name, "fma");
+  EXPECT_EQ(kernels[3].id, MicroKernelId::kAvx512);
+  EXPECT_STREQ(kernels[3].name, "avx512");
+  EXPECT_EQ(kernels[3].mr, 12u);
+  EXPECT_EQ(kernels[3].nr, 16u);
   // The scalar fallback must run anywhere.
   EXPECT_TRUE(kernels[0].supported());
+  // Ascending preference is ascending peak rate, which model_kernel()
+  // relies on when it steps down to a narrower kernel.
+  for (std::size_t i = 1; i < kernels.size(); ++i) {
+    EXPECT_LT(kernels[i - 1].flops_per_cycle, kernels[i].flops_per_cycle)
+        << kernels[i].name;
+  }
+  EXPECT_EQ(kernel_tile_listing(),
+            "generic=4x4, avx2=4x8, fma=6x8, avx512=12x16");
 }
 
 TEST(KernelRegistry, LookupByIdNameAndTile) {
@@ -117,7 +129,12 @@ constexpr KernelCase kKernelCases[] = {
     {MicroKernelId::kFma, 129, 67, 55},
     {MicroKernelId::kFma, 256, 256, 256},
     {MicroKernelId::kFma, 1, 100, 1},
-    {MicroKernelId::kFma, 130, 7, 65}};
+    {MicroKernelId::kFma, 130, 7, 65},
+    {MicroKernelId::kAvx512, 64, 64, 64},
+    {MicroKernelId::kAvx512, 129, 67, 55},
+    {MicroKernelId::kAvx512, 256, 256, 256},
+    {MicroKernelId::kAvx512, 1, 100, 1},
+    {MicroKernelId::kAvx512, 130, 7, 65}};
 
 INSTANTIATE_TEST_SUITE_P(Matrix, KernelVariantTest,
                          ::testing::ValuesIn(kKernelCases));
@@ -142,6 +159,94 @@ TEST(KernelVariants, TrafficAccountingIdenticalAcrossKernels) {
     EXPECT_EQ(static_cast<double>(rec.total().dram_bytes()),
               blocked_gemm_traffic_bytes(n, n, n, bp))
         << kern.name;
+  }
+}
+
+// avx512 runs each C element's fma chain in the same order as fma and
+// adds it to C once per kc block, so at the default blocking (equal kc)
+// the two kernels must agree to the last bit, edge tiles included.
+TEST(KernelVariants, Avx512MatchesFmaBitForBit) {
+  const MicroKernel& wide = *find_kernel(MicroKernelId::kAvx512);
+  const MicroKernel& fma = *find_kernel(MicroKernelId::kFma);
+  if (!wide.supported() || !fma.supported()) {
+    GTEST_SKIP() << "avx512 or fma not supported on this CPU";
+  }
+  ASSERT_EQ(default_blocking_for(wide).kc, default_blocking_for(fma).kc);
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  constexpr Shape kShapes[] = {{64, 64, 64},    {129, 67, 55},
+                               {256, 256, 256}, {1, 100, 1},
+                               {130, 7, 65},    {768, 768, 768},
+                               {1000, 517, 333}};
+  for (const Shape& sh : kShapes) {
+    Matrix a = random_matrix(sh.m, sh.k, 31);
+    Matrix b = random_matrix(sh.k, sh.n, 32);
+    Matrix via_fma(sh.m, sh.n), via_wide(sh.m, sh.n);
+    GemmOptions opts;
+    opts.kernel = fma.id;
+    gemm(a.view(), b.view(), via_fma.view(), opts);
+    opts.kernel = wide.id;
+    gemm(a.view(), b.view(), via_wide.view(), opts);
+    EXPECT_EQ(std::memcmp(via_fma.data(), via_wide.data(),
+                          sh.m * sh.n * sizeof(double)),
+              0)
+        << sh.m << "x" << sh.k << "x" << sh.n;
+  }
+}
+
+// The model blocks for the modelled machine's cores, not the host's:
+// a simulated Haswell (16 flops/cycle) gets the 6x8 fma tile even when
+// the host would run the 12x16 avx512 one.
+TEST(ModelKernel, CappedAtTheModelledCoreRate) {
+  const MicroKernel& host = select_kernel();
+  const machine::MachineSpec haswell = machine::haswell_e3_1225();
+  const MicroKernel& modelled = model_kernel(haswell);
+  EXPECT_TRUE(modelled.supported());
+  EXPECT_LE(modelled.flops_per_cycle, haswell.core.flops_per_cycle);
+  if (host.flops_per_cycle <= haswell.core.flops_per_cycle) {
+    EXPECT_EQ(modelled.id, host.id);  // the host choice already fits
+  } else if (find_kernel(MicroKernelId::kFma)->supported()) {
+    EXPECT_EQ(modelled.id, MicroKernelId::kFma);
+  }
+  // 4 flops/cycle admits only the scalar kernel.
+  EXPECT_EQ(model_kernel(machine::compact_dual_core()).id,
+            MicroKernelId::kGeneric);
+
+  // blas::gemm given the machine blocks exactly like the model does.
+  GemmOptions opts;
+  opts.machine = haswell;
+  EXPECT_EQ(resolve_kernel(opts).id, modelled.id);
+  const BlockingParams bp = select_blocking(haswell, modelled);
+  const BlockingParams got = resolve_blocking(opts);
+  EXPECT_EQ(got.mc, bp.mc);
+  EXPECT_EQ(got.kc, bp.kc);
+  EXPECT_EQ(got.nc, bp.nc);
+  EXPECT_EQ(got.mr, bp.mr);
+  EXPECT_EQ(got.nr, bp.nr);
+}
+
+TEST(ModelKernel, HaswellProfileUsesTheFmaBlocking) {
+  const MicroKernel& fma = *find_kernel(MicroKernelId::kFma);
+  if (!fma.supported() || select_kernel().flops_per_cycle < 16.0) {
+    GTEST_SKIP() << "fma not the modelled Haswell kernel on this host";
+  }
+  const machine::MachineSpec haswell = machine::haswell_e3_1225();
+  ASSERT_EQ(model_kernel(haswell).id, MicroKernelId::kFma);
+  const BlockingParams bp = select_blocking(haswell, fma);
+  for (const std::size_t n : {256u, 1000u, 2048u}) {
+    for (const unsigned threads : {1u, 4u}) {
+      const sim::WorkProfile wp = blocked_gemm_profile(n, haswell, threads);
+      ASSERT_EQ(wp.phases.size(), 1u);
+      const sim::PhaseCost& ph = wp.phases[0];
+      // Every blocked-traffic byte lands in DRAM or cache.
+      EXPECT_DOUBLE_EQ(ph.dram_bytes + ph.cache_bytes,
+                       blocked_gemm_traffic_bytes(n, n, n, bp))
+          << n << " t=" << threads;
+      EXPECT_EQ(ph.sync_events,
+                threads > 1 ? blocked_gemm_sync_count(n, n, bp) : 0u)
+          << n << " t=" << threads;
+    }
   }
 }
 
