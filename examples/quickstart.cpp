@@ -49,7 +49,7 @@ int main() {
 
   // One entry point for all three algorithms: capow::matmul() selects
   // the implementation (and the fastest SIMD microkernel the CPU
-  // supports — override with CAPOW_KERNEL=generic|avx2|fma).
+  // supports — override with CAPOW_KERNEL=generic|avx2|fma|avx512).
   const struct {
     core::AlgorithmId id;
     linalg::Matrix* out;
