@@ -5,6 +5,7 @@
 #include "bench_common.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/sim/executor.hpp"
+#include "capow/strassen/base_kernel.hpp"
 #include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
 
@@ -54,6 +55,25 @@ void BM_StrassenRealCutoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_StrassenRealCutoff)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+
+// The BOTS base kernel alone, at the padded base sizes fast_recursion's
+// Strassen and CAPS shapes bottom out in (cutoff 64).
+void BM_BotsBaseGflops(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto a = linalg::random_square(n, 1);
+  auto b = linalg::random_square(n, 2);
+  linalg::Matrix c(n, n);
+  for (auto _ : state) {
+    strassen::base_gemm(a.view(), b.view(), c.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = 2.0 * n * n * n;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(flops));
+  state.counters["gflops"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BotsBaseGflops)->Arg(33)->Arg(41)->Arg(49)->Arg(56)->Arg(64);
 
 void BM_WinogradVsClassic(benchmark::State& state) {
   const std::size_t n = 256;

@@ -1,5 +1,7 @@
 #include "capow/abft/checksum.hpp"
 
+#include "capow/linalg/cpu_features.hpp"
+
 namespace capow::abft {
 namespace {
 
@@ -10,10 +12,6 @@ namespace {
 // clones deliberately exclude FMA: with identical lane counts and no
 // contraction, both paths round identically, so checksums do not
 // depend on which CPU computed them.
-bool use_avx2() noexcept {
-  static const bool ok = __builtin_cpu_supports("avx2") != 0;
-  return ok;
-}
 
 __attribute__((always_inline)) inline void col_sums_body(
     linalg::ConstMatrixView a, double* out, double* mag) {
@@ -194,33 +192,33 @@ __attribute__((target("avx2"))) void matrix_sums_avx2(
 }  // namespace
 
 void col_sums(linalg::ConstMatrixView a, double* out, double* mag) {
-  use_avx2() ? col_sums_avx2(a, out, mag)
-             : col_sums_generic(a, out, mag);
+  linalg::has_avx2() ? col_sums_avx2(a, out, mag)
+                     : col_sums_generic(a, out, mag);
 }
 
 void row_sums(linalg::ConstMatrixView a, double* out, double* mag) {
-  use_avx2() ? row_sums_avx2(a, out, mag)
-             : row_sums_generic(a, out, mag);
+  linalg::has_avx2() ? row_sums_avx2(a, out, mag)
+                     : row_sums_generic(a, out, mag);
 }
 
 void guard_row_refs(linalg::ConstMatrixView a, const double* rb,
                     const double* rbmag, double* ca, double* camag,
                     double* rref, double* rmag) {
-  use_avx2() ? guard_row_refs_avx2(a, rb, rbmag, ca, camag, rref, rmag)
-             : guard_row_refs_generic(a, rb, rbmag, ca, camag, rref,
-                                      rmag);
+  linalg::has_avx2()
+      ? guard_row_refs_avx2(a, rb, rbmag, ca, camag, rref, rmag)
+      : guard_row_refs_generic(a, rb, rbmag, ca, camag, rref, rmag);
 }
 
 void guard_col_refs(linalg::ConstMatrixView b, const double* ca,
                     const double* camag, double* cref, double* cmag) {
-  use_avx2() ? guard_col_refs_avx2(b, ca, camag, cref, cmag)
-             : guard_col_refs_generic(b, ca, camag, cref, cmag);
+  linalg::has_avx2() ? guard_col_refs_avx2(b, ca, camag, cref, cmag)
+                     : guard_col_refs_generic(b, ca, camag, cref, cmag);
 }
 
 void matrix_sums(linalg::ConstMatrixView c, double* row_out,
                  double* col_out) {
-  use_avx2() ? matrix_sums_avx2(c, row_out, col_out)
-             : matrix_sums_generic(c, row_out, col_out);
+  linalg::has_avx2() ? matrix_sums_avx2(c, row_out, col_out)
+                     : matrix_sums_generic(c, row_out, col_out);
 }
 
 double payload_checksum(const double* data, std::size_t count) noexcept {

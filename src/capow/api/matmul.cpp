@@ -79,6 +79,9 @@ const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts) {
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts) {
   validate_options(opts);
+  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
+    throw std::invalid_argument("matmul: C shares storage with A or B");
+  }
 
   // Fallback-aware device dispatch: explicit backend > CAPOW_BACKEND >
   // host. An op the requested device lacks runs on the host instead

@@ -84,6 +84,9 @@ BlockingParams resolve_blocking(const GemmOptions& opts) {
 void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
           linalg::MatrixView c, const GemmOptions& opts) {
   check_gemm_shapes(a, b, c);
+  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
+    throw std::invalid_argument("blocked_gemm: C shares storage with A or B");
+  }
   const MicroKernel& kern = resolve_kernel(opts);
   const BlockingParams bp = resolve_blocking(opts);
   WorkspaceArena& arena = opts.arena != nullptr ? *opts.arena : active_arena();

@@ -54,7 +54,8 @@ struct GemmOptions {
   std::uint64_t fault_salt = 0;
 };
 
-/// C = A * B through the packed, blocked path. Shapes are validated.
+/// C = A * B through the packed, blocked path. Shapes are validated, and
+/// a C that shares storage with A or B throws std::invalid_argument.
 void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
           linalg::MatrixView c, const GemmOptions& opts = {});
 

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "capow/linalg/cpu_features.hpp"
+
 namespace capow::blas {
 
 namespace {
@@ -117,7 +119,7 @@ __attribute__((target("avx2"))) void kernel_avx2_4x8(const double* astripe,
   _mm256_storeu_pd(crow + 4, _mm256_add_pd(_mm256_loadu_pd(crow + 4), acc31));
 }
 
-bool supported_avx2() { return __builtin_cpu_supports("avx2") != 0; }
+bool supported_avx2() { return linalg::has_avx2(); }
 
 // ---------------------------------------------------------------------
 // fma — 6x8 tile, the BLIS Haswell shape: 12 independent accumulator
@@ -178,10 +180,7 @@ __attribute__((target("avx2,fma"))) void kernel_fma_6x8(
   _mm256_storeu_pd(crow + 4, _mm256_add_pd(_mm256_loadu_pd(crow + 4), acc51));
 }
 
-bool supported_fma() {
-  return __builtin_cpu_supports("avx2") != 0 &&
-         __builtin_cpu_supports("fma") != 0;
-}
+bool supported_fma() { return linalg::has_avx2() && linalg::has_fma(); }
 
 // ---------------------------------------------------------------------
 // avx512 — 12x16 tile: 24 zmm accumulators (12 rows x 2 vectors of 8
@@ -220,7 +219,7 @@ __attribute__((target("avx512f"))) void kernel_avx512_12x16(
   }
 }
 
-bool supported_avx512() { return __builtin_cpu_supports("avx512f") != 0; }
+bool supported_avx512() { return linalg::has_avx512f(); }
 
 // Ascending preference; flops_per_cycle is two issue ports of each
 // kernel's widest arithmetic (scalar mul+add, 4-wide mul+add, 4-wide

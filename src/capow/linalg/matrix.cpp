@@ -1,6 +1,7 @@
 #include "capow/linalg/matrix.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <new>
 
@@ -105,6 +106,26 @@ ConstMatrixView ConstMatrixView::block(std::size_t i0, std::size_t j0,
                                        std::size_t r, std::size_t c) const {
   check_window(i0, j0, r, c, rows_, cols_);
   return ConstMatrixView(data_ + i0 * ld_ + j0, r, c, ld_);
+}
+
+bool views_overlap(ConstMatrixView x, ConstMatrixView y) noexcept {
+  if (x.empty() || y.empty()) return false;
+  // Each row of x is one byte interval; y's rows are intervals of equal
+  // width at a fixed stride, so the first y row ending past the start of
+  // x's row is the only one that can intersect it. Walking the shorter
+  // view keeps the test O(min(rows)).
+  if (x.rows() > y.rows()) std::swap(x, y);
+  const auto base = reinterpret_cast<std::uintptr_t>(y.data());
+  const std::uintptr_t stride = y.ld() * sizeof(double);
+  const std::uintptr_t width = y.cols() * sizeof(double);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(x.row(i));
+    const std::uintptr_t hi = lo + x.cols() * sizeof(double);
+    const std::uintptr_t r =
+        lo < base + width ? 0 : (lo - base - width) / stride + 1;
+    if (r < y.rows() && base + r * stride < hi) return true;
+  }
+  return false;
 }
 
 }  // namespace capow::linalg

@@ -197,4 +197,9 @@ class ConstMatrixView {
   std::size_t ld_ = 0;
 };
 
+/// True when some element of `x` is also an element of `y`. Exact for
+/// any two views, so disjoint blocks of one matrix (quadrants, or
+/// interleaved column panels) never count as overlapping.
+bool views_overlap(ConstMatrixView x, ConstMatrixView y) noexcept;
+
 }  // namespace capow::linalg

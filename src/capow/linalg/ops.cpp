@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "capow/linalg/cpu_features.hpp"
+
 namespace capow::linalg {
 
 namespace {
@@ -18,6 +20,89 @@ void check_same_shape(ConstMatrixView a, ConstMatrixView b,
         "x" + std::to_string(a.cols()) + " vs " + std::to_string(b.rows()) +
         "x" + std::to_string(b.cols()));
   }
+}
+
+// The four quadrant add/sub passes of the Strassen family are compiled
+// three times — baseline (SSE2), AVX2 and AVX-512F — and dispatch to
+// the widest clone the host runs, picked once per process. Each element
+// is one add or subtract in every clone, so all three round alike.
+
+/// dst = a - b when kSub, else dst = a + b.
+template <bool kSub>
+__attribute__((always_inline)) inline void combine_body(ConstMatrixView a,
+                                                        ConstMatrixView b,
+                                                        MatrixView dst) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* pa = a.row(i);
+    const double* pb = b.row(i);
+    double* pd = dst.row(i);
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      pd[j] = kSub ? pa[j] - pb[j] : pa[j] + pb[j];
+    }
+  }
+}
+
+/// dst -= src when kSub, else dst += src.
+template <bool kSub>
+__attribute__((always_inline)) inline void update_body(MatrixView dst,
+                                                       ConstMatrixView src) {
+  for (std::size_t i = 0; i < src.rows(); ++i) {
+    const double* ps = src.row(i);
+    double* pd = dst.row(i);
+    for (std::size_t j = 0; j < src.cols(); ++j) {
+      pd[j] = kSub ? pd[j] - ps[j] : pd[j] + ps[j];
+    }
+  }
+}
+
+template <bool kSub>
+void combine_generic(ConstMatrixView a, ConstMatrixView b, MatrixView dst) {
+  combine_body<kSub>(a, b, dst);
+}
+template <bool kSub>
+__attribute__((target("avx2"))) void combine_avx2(ConstMatrixView a,
+                                                  ConstMatrixView b,
+                                                  MatrixView dst) {
+  combine_body<kSub>(a, b, dst);
+}
+template <bool kSub>
+__attribute__((target("avx512f"))) void combine_avx512(ConstMatrixView a,
+                                                       ConstMatrixView b,
+                                                       MatrixView dst) {
+  combine_body<kSub>(a, b, dst);
+}
+
+template <bool kSub>
+void update_generic(MatrixView dst, ConstMatrixView src) {
+  update_body<kSub>(dst, src);
+}
+template <bool kSub>
+__attribute__((target("avx2"))) void update_avx2(MatrixView dst,
+                                                 ConstMatrixView src) {
+  update_body<kSub>(dst, src);
+}
+template <bool kSub>
+__attribute__((target("avx512f"))) void update_avx512(MatrixView dst,
+                                                      ConstMatrixView src) {
+  update_body<kSub>(dst, src);
+}
+
+template <bool kSub>
+void combine(ConstMatrixView a, ConstMatrixView b, MatrixView dst) {
+  using Clone = void (*)(ConstMatrixView, ConstMatrixView, MatrixView);
+  static const Clone clone = has_avx512f() ? combine_avx512<kSub>
+                             : has_avx2()  ? combine_avx2<kSub>
+                                           : combine_generic<kSub>;
+  clone(a, b, dst);
+}
+
+template <bool kSub>
+void update(MatrixView dst, ConstMatrixView src) {
+  using Clone = void (*)(MatrixView, ConstMatrixView);
+  static const Clone clone = has_avx512f() ? update_avx512<kSub>
+                             : has_avx2()  ? update_avx2<kSub>
+                                           : update_generic<kSub>;
+  clone(dst, src);
 }
 
 }  // namespace
@@ -36,41 +121,23 @@ void copy(ConstMatrixView src, MatrixView dst) {
 void add(ConstMatrixView a, ConstMatrixView b, MatrixView dst) {
   check_same_shape(a, b, "add");
   check_same_shape(a, dst, "add");
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* pa = a.row(i);
-    const double* pb = b.row(i);
-    double* pd = dst.row(i);
-    for (std::size_t j = 0; j < a.cols(); ++j) pd[j] = pa[j] + pb[j];
-  }
+  combine<false>(a, b, dst);
 }
 
 void sub(ConstMatrixView a, ConstMatrixView b, MatrixView dst) {
   check_same_shape(a, b, "sub");
   check_same_shape(a, dst, "sub");
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* pa = a.row(i);
-    const double* pb = b.row(i);
-    double* pd = dst.row(i);
-    for (std::size_t j = 0; j < a.cols(); ++j) pd[j] = pa[j] - pb[j];
-  }
+  combine<true>(a, b, dst);
 }
 
 void add_inplace(MatrixView dst, ConstMatrixView src) {
   check_same_shape(src, dst, "add_inplace");
-  for (std::size_t i = 0; i < src.rows(); ++i) {
-    const double* ps = src.row(i);
-    double* pd = dst.row(i);
-    for (std::size_t j = 0; j < src.cols(); ++j) pd[j] += ps[j];
-  }
+  update<false>(dst, src);
 }
 
 void sub_inplace(MatrixView dst, ConstMatrixView src) {
   check_same_shape(src, dst, "sub_inplace");
-  for (std::size_t i = 0; i < src.rows(); ++i) {
-    const double* ps = src.row(i);
-    double* pd = dst.row(i);
-    for (std::size_t j = 0; j < src.cols(); ++j) pd[j] -= ps[j];
-  }
+  update<true>(dst, src);
 }
 
 void scale(MatrixView dst, double alpha) {

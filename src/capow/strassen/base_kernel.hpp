@@ -7,6 +7,12 @@
 // kernel, because the whole point of the paper's comparison is that the
 // Strassen implementations run on a far less efficient base multiplier
 // than the tuned OpenBLAS path (see kBotsBaseKernelEfficiency).
+//
+// A BOTS build for a vector machine runs at that machine's vector width,
+// so the one loop is compiled for baseline x86-64, AVX2 and AVX-512F and
+// the widest clone the host supports runs. The clones never fuse a
+// multiply-add and vectorize only across columns of C, so every clone
+// produces the same bits as the baseline build.
 #pragma once
 
 #include "capow/linalg/matrix.hpp"

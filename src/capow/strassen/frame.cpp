@@ -39,6 +39,10 @@ Frame open_frame(const char* who, linalg::ConstMatrixView a,
     throw std::invalid_argument(
         std::string(who) + ": operands must be square with equal dimension");
   }
+  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": C shares storage with A or B");
+  }
   if (base_cutoff == 0) {
     throw std::invalid_argument(std::string(who) + ": base_cutoff == 0");
   }

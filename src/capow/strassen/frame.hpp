@@ -68,8 +68,8 @@ struct Frame {
 /// so direct callers and the facade agree), else the BOTS kernel; a
 /// null arena leases from blas::active_arena(). `who` names the caller
 /// in errors: std::invalid_argument for non-square or mismatched
-/// operands and a zero cutoff, std::runtime_error for a base kernel
-/// this CPU cannot run.
+/// operands, a C that shares storage with A or B, and a zero cutoff,
+/// std::runtime_error for a base kernel this CPU cannot run.
 Frame open_frame(const char* who, linalg::ConstMatrixView a,
                  linalg::ConstMatrixView b, linalg::ConstMatrixView c,
                  std::size_t base_cutoff,

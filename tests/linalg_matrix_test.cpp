@@ -192,5 +192,40 @@ TEST(Matrix, ZeroSizedOperationsAreSafe) {
   EXPECT_NO_THROW(m.block(0, 0, 0, 0));
 }
 
+TEST(ViewsOverlap, QuadrantsAndPanelsOfOneMatrixAreDisjoint) {
+  Matrix m(8, 8, 0.0);
+  const ConstMatrixView q[4] = {m.block(0, 0, 4, 4), m.block(0, 4, 4, 4),
+                                m.block(4, 0, 4, 4), m.block(4, 4, 4, 4)};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_EQ(views_overlap(q[i], q[j]), i == j) << i << "," << j;
+    }
+  }
+  EXPECT_FALSE(views_overlap(m.block(0, 0, 8, 3), m.block(0, 3, 8, 5)));
+  EXPECT_TRUE(views_overlap(m.block(0, 2, 8, 3), m.block(0, 0, 8, 3)));
+  EXPECT_TRUE(views_overlap(m.block(0, 0, 4, 4), m.block(3, 3, 4, 4)));
+  EXPECT_TRUE(views_overlap(m.view(), m.block(7, 7, 1, 1)));
+}
+
+TEST(ViewsOverlap, ExactAcrossDifferentStrides) {
+  Matrix m(8, 8, 0.0);
+  double* d = m.data();
+  const ConstMatrixView even_rows(d, 4, 8, 16);  // rows 0, 2, 4, 6
+  const ConstMatrixView odd_rows(d + 8, 4, 8, 16);
+  EXPECT_FALSE(views_overlap(even_rows, odd_rows));
+  EXPECT_FALSE(views_overlap(even_rows, m.block(1, 0, 1, 8)));
+  EXPECT_FALSE(views_overlap(m.block(5, 0, 3, 8), even_rows.block(0, 0, 3, 8)));
+  EXPECT_TRUE(views_overlap(even_rows, m.block(2, 4, 1, 2)));
+  EXPECT_TRUE(views_overlap(m.block(0, 4, 8, 4), odd_rows));
+  EXPECT_TRUE(views_overlap(m.block(5, 0, 3, 8), even_rows));
+}
+
+TEST(ViewsOverlap, SeparateStorageAndEmptyViewsNeverOverlap) {
+  Matrix a(4, 4, 0.0), b(4, 4, 0.0);
+  EXPECT_FALSE(views_overlap(a.view(), b.view()));
+  EXPECT_FALSE(views_overlap(a.view(), a.block(1, 1, 0, 2)));
+  EXPECT_FALSE(views_overlap(ConstMatrixView(), a.view()));
+}
+
 }  // namespace
 }  // namespace capow::linalg

@@ -2,6 +2,7 @@
 #include "capow/linalg/ops.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,63 @@ TEST(OpsProperty, StridedViewsMatchPacked) {
   Matrix packed_out(5, 5);
   add(pa.view(), pb.view(), packed_out.view());
   EXPECT_TRUE(allclose(vout, packed_out.view(), 0.0, 0.0));
+}
+
+bool same_bits(ConstMatrixView x, ConstMatrixView y) {
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (std::memcmp(x.row(i), y.row(i), x.cols() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Property: the ISA clones of the four quadrant ops round exactly like
+// one scalar add or subtract per element, on odd widths (vector
+// remainders) and on strided views whose rows start unaligned.
+TEST(OpsProperty, QuadrantOpsMatchScalarLoopBitForBit) {
+  for (std::size_t w : {1u, 3u, 7u, 17u, 33u, 63u}) {
+    const Matrix big_a = random_square(2 * w + 1, w);
+    const Matrix big_b = random_square(2 * w + 1, w + 100);
+    const Matrix big_d = random_square(2 * w + 1, w + 200);
+    const ConstMatrixView va = big_a.block(1, 1, w, w);
+    const ConstMatrixView vb = big_b.block(w, 0, w, w);
+
+    Matrix got = big_d, want = big_d;
+    add(va, vb, got.block(w + 1, 1, w, w));
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::size_t j = 0; j < w; ++j) {
+        want(w + 1 + i, 1 + j) = va(i, j) + vb(i, j);
+      }
+    }
+    EXPECT_TRUE(same_bits(got.view(), want.view())) << "add w=" << w;
+
+    got = big_d;
+    want = big_d;
+    sub(va, vb, got.block(0, w, w, w));
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::size_t j = 0; j < w; ++j) {
+        want(i, w + j) = va(i, j) - vb(i, j);
+      }
+    }
+    EXPECT_TRUE(same_bits(got.view(), want.view())) << "sub w=" << w;
+
+    got = big_d;
+    want = big_d;
+    add_inplace(got.block(1, w, w, w), vb);
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::size_t j = 0; j < w; ++j) want(1 + i, w + j) += vb(i, j);
+    }
+    EXPECT_TRUE(same_bits(got.view(), want.view())) << "add_inplace w=" << w;
+
+    got = big_d;
+    want = big_d;
+    sub_inplace(got.block(w, 1, w, w), va);
+    for (std::size_t i = 0; i < w; ++i) {
+      for (std::size_t j = 0; j < w; ++j) want(w + i, 1 + j) -= va(i, j);
+    }
+    EXPECT_TRUE(same_bits(got.view(), want.view())) << "sub_inplace w=" << w;
+  }
 }
 
 }  // namespace

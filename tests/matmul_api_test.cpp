@@ -1,13 +1,20 @@
 // Tests for the capow::matmul() facade, the shared algorithm registry,
 // and the backend-pinned equivalence the redesign guarantees.
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "capow/api/matmul.hpp"
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/gemm_ref.hpp"
+#include "capow/capsalg/caps.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/strassen/strassen.hpp"
 
 namespace capow {
 namespace {
@@ -242,6 +249,84 @@ TEST(MatmulValidation, ConsistentPinnedTileAccepted) {
   blas::gemm_reference(a.view(), b.view(), expect.view());
   matmul(a.view(), b.view(), got.view(), opts);
   EXPECT_TRUE(allclose(got.view(), expect.view(), 1e-11, 1e-11));
+}
+
+using Multiply = std::function<void(
+    linalg::ConstMatrixView, linalg::ConstMatrixView, linalg::MatrixView)>;
+
+MatmulOptions with_algorithm(AlgorithmId id) {
+  MatmulOptions opts;
+  opts.algorithm = id;
+  return opts;
+}
+
+std::vector<std::pair<std::string, Multiply>> multiply_entry_points() {
+  std::vector<std::pair<std::string, Multiply>> entries;
+  for (AlgorithmId id :
+       {AlgorithmId::kOpenBlas, AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
+    entries.emplace_back(
+        std::string("matmul/") + core::algorithm_info(id).key,
+        [id](auto a, auto b, auto c) { matmul(a, b, c, with_algorithm(id)); });
+  }
+  entries.emplace_back("blas::gemm",
+                       [](auto a, auto b, auto c) { blas::gemm(a, b, c); });
+  entries.emplace_back("strassen::multiply", [](auto a, auto b, auto c) {
+    strassen::multiply(a, b, c);
+  });
+  entries.emplace_back("capsalg::multiply", [](auto a, auto b, auto c) {
+    capsalg::multiply(a, b, c);
+  });
+  return entries;
+}
+
+void expect_alias_rejected(const Multiply& multiply, linalg::ConstMatrixView a,
+                           linalg::ConstMatrixView b, linalg::MatrixView c,
+                           const std::string& what) {
+  try {
+    multiply(a, b, c);
+    ADD_FAILURE() << what << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("shares storage"), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(OutputAliasing, EveryEntryPointRejectsAnOutputSharingAnInput) {
+  constexpr std::size_t n = 96;
+  for (const auto& [name, multiply] : multiply_entry_points()) {
+    Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+    expect_alias_rejected(multiply, a.view(), b.view(), a.view(),
+                          name + " C == A");
+    expect_alias_rejected(multiply, a.view(), b.view(), b.view(),
+                          name + " C == B");
+    // C overlaps the bottom-right part of A inside one larger matrix.
+    Matrix m = random_matrix(2 * n, 2 * n, 3);
+    expect_alias_rejected(multiply, m.block(0, 0, n, n), b.view(),
+                          m.block(n / 2, n / 2, n, n),
+                          name + " C a block of A");
+  }
+}
+
+TEST(OutputAliasing, DisjointQuadrantsOfOneMatrixAreAccepted) {
+  constexpr std::size_t n = 96;
+  for (const auto& [name, multiply] : multiply_entry_points()) {
+    Matrix m = random_matrix(2 * n, 2 * n, 4);
+    const Matrix before = m;
+    Matrix expect(n, n);
+    blas::gemm_reference(before.block(0, 0, n, n), before.block(0, n, n, n),
+                         expect.view());
+    ASSERT_NO_THROW(
+        multiply(m.block(0, 0, n, n), m.block(0, n, n, n), m.block(n, 0, n, n)))
+        << name;
+    EXPECT_TRUE(allclose(m.block(n, 0, n, n), expect.view(), 1e-10, 1e-10))
+        << name;
+    EXPECT_TRUE(allclose(m.block(0, 0, n, 2 * n), before.block(0, 0, n, 2 * n),
+                         0.0, 0.0))
+        << name;
+    EXPECT_TRUE(allclose(m.block(n, n, n, n), before.block(n, n, n, n), 0.0,
+                         0.0))
+        << name;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // reference multiplier, parallel determinism, instrumentation, padding,
 // and stability behaviour.
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,84 @@ TEST(BaseKernel, InstrumentationConvention) {
   EXPECT_EQ(rec.total().flops, 2u * 16 * 16 * 16);
   EXPECT_EQ(rec.total().dram_read_bytes, 2u * 16 * 16 * 8);
   EXPECT_EQ(rec.total().dram_write_bytes, 16u * 16 * 8);
+}
+
+// The BOTS loop exactly as a build with no ISA flags compiles it: the
+// reference every ISA clone of base_gemm must reproduce bit for bit.
+void bots_reference(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                    linalg::MatrixView c, bool accumulate) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double* ci = c.row(i);
+    if (!accumulate) {
+      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] = 0.0;
+    }
+    const double* ai = a.row(i);
+    std::size_t p = 0;
+    for (; p + 1 < a.cols(); p += 2) {
+      const double* b0 = b.row(p);
+      const double* b1 = b.row(p + 1);
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        ci[j] += ai[p] * b0[j] + ai[p + 1] * b1[j];
+      }
+    }
+    if (p < a.cols()) {
+      const double* b0 = b.row(p);
+      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += ai[p] * b0[j];
+    }
+  }
+}
+
+bool same_bits(linalg::ConstMatrixView x, linalg::ConstMatrixView y) {
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (std::memcmp(x.row(i), y.row(i), x.cols() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void run_bots(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+              linalg::MatrixView c, bool accumulate) {
+  accumulate ? base_gemm_accumulate(a, b, c) : base_gemm(a, b, c);
+}
+
+TEST(BotsKernel, MatchesBaselineLoopBitForBit) {
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  // fast_recursion's padded base sizes, a degenerate row/column and a
+  // ragged shape with an odd k.
+  const std::vector<Shape> shapes = {{33, 33, 33}, {41, 41, 41},
+                                     {49, 49, 49}, {56, 56, 56},
+                                     {64, 64, 64}, {1, 100, 1},
+                                     {130, 7, 65}};
+  for (const Shape& s : shapes) {
+    const Matrix a = random_matrix(s.m, s.k, s.m + s.k);
+    const Matrix b = random_matrix(s.k, s.n, s.k + s.n);
+    const Matrix c0 = random_matrix(s.m, s.n, s.m + s.n + 1);
+    for (bool accumulate : {false, true}) {
+      Matrix got = c0, want = c0;
+      run_bots(a.view(), b.view(), got.view(), accumulate);
+      bots_reference(a.view(), b.view(), want.view(), accumulate);
+      EXPECT_TRUE(same_bits(got.view(), want.view()))
+          << s.m << "x" << s.k << "x" << s.n << " accumulate=" << accumulate;
+    }
+  }
+
+  // Strided quadrant views: operands and result all have ld = 2n, and
+  // the odd n leaves most rows unaligned to any vector width.
+  constexpr std::size_t n = 49;
+  const Matrix src = random_matrix(2 * n, 2 * n, 11);
+  const Matrix out0 = random_matrix(2 * n, 2 * n, 12);
+  for (bool accumulate : {false, true}) {
+    Matrix got = out0, want = out0;
+    run_bots(src.block(0, n, n, n), src.block(n, 0, n, n),
+             got.block(n, n, n, n), accumulate);
+    bots_reference(src.block(0, n, n, n), src.block(n, 0, n, n),
+                   want.block(n, n, n, n), accumulate);
+    EXPECT_TRUE(same_bits(got.view(), want.view()))
+        << "quadrants accumulate=" << accumulate;
+  }
 }
 
 TEST(RecursionLevels, Formula) {
