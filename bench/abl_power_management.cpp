@@ -16,7 +16,7 @@
 namespace {
 
 using namespace capow;
-using harness::Algorithm;
+using core::AlgorithmId;
 
 void print_reproduction() {
   bench::banner("ABL 4",
@@ -75,7 +75,7 @@ void print_reproduction() {
     add_row("axis 2: RAPL PL1 cap on OpenBLAS", throttled, true);
 
     // Axis 3: algorithm choice at full frequency.
-    for (Algorithm a : {Algorithm::kStrassen, Algorithm::kCaps}) {
+    for (AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
       const auto run =
           sim::simulate(m, bench::profile_for(a, kN, m, 4), 4);
       const bool fits =

@@ -57,15 +57,22 @@ void BM_StrassenRealCutoff(benchmark::State& state) {
 BENCHMARK(BM_StrassenRealCutoff)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // The BOTS base kernel alone, at the padded base sizes fast_recursion's
-// Strassen and CAPS shapes bottom out in (cutoff 64).
-void BM_BotsBaseGflops(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto a = linalg::random_square(n, 1);
-  auto b = linalg::random_square(n, 2);
-  linalg::Matrix c(n, n);
+// Strassen and CAPS shapes bottom out in (cutoff 64). Each leg reports
+// the `gflops` counter of 2n^3 flops per call.
+template <typename Multiply>
+void time_bots_leaf(benchmark::State& state, std::size_t n, bool strided,
+                    Multiply&& multiply) {
+  // The recursion's leaves are quadrants: A, B and C then have ld = 2n.
+  const std::size_t full = strided ? 2 * n : n;
+  const auto a_full = linalg::random_square(full, 1);
+  const auto b_full = linalg::random_square(full, 2);
+  linalg::Matrix out(full, full);
+  const auto a = a_full.block(0, full - n, n, n);
+  const auto b = b_full.block(full - n, 0, n, n);
+  const auto c = out.block(full - n, full - n, n, n);
   for (auto _ : state) {
-    strassen::base_gemm(a.view(), b.view(), c.view());
-    benchmark::DoNotOptimize(c.data());
+    multiply(a, b, c);
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   const double flops = 2.0 * n * n * n;
@@ -73,7 +80,43 @@ void BM_BotsBaseGflops(benchmark::State& state) {
   state.counters["gflops"] = benchmark::Counter(
       flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
+
+// Contiguous n x n operands through base_gemm (the dispatched clone).
+void BM_BotsBaseGflops(benchmark::State& state) {
+  time_bots_leaf(state, static_cast<std::size_t>(state.range(0)),
+                 /*strided=*/false, strassen::base_gemm);
+}
 BENCHMARK(BM_BotsBaseGflops)->Arg(33)->Arg(41)->Arg(49)->Arg(56)->Arg(64);
+
+// The leaves as the recursion sees them: quadrants of 2n x 2n matrices.
+void BM_BotsBaseStridedGflops(benchmark::State& state) {
+  time_bots_leaf(state, static_cast<std::size_t>(state.range(0)),
+                 /*strided=*/true, strassen::base_gemm);
+}
+BENCHMARK(BM_BotsBaseStridedGflops)
+    ->Arg(33)->Arg(41)->Arg(49)->Arg(56)->Arg(64);
+
+// Every ISA clone of the tile on strided leaves; args are (clone, n),
+// clones numbered baseline, avx2, avx512f. Clones the host cannot run
+// report an error row, as BM_KernelGflops does.
+void BM_BotsBaseCloneGflops(benchmark::State& state) {
+  const auto clones = strassen::detail::bots_clones();
+  const auto index = static_cast<std::size_t>(state.range(0));
+  if (index >= clones.size()) {
+    state.SkipWithError("clone not supported on this CPU");
+    return;
+  }
+  const auto& clone = clones[index];
+  time_bots_leaf(state, static_cast<std::size_t>(state.range(1)),
+                 /*strided=*/true,
+                 [&](linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                     linalg::MatrixView c) {
+                   clone.run(a, b, c, /*accumulate=*/false);
+                 });
+  state.SetLabel(clone.name);
+}
+BENCHMARK(BM_BotsBaseCloneGflops)
+    ->ArgsProduct({{0, 1, 2}, {33, 41, 49, 56, 64}});
 
 void BM_WinogradVsClassic(benchmark::State& state) {
   const std::size_t n = 256;

@@ -13,7 +13,7 @@
 namespace {
 
 using namespace capow;
-using harness::Algorithm;
+using core::AlgorithmId;
 
 constexpr std::size_t kSizes[] = {512, 1024, 2048, 4096};
 
@@ -27,7 +27,7 @@ void print_reproduction() {
 
   harness::TextTable table(
       {"Avg Slowdown", "512", "1024", "2048", "4096", "Average"});
-  for (Algorithm a : {Algorithm::kStrassen, Algorithm::kCaps}) {
+  for (AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
     std::vector<std::string> row{harness::algorithm_name(a)};
     double sum = 0.0;
     for (std::size_t n : kSizes) {
@@ -44,19 +44,20 @@ void print_reproduction() {
   for (std::size_t i = 0; i < 4; ++i) {
     bench::compare_line(
         "Strassen slowdown @" + std::to_string(kSizes[i]), kPaperStrassen[i],
-        runner.average_slowdown(Algorithm::kStrassen, kSizes[i]), 3);
+        runner.average_slowdown(AlgorithmId::kStrassen, kSizes[i]), 3);
     bench::compare_line(
         "CAPS slowdown @" + std::to_string(kSizes[i]), kPaperCaps[i],
-        runner.average_slowdown(Algorithm::kCaps, kSizes[i]), 3);
+        runner.average_slowdown(AlgorithmId::kCaps, kSizes[i]), 3);
   }
 
   // Fig 3: slowdown per thread count (series per algorithm, n = 4096).
   std::printf("\nFIG 3 series (n = 4096, slowdown vs threads):\n");
-  for (Algorithm a : {Algorithm::kStrassen, Algorithm::kCaps}) {
+  for (AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
     std::vector<std::pair<double, double>> xy;
     for (unsigned t = 1; t <= 4; ++t) {
-      xy.emplace_back(t, runner.find(a, 4096, t).seconds /
-                             runner.find(Algorithm::kOpenBlas, 4096, t).seconds);
+      xy.emplace_back(
+          t, runner.find(a, 4096, t).seconds /
+                 runner.find(AlgorithmId::kOpenBlas, 4096, t).seconds);
     }
     bench::ascii_series(harness::algorithm_name(a), xy, 4.0);
   }

@@ -13,7 +13,7 @@ using namespace capow;
 constexpr double kPaperAvg[4] = {20.2, 30.9, 40.98, 49.13};
 
 void print_reproduction() {
-  bench::print_power_figure(harness::Algorithm::kOpenBlas, "FIG 4",
+  bench::print_power_figure(core::AlgorithmId::kOpenBlas, "FIG 4",
                             kPaperAvg);
 }
 

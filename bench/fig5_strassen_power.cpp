@@ -13,7 +13,7 @@ using namespace capow;
 constexpr double kPaperAvg[4] = {21.1, 26.25, 30.4, 31.9};
 
 void print_reproduction() {
-  bench::print_power_figure(harness::Algorithm::kStrassen, "FIG 5",
+  bench::print_power_figure(core::AlgorithmId::kStrassen, "FIG 5",
                             kPaperAvg);
 }
 

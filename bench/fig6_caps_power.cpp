@@ -13,7 +13,7 @@ using namespace capow;
 constexpr double kPaperAvg[4] = {17.7, 25.75, 30.175, 33.175};
 
 void print_reproduction() {
-  bench::print_power_figure(harness::Algorithm::kCaps, "FIG 6", kPaperAvg);
+  bench::print_power_figure(core::AlgorithmId::kCaps, "FIG 6", kPaperAvg);
 }
 
 void BM_CapsThreads(benchmark::State& state) {

@@ -9,7 +9,7 @@
 namespace {
 
 using namespace capow;
-using harness::Algorithm;
+using core::AlgorithmId;
 
 void print_reproduction() {
   auto& runner = bench::paper_runner();
@@ -19,7 +19,7 @@ void print_reproduction() {
     std::printf("\nn = %zu   (linear threshold: S(p) = p)\n", n);
     harness::TextTable table({"Algorithm", "S(1)", "S(2)", "S(3)", "S(4)",
                               "class (2% tol)", "class (15% tol)"});
-    for (Algorithm a : harness::kAllAlgorithms) {
+    for (AlgorithmId a : core::kAllAlgorithms) {
       const auto series = runner.ep_scaling(a, n);
       std::vector<std::string> row{harness::algorithm_name(a)};
       for (const auto& pt : series) row.push_back(harness::fmt(pt.s, 2));
@@ -39,18 +39,18 @@ void print_reproduction() {
       "  (see EXPERIMENTS.md for why the paper's own Tables II/III and\n"
       "   Fig 7 cannot be satisfied simultaneously; ours follow the\n"
       "   measured power/runtime ratios.)\n",
-      runner.ep_scaling(Algorithm::kOpenBlas, 4096).back().s,
-      runner.ep_scaling(Algorithm::kStrassen, 4096).back().s,
-      runner.ep_scaling(Algorithm::kCaps, 4096).back().s);
+      runner.ep_scaling(AlgorithmId::kOpenBlas, 4096).back().s,
+      runner.ep_scaling(AlgorithmId::kStrassen, 4096).back().s,
+      runner.ep_scaling(AlgorithmId::kCaps, 4096).back().s);
 
   std::printf("\nS(p) at n = 4096:\n");
-  for (Algorithm a : harness::kAllAlgorithms) {
+  for (AlgorithmId a : core::kAllAlgorithms) {
     std::vector<std::pair<double, double>> xy;
     for (const auto& pt : runner.ep_scaling(a, 4096)) {
       xy.emplace_back(pt.parallelism, pt.s);
     }
     bench::ascii_series(harness::algorithm_name(a), xy,
-                        runner.ep_scaling(Algorithm::kOpenBlas, 4096)
+                        runner.ep_scaling(AlgorithmId::kOpenBlas, 4096)
                             .back()
                             .s);
   }

@@ -12,15 +12,15 @@
 
 namespace capow::bench {
 
-inline sim::WorkProfile profile_for(harness::Algorithm a, std::size_t n,
+inline sim::WorkProfile profile_for(core::AlgorithmId a, std::size_t n,
                                     const machine::MachineSpec& m,
                                     unsigned threads) {
   switch (a) {
-    case harness::Algorithm::kOpenBlas:
+    case core::AlgorithmId::kOpenBlas:
       return blas::blocked_gemm_profile(n, m, threads);
-    case harness::Algorithm::kStrassen:
+    case core::AlgorithmId::kStrassen:
       return strassen::strassen_profile(n, m, threads);
-    case harness::Algorithm::kCaps:
+    case core::AlgorithmId::kCaps:
       return capsalg::caps_profile(n, m, threads);
   }
   throw std::invalid_argument("profile_for: bad algorithm");
@@ -28,7 +28,7 @@ inline sim::WorkProfile profile_for(harness::Algorithm a, std::size_t n,
 
 /// Prints the power-vs-threads table and ASCII figure for one algorithm,
 /// comparing the average row against the paper's Table III column.
-inline void print_power_figure(harness::Algorithm a,
+inline void print_power_figure(core::AlgorithmId a,
                                const char* fig_name,
                                const double paper_avg_by_threads[4]) {
   auto& runner = paper_runner();

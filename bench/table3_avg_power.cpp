@@ -9,7 +9,7 @@
 namespace {
 
 using namespace capow;
-using harness::Algorithm;
+using core::AlgorithmId;
 
 constexpr double kPaper[3][4] = {
     {20.2, 30.9, 40.98, 49.13},    // OpenBLAS
@@ -23,7 +23,7 @@ void print_reproduction() {
   bench::banner("TABLE III", "average package power (W) by thread count");
 
   harness::TextTable table({"Num Threads", "1", "2", "3", "4", "Average"});
-  for (Algorithm a : harness::kAllAlgorithms) {
+  for (AlgorithmId a : core::kAllAlgorithms) {
     std::vector<std::string> row{harness::algorithm_name(a)};
     double sum = 0.0;
     for (unsigned t = 1; t <= 4; ++t) {
@@ -38,7 +38,7 @@ void print_reproduction() {
 
   std::printf("paper-vs-ours:\n");
   for (std::size_t ai = 0; ai < 3; ++ai) {
-    const Algorithm a = harness::kAllAlgorithms[ai];
+    const AlgorithmId a = core::kAllAlgorithms[ai];
     for (unsigned t = 1; t <= 4; ++t) {
       bench::compare_line(std::string(harness::algorithm_name(a)) + " @" +
                               std::to_string(t) + " threads",
@@ -53,8 +53,8 @@ void print_reproduction() {
   // The headline deltas the paper derives from this table.
   double caps_avg = 0.0, str_avg = 0.0;
   for (unsigned t = 1; t <= 4; ++t) {
-    caps_avg += runner.average_power(Algorithm::kCaps, t);
-    str_avg += runner.average_power(Algorithm::kStrassen, t);
+    caps_avg += runner.average_power(AlgorithmId::kCaps, t);
+    str_avg += runner.average_power(AlgorithmId::kStrassen, t);
   }
   std::printf(
       "\nCAPS vs Strassen average power delta: paper -2.59%%, ours %+.2f%%\n",
@@ -65,9 +65,9 @@ void print_reproduction() {
   // *average power* reads higher while its *energy* is lower — see
   // EXPERIMENTS.md for the reconciliation with the paper's numbers.
   const double caps_j =
-      runner.find(Algorithm::kCaps, 4096, 4).package_energy_j;
+      runner.find(AlgorithmId::kCaps, 4096, 4).package_energy_j;
   const double str_j =
-      runner.find(Algorithm::kStrassen, 4096, 4).package_energy_j;
+      runner.find(AlgorithmId::kStrassen, 4096, 4).package_energy_j;
   std::printf(
       "CAPS vs Strassen energy-to-solution delta at n=4096, 4 threads: "
       "ours %+.2f%%\n(communication avoidance pays off where it matters — "
@@ -98,7 +98,7 @@ void BM_SimulateFullMatrixConfig(benchmark::State& state) {
   const auto m = machine::haswell_e3_1225();
   for (auto _ : state) {
     const auto wp = capow::bench::profile_for(
-        harness::Algorithm::kStrassen, 4096, m, 4);
+        core::AlgorithmId::kStrassen, 4096, m, 4);
     benchmark::DoNotOptimize(sim::simulate(m, wp, 4).seconds);
   }
 }

@@ -7,7 +7,7 @@
 namespace {
 
 using namespace capow;
-using harness::Algorithm;
+using core::AlgorithmId;
 
 constexpr std::size_t kSizes[] = {512, 1024, 2048, 4096};
 constexpr double kPaper[3][4] = {
@@ -22,7 +22,7 @@ void print_reproduction() {
 
   harness::TextTable table(
       {"Algorithm", "512", "1024", "2048", "4096", "Average"});
-  for (Algorithm a : harness::kAllAlgorithms) {
+  for (AlgorithmId a : core::kAllAlgorithms) {
     std::vector<std::string> row{harness::algorithm_name(a)};
     double sum = 0.0;
     for (std::size_t n : kSizes) {
@@ -37,7 +37,7 @@ void print_reproduction() {
 
   std::printf("paper-vs-ours:\n");
   for (std::size_t ai = 0; ai < 3; ++ai) {
-    const Algorithm a = harness::kAllAlgorithms[ai];
+    const AlgorithmId a = core::kAllAlgorithms[ai];
     for (std::size_t si = 0; si < 4; ++si) {
       bench::compare_line(std::string(harness::algorithm_name(a)) + " @n=" +
                               std::to_string(kSizes[si]),
@@ -49,7 +49,7 @@ void print_reproduction() {
       "\nshape check: EP falls ~x6-8 per size doubling for every "
       "algorithm,\nand OpenBLAS EP dominates the Strassen family at every "
       "size — both hold:\n");
-  for (Algorithm a : harness::kAllAlgorithms) {
+  for (AlgorithmId a : core::kAllAlgorithms) {
     std::printf("  %-9s ratios:", harness::algorithm_name(a));
     for (std::size_t si = 1; si < 4; ++si) {
       std::printf(" %5.1fx", runner.average_ep(a, kSizes[si - 1]) /

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   harness::TextTable table({"algorithm", "threads", "time (s)", "pkg W",
                             "EP (W/s)", "within budget"});
   std::optional<harness::ResultRecord> best;
-  for (harness::Algorithm a : harness::kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (unsigned t : cfg.thread_counts) {
       const auto& r = runner.find(a, n, t);
       const bool ok = r.package_watts <= budget;
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         best->seconds, best->package_watts,
         best->package_watts / budget * 100.0);
     const auto& unconstrained =
-        runner.find(harness::Algorithm::kOpenBlas, n, 4);
+        runner.find(core::AlgorithmId::kOpenBlas, n, 4);
     if (unconstrained.package_watts > budget) {
       std::printf(
           "note: the unconstrained fastest option (OpenBLAS, 4 threads, "

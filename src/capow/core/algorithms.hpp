@@ -17,6 +17,11 @@ namespace capow::core {
 /// index checkpoint files and JSONL exports written by earlier builds.
 enum class AlgorithmId : int { kOpenBlas = 0, kStrassen = 1, kCaps = 2 };
 
+/// Every id, in registry order: the list the harness matrix, the figure
+/// drivers and capow-report loop over.
+inline constexpr AlgorithmId kAllAlgorithms[] = {
+    AlgorithmId::kOpenBlas, AlgorithmId::kStrassen, AlgorithmId::kCaps};
+
 /// One registry row.
 struct AlgorithmInfo {
   AlgorithmId id{};

@@ -142,7 +142,7 @@ bool parse_u64(const std::string& tok, unsigned long long& out) {
 
 }  // namespace
 
-std::optional<Algorithm> algorithm_from_name(const std::string& name) {
+std::optional<core::AlgorithmId> algorithm_from_name(const std::string& name) {
   const core::AlgorithmInfo* info = core::find_algorithm(name);
   if (info == nullptr) return std::nullopt;
   return info->id;

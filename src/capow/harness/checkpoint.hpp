@@ -21,7 +21,7 @@ namespace capow::harness {
 
 /// Parses a display name ("OpenBLAS", "Strassen", "CAPS") back to the
 /// enum; nullopt for anything else.
-std::optional<Algorithm> algorithm_from_name(const std::string& name);
+std::optional<core::AlgorithmId> algorithm_from_name(const std::string& name);
 
 /// One checkpoint line (no trailing newline) for `r`.
 std::string checkpoint_line(const ResultRecord& r);

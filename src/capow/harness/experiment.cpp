@@ -63,7 +63,7 @@ const std::vector<ResultRecord>& ExperimentRunner::run() {
     writer = CheckpointWriter(config_.checkpoint_path, config_.resume);
   }
 
-  const auto replayable = [&resumed](Algorithm a, std::size_t n,
+  const auto replayable = [&resumed](core::AlgorithmId a, std::size_t n,
                                      unsigned t) -> const ResultRecord* {
     for (const auto& r : resumed) {
       if (r.algorithm == a && r.n == n && r.threads == t &&
@@ -78,7 +78,7 @@ const std::vector<ResultRecord>& ExperimentRunner::run() {
   // run_index follows fixed matrix order so each configuration draws
   // the same fault schedule whether reached fresh or via --resume.
   std::uint64_t run_index = 0;
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (std::size_t n : config_.sizes) {
       for (unsigned t : config_.thread_counts) {
         if (const ResultRecord* prior = replayable(a, n, t)) {
@@ -118,7 +118,7 @@ struct AttemptSlot {
 /// PAPI-style event set, run, read the deltas — the sequence the
 /// paper's instrumented test driver executes. Self-contained (config by
 /// value, no runner state) so it can outlive an abandoning supervisor.
-ResultRecord measure_one(const ExperimentConfig& config, Algorithm a,
+ResultRecord measure_one(const ExperimentConfig& config, core::AlgorithmId a,
                          std::size_t n, unsigned threads,
                          double quiesce_seconds, bool& degraded) {
   const sim::WorkProfile profile = work_profile_for(config, a, n, threads);
@@ -173,8 +173,8 @@ ResultRecord measure_one(const ExperimentConfig& config, Algorithm a,
 
 /// Runs one attempt under the watchdog (or inline when disabled).
 /// Throws on attempt failure or timeout; returns via `slot` otherwise.
-void run_attempt(const ExperimentConfig& config, Algorithm a, std::size_t n,
-                 unsigned threads, double quiesce_seconds,
+void run_attempt(const ExperimentConfig& config, core::AlgorithmId a,
+                 std::size_t n, unsigned threads, double quiesce_seconds,
                  const std::shared_ptr<AttemptSlot>& slot) {
   const auto body = [config, a, n, threads, quiesce_seconds, slot] {
     try {
@@ -231,7 +231,7 @@ void run_attempt(const ExperimentConfig& config, Algorithm a, std::size_t n,
 
 }  // namespace
 
-ResultRecord ExperimentRunner::run_one(Algorithm a, std::size_t n,
+ResultRecord ExperimentRunner::run_one(core::AlgorithmId a, std::size_t n,
                                        unsigned threads,
                                        std::uint64_t run_index) {
   fault::FaultInjector* inj = fault::FaultInjector::active();
@@ -299,7 +299,7 @@ ResultRecord ExperimentRunner::run_one(Algorithm a, std::size_t n,
   return rec;
 }
 
-const ResultRecord& ExperimentRunner::find(Algorithm a, std::size_t n,
+const ResultRecord& ExperimentRunner::find(core::AlgorithmId a, std::size_t n,
                                            unsigned threads) const {
   for (const auto& r : results_) {
     if (r.algorithm == a && r.n == n && r.threads == threads) return r;
@@ -318,12 +318,13 @@ namespace {
 constexpr double kNoSamples = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
-double ExperimentRunner::average_slowdown(Algorithm a, std::size_t n) const {
+double ExperimentRunner::average_slowdown(core::AlgorithmId a,
+                                          std::size_t n) const {
   double sum = 0.0;
   std::size_t count = 0;
   for (unsigned t : config_.thread_counts) {
     const ResultRecord& mine = find(a, n, t);
-    const ResultRecord& base = find(Algorithm::kOpenBlas, n, t);
+    const ResultRecord& base = find(core::AlgorithmId::kOpenBlas, n, t);
     if (mine.status == RunStatus::kFailed ||
         base.status == RunStatus::kFailed || base.seconds <= 0.0) {
       continue;
@@ -335,7 +336,8 @@ double ExperimentRunner::average_slowdown(Algorithm a, std::size_t n) const {
   return sum / static_cast<double>(count);
 }
 
-double ExperimentRunner::average_power(Algorithm a, unsigned threads) const {
+double ExperimentRunner::average_power(core::AlgorithmId a,
+                                       unsigned threads) const {
   double sum = 0.0;
   std::size_t count = 0;
   for (std::size_t n : config_.sizes) {
@@ -348,7 +350,7 @@ double ExperimentRunner::average_power(Algorithm a, unsigned threads) const {
   return sum / static_cast<double>(count);
 }
 
-double ExperimentRunner::average_ep(Algorithm a, std::size_t n) const {
+double ExperimentRunner::average_ep(core::AlgorithmId a, std::size_t n) const {
   double sum = 0.0;
   std::size_t count = 0;
   for (unsigned t : config_.thread_counts) {
@@ -362,7 +364,7 @@ double ExperimentRunner::average_ep(Algorithm a, std::size_t n) const {
 }
 
 std::vector<core::ScalingPoint> ExperimentRunner::ep_scaling(
-    Algorithm a, std::size_t n) const {
+    core::AlgorithmId a, std::size_t n) const {
   std::vector<std::pair<unsigned, double>> samples;
   samples.reserve(config_.thread_counts.size());
   bool has_base = false;
@@ -378,7 +380,7 @@ std::vector<core::ScalingPoint> ExperimentRunner::ep_scaling(
   return core::scaling_series(samples);
 }
 
-core::ScalingClass ExperimentRunner::scaling_class(Algorithm a,
+core::ScalingClass ExperimentRunner::scaling_class(core::AlgorithmId a,
                                                    std::size_t n) const {
   const auto series = ep_scaling(a, n);
   return core::classify_scaling(series);

@@ -25,13 +25,6 @@
 
 namespace capow::harness {
 
-/// The paper's algorithms — an alias of the shared core registry enum,
-/// so the harness matrix, the capow::matmul facade, and capow-report all
-/// agree on ids and names by construction.
-using Algorithm = core::AlgorithmId;
-inline constexpr Algorithm kAllAlgorithms[] = {
-    Algorithm::kOpenBlas, Algorithm::kStrassen, Algorithm::kCaps};
-
 /// Display name ("OpenBLAS", "Strassen", "CAPS") — the registry's.
 using core::algorithm_name;
 
@@ -84,7 +77,7 @@ struct ExperimentConfig {
 
 /// One of the 48 result sets.
 struct ResultRecord {
-  Algorithm algorithm{};
+  core::AlgorithmId algorithm{};
   std::size_t n = 0;
   unsigned threads = 0;
   double seconds = 0.0;
@@ -125,30 +118,30 @@ class ExperimentRunner {
 
   /// Record for one configuration; throws std::out_of_range when the
   /// configuration is not part of the matrix.
-  const ResultRecord& find(Algorithm a, std::size_t n,
+  const ResultRecord& find(core::AlgorithmId a, std::size_t n,
                            unsigned threads) const;
 
   /// Table II: average slowdown of `a` vs OpenBLAS at size n, averaged
   /// over thread counts. kFailed configurations are excluded; NaN when
   /// every thread count is excluded.
-  double average_slowdown(Algorithm a, std::size_t n) const;
+  double average_slowdown(core::AlgorithmId a, std::size_t n) const;
 
   /// Table III: average power (package watts) of `a` at `threads`,
   /// averaged over problem sizes (kFailed excluded; NaN when empty).
-  double average_power(Algorithm a, unsigned threads) const;
+  double average_power(core::AlgorithmId a, unsigned threads) const;
 
   /// Table IV: average EP of `a` at size n, averaged over thread counts
   /// (kFailed excluded; NaN when empty).
-  double average_ep(Algorithm a, std::size_t n) const;
+  double average_ep(core::AlgorithmId a, std::size_t n) const;
 
   /// Fig 7: the Eq (5) scaling series of `a` at size n across the
   /// configured thread counts. kFailed configurations are dropped from
   /// the series; empty when the 1-thread base itself failed.
-  std::vector<core::ScalingPoint> ep_scaling(Algorithm a,
+  std::vector<core::ScalingPoint> ep_scaling(core::AlgorithmId a,
                                              std::size_t n) const;
 
   /// Fig 1-style classification of a configuration's EP scaling.
-  core::ScalingClass scaling_class(Algorithm a, std::size_t n) const;
+  core::ScalingClass scaling_class(core::AlgorithmId a, std::size_t n) const;
 
   /// Truncated/corrupt JSONL lines skipped while loading the resume
   /// checkpoint (0 until run(), or when resume is off). Surfaced so
@@ -163,7 +156,7 @@ class ExperimentRunner {
   /// retries with quiesce backoff, optional watchdog, RunStatus
   /// classification. Never throws for injected faults — a kFailed
   /// record (zeroed metrics + error) is data, not an exception.
-  ResultRecord run_one(Algorithm a, std::size_t n, unsigned threads,
+  ResultRecord run_one(core::AlgorithmId a, std::size_t n, unsigned threads,
                        std::uint64_t run_index);
 
   ExperimentConfig config_;

@@ -18,7 +18,8 @@
 
 namespace capow::harness {
 
-MeasuredRecord run_measured(Algorithm a, std::size_t n, unsigned threads,
+MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
+                            unsigned threads,
                             const machine::MachineSpec& machine_spec) {
   if (n == 0) throw std::invalid_argument("run_measured: n == 0");
 
@@ -41,7 +42,7 @@ MeasuredRecord run_measured(Algorithm a, std::size_t n, unsigned threads,
     blocking_for.machine = machine_spec;
     opts.blocking = blas::resolve_blocking(blocking_for);
     matmul(ma.view(), mb.view(), mc.view(), opts);
-    efficiency = a == Algorithm::kOpenBlas
+    efficiency = a == core::AlgorithmId::kOpenBlas
                      ? blas::kTunedGemmEfficiency
                      : strassen::kBotsBaseKernelEfficiency;
   }
@@ -69,15 +70,15 @@ MeasuredRecord run_measured(Algorithm a, std::size_t n, unsigned threads,
 
   sim::WorkProfile analytic;
   switch (a) {
-    case Algorithm::kOpenBlas:
+    case core::AlgorithmId::kOpenBlas:
       analytic = blas::blocked_gemm_profile(n, machine_spec,
                                             threads == 0 ? 1 : threads);
       break;
-    case Algorithm::kStrassen:
+    case core::AlgorithmId::kStrassen:
       analytic = strassen::strassen_profile(n, machine_spec,
                                             threads == 0 ? 1 : threads);
       break;
-    case Algorithm::kCaps:
+    case core::AlgorithmId::kCaps:
       analytic = capsalg::caps_profile(n, machine_spec,
                                        threads == 0 ? 1 : threads);
       break;

@@ -18,7 +18,7 @@ namespace capow::harness {
 
 /// One real instrumented execution projected on the machine model.
 struct MeasuredRecord {
-  Algorithm algorithm{};
+  core::AlgorithmId algorithm{};
   std::size_t n = 0;
   unsigned threads = 0;
   double measured_flops = 0.0;       ///< instrumented flop count
@@ -44,7 +44,8 @@ struct MeasuredRecord {
 /// (it has no per-level classification), so its projected time is an
 /// upper bound that approaches the analytic projection as problems
 /// leave the caches.
-MeasuredRecord run_measured(Algorithm a, std::size_t n, unsigned threads,
+MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
+                            unsigned threads,
                             const machine::MachineSpec& machine);
 
 }  // namespace capow::harness

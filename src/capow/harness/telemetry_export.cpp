@@ -20,7 +20,7 @@ namespace capow::harness {
 
 namespace {
 
-std::string run_label(Algorithm a, std::size_t n, unsigned threads) {
+std::string run_label(core::AlgorithmId a, std::size_t n, unsigned threads) {
   return std::string(algorithm_name(a)) + " n=" + std::to_string(n) +
          " t=" + std::to_string(threads);
 }
@@ -29,8 +29,8 @@ std::string run_label(Algorithm a, std::size_t n, unsigned threads) {
 // CAPOW_KERNEL setting — what capow::matmul() with default options runs.
 // Deterministic for a given environment, so exports stay byte-stable
 // across repeat runs.
-const char* resolved_kernel_name(Algorithm a) {
-  if (a == Algorithm::kOpenBlas) return blas::select_kernel().name;
+const char* resolved_kernel_name(core::AlgorithmId a) {
+  if (a == core::AlgorithmId::kOpenBlas) return blas::select_kernel().name;
   const auto env = blas::env_kernel_override();
   return env ? blas::find_kernel(*env)->name : "bots";
 }
@@ -38,7 +38,7 @@ const char* resolved_kernel_name(Algorithm a) {
 // Per-(algorithm, n) sweep of attribution profiles across the
 // configured thread counts, with stable addresses for phase_ep_scaling.
 std::vector<std::pair<unsigned, profile::Profile>> profile_sweep(
-    const ExperimentConfig& cfg, Algorithm a, std::size_t n) {
+    const ExperimentConfig& cfg, core::AlgorithmId a, std::size_t n) {
   std::vector<std::pair<unsigned, profile::Profile>> sweep;
   sweep.reserve(cfg.thread_counts.size());
   for (unsigned threads : cfg.thread_counts) {
@@ -61,15 +61,15 @@ std::vector<profile::PhaseScaling> sweep_scaling(
 }  // namespace
 
 sim::WorkProfile work_profile_for(const ExperimentConfig& config,
-                                  Algorithm a, std::size_t n,
+                                  core::AlgorithmId a, std::size_t n,
                                   unsigned threads) {
   switch (a) {
-    case Algorithm::kOpenBlas:
+    case core::AlgorithmId::kOpenBlas:
       return blas::blocked_gemm_profile(n, config.machine, threads);
-    case Algorithm::kStrassen:
+    case core::AlgorithmId::kStrassen:
       return strassen::strassen_profile(n, config.machine, threads,
                                         config.strassen_options);
-    case Algorithm::kCaps:
+    case core::AlgorithmId::kCaps:
       return capsalg::caps_profile(n, config.machine, threads,
                                    config.caps_options);
   }
@@ -83,7 +83,7 @@ void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
   telemetry::ChromeTraceWriter writer;
 
   int pid = 0;
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (std::size_t n : cfg.sizes) {
       for (unsigned threads : cfg.thread_counts) {
         ++pid;
@@ -272,7 +272,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
   reg.family("capow_phase_ep_scaling",
              "Per-phase EP scaling S = EP_p / EP_1 (Eq 5)", "gauge");
   if (has_thread_base) {
-    for (Algorithm a : kAllAlgorithms) {
+    for (core::AlgorithmId a : core::kAllAlgorithms) {
       for (std::size_t n : cfg.sizes) {
         for (const profile::PhaseScaling& ps :
              sweep_scaling(profile_sweep(cfg, a, n))) {
@@ -339,7 +339,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
   // byte-stable across repeat runs.
   reg.family("capow_selected_kernel_info",
              "Resolved microkernel per algorithm (info gauge)", "gauge");
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     reg.sample({{"algorithm", algorithm_name(a)},
                 {"kernel", resolved_kernel_name(a)}},
                1.0);
@@ -430,7 +430,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
 }
 
 profile::Profile run_attribution_profile(const ExperimentConfig& config,
-                                         Algorithm a, std::size_t n,
+                                         core::AlgorithmId a, std::size_t n,
                                          unsigned threads,
                                          std::size_t samples_per_run) {
   const sim::WorkProfile wp = work_profile_for(config, a, n, threads);
@@ -473,7 +473,7 @@ profile::Profile run_attribution_profile(const ExperimentConfig& config,
 void export_profile(ExperimentRunner& runner, std::ostream& os) {
   runner.run();
   const ExperimentConfig& cfg = runner.config();
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (std::size_t n : cfg.sizes) {
       for (unsigned threads : cfg.thread_counts) {
         os << "== " << run_label(a, n, threads) << " ==\n";
@@ -489,7 +489,7 @@ void export_flamegraph(ExperimentRunner& runner, std::ostream& os,
                        profile::FoldedWeight weight) {
   runner.run();
   const ExperimentConfig& cfg = runner.config();
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (std::size_t n : cfg.sizes) {
       for (unsigned threads : cfg.thread_counts) {
         profile::write_folded(run_attribution_profile(cfg, a, n, threads),
@@ -503,7 +503,7 @@ void export_flamegraph(ExperimentRunner& runner, std::ostream& os,
 void export_ep_phases(ExperimentRunner& runner, std::ostream& os) {
   runner.run();
   const ExperimentConfig& cfg = runner.config();
-  for (Algorithm a : kAllAlgorithms) {
+  for (core::AlgorithmId a : core::kAllAlgorithms) {
     for (std::size_t n : cfg.sizes) {
       const auto sweep = profile_sweep(cfg, a, n);
       for (const profile::PhaseScaling& ps : sweep_scaling(sweep)) {

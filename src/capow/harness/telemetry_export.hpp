@@ -26,7 +26,7 @@ namespace capow::harness {
 /// The cost-model work profile the runner executes for one
 /// configuration (the switch formerly private to run_one()).
 sim::WorkProfile work_profile_for(const ExperimentConfig& config,
-                                  Algorithm a, std::size_t n,
+                                  core::AlgorithmId a, std::size_t n,
                                   unsigned threads);
 
 struct TraceExportOptions {
@@ -58,7 +58,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os);
 /// timeline — the same reconstruction export_chrome_trace() renders,
 /// joined by profile::attribute(). Deterministic for a fixed config.
 profile::Profile run_attribution_profile(const ExperimentConfig& config,
-                                         Algorithm a, std::size_t n,
+                                         core::AlgorithmId a, std::size_t n,
                                          unsigned threads,
                                          std::size_t samples_per_run = 64);
 

@@ -391,7 +391,7 @@ TEST(RecoveryHarness, RunStatusNameAndCheckpointRoundTrip) {
                "recovered");
 
   harness::ResultRecord r;
-  r.algorithm = harness::Algorithm::kCaps;
+  r.algorithm = core::AlgorithmId::kCaps;
   r.n = 512;
   r.threads = 2;
   r.seconds = 1.5;
@@ -409,7 +409,7 @@ TEST(RecoveryHarness, RunStatusNameAndCheckpointRoundTrip) {
   // Records that never recovered serialize without the new fields, so
   // pre-recovery checkpoints stay byte-compatible.
   harness::ResultRecord plain;
-  plain.algorithm = harness::Algorithm::kOpenBlas;
+  plain.algorithm = core::AlgorithmId::kOpenBlas;
   plain.n = 512;
   plain.threads = 1;
   const std::string plain_line = harness::checkpoint_line(plain);

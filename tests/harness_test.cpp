@@ -19,6 +19,8 @@
 namespace capow::harness {
 namespace {
 
+using core::AlgorithmId;
+
 ExperimentConfig small_config() {
   ExperimentConfig cfg;
   cfg.sizes = {256, 512};
@@ -38,11 +40,11 @@ TEST(Experiment, ProducesFullMatrix) {
 TEST(Experiment, FindLocatesAndThrows) {
   ExperimentRunner runner(small_config());
   runner.run();
-  const auto& r = runner.find(Algorithm::kCaps, 512, 4);
+  const auto& r = runner.find(AlgorithmId::kCaps, 512, 4);
   EXPECT_EQ(r.n, 512u);
   EXPECT_EQ(r.threads, 4u);
   EXPECT_GT(r.seconds, 0.0);
-  EXPECT_THROW(runner.find(Algorithm::kCaps, 999, 4), std::out_of_range);
+  EXPECT_THROW(runner.find(AlgorithmId::kCaps, 999, 4), std::out_of_range);
 }
 
 TEST(Experiment, RejectsEmptyConfig) {
@@ -68,8 +70,8 @@ TEST(Experiment, QuiesceDoesNotPolluteMeasurement) {
   ExperimentRunner a(with), b(without);
   a.run();
   b.run();
-  const auto& ra = a.find(Algorithm::kOpenBlas, 512, 2);
-  const auto& rb = b.find(Algorithm::kOpenBlas, 512, 2);
+  const auto& ra = a.find(AlgorithmId::kOpenBlas, 512, 2);
+  const auto& rb = b.find(AlgorithmId::kOpenBlas, 512, 2);
   // The event set baselines after the idle period, so energy/power are
   // unchanged (up to MSR count quantization over a short run).
   EXPECT_NEAR(ra.package_watts, rb.package_watts, 0.05);
@@ -80,17 +82,17 @@ TEST(Experiment, AveragesMatchManualComputation) {
   runner.run();
   double sum = 0.0;
   for (unsigned t : {1u, 2u, 4u}) {
-    sum += runner.find(Algorithm::kStrassen, 256, t).seconds /
-           runner.find(Algorithm::kOpenBlas, 256, t).seconds;
+    sum += runner.find(AlgorithmId::kStrassen, 256, t).seconds /
+           runner.find(AlgorithmId::kOpenBlas, 256, t).seconds;
   }
-  EXPECT_NEAR(runner.average_slowdown(Algorithm::kStrassen, 256), sum / 3.0,
+  EXPECT_NEAR(runner.average_slowdown(AlgorithmId::kStrassen, 256), sum / 3.0,
               1e-12);
 
   double power = 0.0;
   for (std::size_t n : {256u, 512u}) {
-    power += runner.find(Algorithm::kCaps, n, 2).package_watts;
+    power += runner.find(AlgorithmId::kCaps, n, 2).package_watts;
   }
-  EXPECT_NEAR(runner.average_power(Algorithm::kCaps, 2), power / 2.0, 1e-12);
+  EXPECT_NEAR(runner.average_power(AlgorithmId::kCaps, 2), power / 2.0, 1e-12);
 }
 
 // ---- The paper's qualitative claims, as assertions on the full matrix.
@@ -106,9 +108,9 @@ class PaperClaimsTest : public ::testing::Test {
 TEST_F(PaperClaimsTest, OpenBlasIsFastestEverywhere) {
   for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
     for (unsigned t = 1; t <= 4; ++t) {
-      const double blas = runner().find(Algorithm::kOpenBlas, n, t).seconds;
-      EXPECT_LT(blas, runner().find(Algorithm::kStrassen, n, t).seconds);
-      EXPECT_LT(blas, runner().find(Algorithm::kCaps, n, t).seconds);
+      const double blas = runner().find(AlgorithmId::kOpenBlas, n, t).seconds;
+      EXPECT_LT(blas, runner().find(AlgorithmId::kStrassen, n, t).seconds);
+      EXPECT_LT(blas, runner().find(AlgorithmId::kCaps, n, t).seconds);
     }
   }
 }
@@ -118,8 +120,8 @@ TEST_F(PaperClaimsTest, SlowdownsInPaperBand) {
   // Require the reproduction to land within ~20% of those averages.
   double strassen = 0.0, caps = 0.0;
   for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
-    strassen += runner().average_slowdown(Algorithm::kStrassen, n);
-    caps += runner().average_slowdown(Algorithm::kCaps, n);
+    strassen += runner().average_slowdown(AlgorithmId::kStrassen, n);
+    caps += runner().average_slowdown(AlgorithmId::kCaps, n);
   }
   strassen /= 4.0;
   caps /= 4.0;
@@ -131,8 +133,8 @@ TEST_F(PaperClaimsTest, CapsFasterThanStrassenOnAverage) {
   // "The CAPS implementation performed better than the traditional
   // Strassen test in nearly all cases" — on average per size here.
   for (std::size_t n : {2048u, 4096u}) {
-    EXPECT_LT(runner().average_slowdown(Algorithm::kCaps, n),
-              runner().average_slowdown(Algorithm::kStrassen, n))
+    EXPECT_LT(runner().average_slowdown(AlgorithmId::kCaps, n),
+              runner().average_slowdown(AlgorithmId::kStrassen, n))
         << "n=" << n;
   }
 }
@@ -141,27 +143,27 @@ TEST_F(PaperClaimsTest, OpenBlasDrawsTheMostPower) {
   // Section VI-C: "the OpenBLAS implementation recorded the highest
   // power utilization on all variations of all tests" (multi-threaded).
   for (unsigned t = 2; t <= 4; ++t) {
-    const double blas = runner().average_power(Algorithm::kOpenBlas, t);
-    EXPECT_GT(blas, runner().average_power(Algorithm::kStrassen, t));
-    EXPECT_GT(blas, runner().average_power(Algorithm::kCaps, t));
+    const double blas = runner().average_power(AlgorithmId::kOpenBlas, t);
+    EXPECT_GT(blas, runner().average_power(AlgorithmId::kStrassen, t));
+    EXPECT_GT(blas, runner().average_power(AlgorithmId::kCaps, t));
   }
 }
 
 TEST_F(PaperClaimsTest, StrassenPowerSaturates) {
   // Fig 5: sublinear power growth. The 3->4 thread increment must be
   // clearly smaller than the 1->2 increment.
-  const double p1 = runner().average_power(Algorithm::kStrassen, 1);
-  const double p2 = runner().average_power(Algorithm::kStrassen, 2);
-  const double p3 = runner().average_power(Algorithm::kStrassen, 3);
-  const double p4 = runner().average_power(Algorithm::kStrassen, 4);
+  const double p1 = runner().average_power(AlgorithmId::kStrassen, 1);
+  const double p2 = runner().average_power(AlgorithmId::kStrassen, 2);
+  const double p3 = runner().average_power(AlgorithmId::kStrassen, 3);
+  const double p4 = runner().average_power(AlgorithmId::kStrassen, 4);
   EXPECT_LT(p4 - p3, p2 - p1);
 }
 
 TEST_F(PaperClaimsTest, OpenBlasPowerNearLinear) {
   // Fig 4: each added thread costs roughly the same increment.
-  const double p1 = runner().average_power(Algorithm::kOpenBlas, 1);
-  const double p2 = runner().average_power(Algorithm::kOpenBlas, 2);
-  const double p4 = runner().average_power(Algorithm::kOpenBlas, 4);
+  const double p1 = runner().average_power(AlgorithmId::kOpenBlas, 1);
+  const double p2 = runner().average_power(AlgorithmId::kOpenBlas, 2);
+  const double p4 = runner().average_power(AlgorithmId::kOpenBlas, 4);
   const double inc12 = p2 - p1;
   const double inc24 = (p4 - p2) / 2.0;
   EXPECT_NEAR(inc24 / inc12, 1.0, 0.25);
@@ -171,19 +173,19 @@ TEST_F(PaperClaimsTest, EpOrderingMatchesTableIV) {
   // Table IV: OpenBLAS EP >> Strassen/CAPS EP at every size, and EP
   // decreases steeply with problem size.
   for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
-    const double blas = runner().average_ep(Algorithm::kOpenBlas, n);
-    EXPECT_GT(blas, 2.0 * runner().average_ep(Algorithm::kStrassen, n));
-    EXPECT_GT(blas, 2.0 * runner().average_ep(Algorithm::kCaps, n));
+    const double blas = runner().average_ep(AlgorithmId::kOpenBlas, n);
+    EXPECT_GT(blas, 2.0 * runner().average_ep(AlgorithmId::kStrassen, n));
+    EXPECT_GT(blas, 2.0 * runner().average_ep(AlgorithmId::kCaps, n));
   }
-  EXPECT_GT(runner().average_ep(Algorithm::kOpenBlas, 512),
-            runner().average_ep(Algorithm::kOpenBlas, 4096) * 100.0);
+  EXPECT_GT(runner().average_ep(AlgorithmId::kOpenBlas, 512),
+            runner().average_ep(AlgorithmId::kOpenBlas, 4096) * 100.0);
 }
 
 TEST_F(PaperClaimsTest, Fig7OpenBlasSuperlinearStrassenFamilyNearLinear) {
   for (std::size_t n : {1024u, 4096u}) {
-    const auto blas = runner().ep_scaling(Algorithm::kOpenBlas, n);
-    const auto strassen = runner().ep_scaling(Algorithm::kStrassen, n);
-    const auto caps = runner().ep_scaling(Algorithm::kCaps, n);
+    const auto blas = runner().ep_scaling(AlgorithmId::kOpenBlas, n);
+    const auto strassen = runner().ep_scaling(AlgorithmId::kStrassen, n);
+    const auto caps = runner().ep_scaling(AlgorithmId::kCaps, n);
     // OpenBLAS is strongly superlinear: S(4) at least 1.5x the threshold.
     EXPECT_GT(blas.back().s, 6.0);
     // The Strassen family stays far below OpenBLAS.
@@ -192,9 +194,9 @@ TEST_F(PaperClaimsTest, Fig7OpenBlasSuperlinearStrassenFamilyNearLinear) {
   }
   // At the largest size classic Strassen sits within ~15% of the ideal
   // line (the paper's "ideal or nearly ideal scaling curves").
-  EXPECT_LT(runner().ep_scaling(Algorithm::kStrassen, 4096).back().s,
+  EXPECT_LT(runner().ep_scaling(AlgorithmId::kStrassen, 4096).back().s,
             4.0 * 1.15);
-  EXPECT_EQ(runner().scaling_class(Algorithm::kOpenBlas, 4096),
+  EXPECT_EQ(runner().scaling_class(AlgorithmId::kOpenBlas, 4096),
             core::ScalingClass::kSuperlinear);
 }
 
@@ -273,9 +275,9 @@ TEST(ExperimentFault, ExhaustedAttemptsYieldFailedRecordNotThrow) {
   }
   EXPECT_EQ(inj.count(fault::Event::kRunFailure), runner.run().size());
   // Aggregation must survive an all-failed matrix: NaN, not a crash.
-  EXPECT_TRUE(std::isnan(runner.average_power(Algorithm::kOpenBlas, 1)));
-  EXPECT_TRUE(std::isnan(runner.average_ep(Algorithm::kCaps, 256)));
-  EXPECT_TRUE(runner.ep_scaling(Algorithm::kStrassen, 256).empty());
+  EXPECT_TRUE(std::isnan(runner.average_power(AlgorithmId::kOpenBlas, 1)));
+  EXPECT_TRUE(std::isnan(runner.average_ep(AlgorithmId::kCaps, 256)));
+  EXPECT_TRUE(runner.ep_scaling(AlgorithmId::kStrassen, 256).empty());
 }
 
 TEST(ExperimentFault, DegradedRaplReadsDowngradeStatus) {
@@ -367,7 +369,7 @@ TEST(ExperimentFault, InjectedMatrixIsDeterministicForFixedSeed) {
 
 ResultRecord sample_record() {
   ResultRecord r;
-  r.algorithm = Algorithm::kStrassen;
+  r.algorithm = AlgorithmId::kStrassen;
   r.n = 1024;
   r.threads = 3;
   r.seconds = 1.0 / 3.0;           // not representable in decimal
@@ -427,7 +429,7 @@ TEST(Checkpoint, TornAndCorruptLinesAreRejected) {
 }
 
 TEST(Checkpoint, AlgorithmNamesRoundTrip) {
-  for (Algorithm a : kAllAlgorithms) {
+  for (AlgorithmId a : core::kAllAlgorithms) {
     const auto back = algorithm_from_name(algorithm_name(a));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, a);
@@ -441,7 +443,7 @@ TEST(Checkpoint, LoadDedupsByConfigAndSkipsTornTail) {
   std::remove(path.c_str());
   ResultRecord first = sample_record();
   ResultRecord second = sample_record();
-  second.algorithm = Algorithm::kCaps;
+  second.algorithm = AlgorithmId::kCaps;
   ResultRecord rerun = sample_record();  // same config as `first`
   rerun.seconds = 9.5;
   rerun.status = RunStatus::kOk;
@@ -479,7 +481,7 @@ TEST(Checkpoint, LoadCountsTheCorruptLinesItSkips) {
   std::remove(path.c_str());
   ResultRecord first = sample_record();
   ResultRecord second = sample_record();
-  second.algorithm = Algorithm::kCaps;
+  second.algorithm = AlgorithmId::kCaps;
   {
     std::ofstream os(path, std::ios::trunc);
     os << checkpoint_line(first) << '\n';
@@ -784,9 +786,9 @@ TEST(Format, FixedAndSi) {
 }
 
 TEST(AlgorithmNames, AllNamed) {
-  EXPECT_STREQ(algorithm_name(Algorithm::kOpenBlas), "OpenBLAS");
-  EXPECT_STREQ(algorithm_name(Algorithm::kStrassen), "Strassen");
-  EXPECT_STREQ(algorithm_name(Algorithm::kCaps), "CAPS");
+  EXPECT_STREQ(algorithm_name(AlgorithmId::kOpenBlas), "OpenBLAS");
+  EXPECT_STREQ(algorithm_name(AlgorithmId::kStrassen), "Strassen");
+  EXPECT_STREQ(algorithm_name(AlgorithmId::kCaps), "CAPS");
 }
 
 }  // namespace

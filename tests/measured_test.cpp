@@ -8,15 +8,17 @@
 namespace capow::harness {
 namespace {
 
+using core::AlgorithmId;
+
 const machine::MachineSpec kHaswell = machine::haswell_e3_1225();
 
 TEST(Measured, RejectsZeroDimension) {
-  EXPECT_THROW(run_measured(Algorithm::kOpenBlas, 0, 1, kHaswell),
+  EXPECT_THROW(run_measured(AlgorithmId::kOpenBlas, 0, 1, kHaswell),
                std::invalid_argument);
 }
 
 class MeasuredAgreementTest
-    : public ::testing::TestWithParam<std::tuple<Algorithm, unsigned>> {};
+    : public ::testing::TestWithParam<std::tuple<AlgorithmId, unsigned>> {};
 
 TEST_P(MeasuredAgreementTest, MeasuredCountsAndProjectionAgree) {
   const auto [a, threads] = GetParam();
@@ -40,14 +42,14 @@ TEST_P(MeasuredAgreementTest, MeasuredCountsAndProjectionAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, MeasuredAgreementTest,
-    ::testing::Combine(::testing::Values(Algorithm::kOpenBlas,
-                                         Algorithm::kStrassen,
-                                         Algorithm::kCaps),
+    ::testing::Combine(::testing::Values(AlgorithmId::kOpenBlas,
+                                         AlgorithmId::kStrassen,
+                                         AlgorithmId::kCaps),
                        ::testing::Values(1u, 2u)));
 
 TEST(Measured, FlopCountsMatchAnalyticForGemm) {
   const MeasuredRecord r =
-      run_measured(Algorithm::kOpenBlas, 128, 1, kHaswell);
+      run_measured(AlgorithmId::kOpenBlas, 128, 1, kHaswell);
   EXPECT_DOUBLE_EQ(r.measured_flops, blas::gemm_flops(128, 128, 128));
 }
 
@@ -55,9 +57,9 @@ TEST(Measured, OrderingMatchesThePaperAtRealScale) {
   // Even at container scale, the measured-profile projections preserve
   // the paper's ordering: blocked DGEMM fastest, Strassen/CAPS slower.
   const std::size_t n = 256;
-  const auto blas_r = run_measured(Algorithm::kOpenBlas, n, 2, kHaswell);
-  const auto str_r = run_measured(Algorithm::kStrassen, n, 2, kHaswell);
-  const auto caps_r = run_measured(Algorithm::kCaps, n, 2, kHaswell);
+  const auto blas_r = run_measured(AlgorithmId::kOpenBlas, n, 2, kHaswell);
+  const auto str_r = run_measured(AlgorithmId::kStrassen, n, 2, kHaswell);
+  const auto caps_r = run_measured(AlgorithmId::kCaps, n, 2, kHaswell);
   EXPECT_LT(blas_r.projected.seconds, str_r.projected.seconds);
   EXPECT_LT(blas_r.projected.seconds, caps_r.projected.seconds);
 }

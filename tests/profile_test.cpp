@@ -450,7 +450,7 @@ TEST(EpPhases, PhaseWithoutBaseProfileIsDropped) {
 
 TEST(HarnessProfile, RunAttributionProfileConservesEnergy) {
   harness::ExperimentConfig config;
-  for (auto algorithm : harness::kAllAlgorithms) {
+  for (auto algorithm : core::kAllAlgorithms) {
     const auto p = harness::run_attribution_profile(config, algorithm, 256, 2);
     EXPECT_GT(p.plane_total_j[kPkg], 0.0);
     EXPECT_FALSE(p.root.children.empty());

@@ -3,6 +3,7 @@
 // and stability behaviour.
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,99 @@ TEST(BotsKernel, MatchesBaselineLoopBitForBit) {
                    want.block(n, n, n, n), accumulate);
     EXPECT_TRUE(same_bits(got.view(), want.view()))
         << "quadrants accumulate=" << accumulate;
+  }
+}
+
+// Every clone the host can run, not only the dispatched one, over every
+// tile-edge class: row counts around each clone's tile heights, column
+// counts that leave every mix of full tiles, one-vector strips and scalar
+// columns, and k even, odd and 1. Operands are offset blocks of larger
+// matrices, so rows are strided and unaligned, and comparing the whole
+// backing matrix also catches a store outside the block.
+TEST(BotsKernel, EveryCloneMatchesBaselineLoopAtEveryTileEdge) {
+  constexpr std::size_t kMaxM = 13, kMaxN = 40, kMaxK = 65;
+  const Matrix a_src = random_matrix(kMaxM + 1, kMaxK + 1, 21);
+  const Matrix b_src = random_matrix(kMaxK + 1, kMaxN + 1, 22);
+  const Matrix c_src = random_matrix(kMaxM + 1, kMaxN + 1, 23);
+  ASSERT_FALSE(detail::bots_clones().empty());
+  for (const detail::BotsClone& clone : detail::bots_clones()) {
+    for (std::size_t m = 1; m <= kMaxM; ++m) {
+      for (std::size_t n = 1; n <= kMaxN; ++n) {
+        for (std::size_t k : {1u, 2u, 3u, 64u, 65u}) {
+          const auto a = a_src.block(1, 1, m, k);
+          const auto b = b_src.block(1, 1, k, n);
+          for (bool accumulate : {false, true}) {
+            Matrix got = c_src, want = c_src;
+            clone.run(a, b, got.block(1, 1, m, n), accumulate);
+            bots_reference(a, b, want.block(1, 1, m, n), accumulate);
+            ASSERT_TRUE(same_bits(got.view(), want.view()))
+                << clone.name << " " << m << "x" << k << "x" << n
+                << " accumulate=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every clone on the recursion's own leaves: quadrants of 2n x 2n
+// matrices at fast_recursion's padded base sizes.
+TEST(BotsKernel, EveryCloneMatchesBaselineLoopOnQuadrants) {
+  for (const detail::BotsClone& clone : detail::bots_clones()) {
+    for (std::size_t n : {33u, 41u, 49u, 56u, 64u}) {
+      const Matrix src = random_matrix(2 * n, 2 * n, n);
+      const Matrix out0 = random_matrix(2 * n, 2 * n, n + 1);
+      for (bool accumulate : {false, true}) {
+        Matrix got = out0, want = out0;
+        clone.run(src.block(0, n, n, n), src.block(n, 0, n, n),
+                  got.block(n, n, n, n), accumulate);
+        bots_reference(src.block(0, n, n, n), src.block(n, 0, n, n),
+                       want.block(n, n, n, n), accumulate);
+        EXPECT_TRUE(same_bits(got.view(), want.view()))
+            << clone.name << " n=" << n << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+// Signed zeros and non-finite operands: every clone must round, sign
+// and propagate exactly as the baseline loop. A row of -0.0 in A meets
+// a -0.0 C in accumulate mode (-0 + -0 stays -0; 0 + -0 is +0), and
+// sparse Inf/NaN entries poison some sums but not others.
+TEST(BotsKernel, EveryCloneMatchesBaselineLoopOnSignedZeroInfNan) {
+  constexpr std::size_t m = 13, k = 65, n = 40;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix a = random_matrix(m, k, 31);
+  Matrix b = random_matrix(k, n, 32);
+  Matrix c0 = random_matrix(m, n, 33);
+  for (std::size_t p = 0; p < k; ++p) {
+    a(0, p) = -0.0;
+    b(p, 0) = std::abs(b(p, 0));  // keeps row 0's products at -0.0
+  }
+  for (std::size_t p = 0; p < k; ++p) a(1, p) = 0.0;
+  a(2, 5) = inf;
+  a(3, 64) = -inf;
+  a(4, 7) = nan;
+  b(9, 3) = inf;
+  b(10, 17) = nan;
+  b(64, 33) = -inf;
+  for (std::size_t p = 0; p < k; ++p) b(p, 39) = -0.0;
+  for (std::size_t j = 0; j < n; ++j) c0(0, j) = -0.0;
+  c0(5, 6) = inf;
+  for (const detail::BotsClone& clone : detail::bots_clones()) {
+    for (bool accumulate : {false, true}) {
+      Matrix got = c0, want = c0;
+      clone.run(a.view(), b.view(), got.view(), accumulate);
+      bots_reference(a.view(), b.view(), want.view(), accumulate);
+      EXPECT_TRUE(same_bits(got.view(), want.view()))
+          << clone.name << " accumulate=" << accumulate;
+      // The case pins what it claims to: the -0.0 row survives only
+      // when accumulating into -0.0, and NaN and Inf both appear.
+      EXPECT_EQ(std::signbit(want(0, 0)), accumulate);
+      EXPECT_TRUE(std::isnan(want(4, 0)));
+      EXPECT_TRUE(std::isinf(want(2, 20)));
+    }
   }
 }
 

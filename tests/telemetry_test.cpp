@@ -390,7 +390,7 @@ harness::ExperimentConfig small_config() {
 
 TEST(HarnessExport, WorkProfileMatchesRunOneSwitch) {
   const auto cfg = small_config();
-  for (auto a : harness::kAllAlgorithms) {
+  for (auto a : core::kAllAlgorithms) {
     const auto profile = harness::work_profile_for(cfg, a, 128, 2);
     EXPECT_FALSE(profile.phases.empty());
     EXPECT_GT(profile.total_flops(), 0.0);

@@ -718,7 +718,7 @@ int main(int argc, char** argv) {
     harness::TextTable t(head);
     // Every registered algorithm except the OpenBLAS baseline itself.
     for (const auto& info : core::algorithm_registry()) {
-      if (info.id == harness::Algorithm::kOpenBlas) continue;
+      if (info.id == core::AlgorithmId::kOpenBlas) continue;
       std::vector<std::string> row{info.name};
       for (std::size_t n : cfg.sizes) {
         row.push_back(harness::fmt(runner.average_slowdown(info.id, n), 3));
@@ -735,7 +735,7 @@ int main(int argc, char** argv) {
       head.push_back(std::to_string(th) + "t");
     }
     harness::TextTable t(head);
-    for (auto a : harness::kAllAlgorithms) {
+    for (auto a : core::kAllAlgorithms) {
       std::vector<std::string> row{harness::algorithm_name(a)};
       for (unsigned th : cfg.thread_counts) {
         row.push_back(harness::fmt(runner.average_power(a, th), 2));
@@ -750,7 +750,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> head{"avg EP (W/s)"};
     for (std::size_t n : cfg.sizes) head.push_back(std::to_string(n));
     harness::TextTable t(head);
-    for (auto a : harness::kAllAlgorithms) {
+    for (auto a : core::kAllAlgorithms) {
       std::vector<std::string> row{harness::algorithm_name(a)};
       for (std::size_t n : cfg.sizes) {
         row.push_back(harness::fmt(runner.average_ep(a, n), 2));
@@ -771,7 +771,7 @@ int main(int argc, char** argv) {
     }
     head.push_back("class");
     harness::TextTable t(head);
-    for (auto a : harness::kAllAlgorithms) {
+    for (auto a : core::kAllAlgorithms) {
       for (std::size_t n : cfg.sizes) {
         const auto series = runner.ep_scaling(a, n);
         std::vector<std::string> row{harness::algorithm_name(a),
