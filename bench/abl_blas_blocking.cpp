@@ -104,6 +104,33 @@ BENCHMARK(BM_KernelGflops)
     ->DenseRange(0, static_cast<int>(blas::kernel_registry().size()) - 1)
     ->Unit(benchmark::kMillisecond);
 
+// blas::gemm at default options (host kernel, its default blocking) on
+// the square sizes perfbench's gemm_large workload runs, so a change to
+// the packed path shows here per size.
+void BM_BlockedGemmGflops(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  auto a = linalg::random_square(n, 1);
+  auto b = linalg::random_square(n, 2);
+  linalg::Matrix c(n, n);
+  blas::gemm(a.view(), b.view(), c.view());  // warm the arena
+  for (auto _ : state) {
+    blas::gemm(a.view(), b.view(), c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  const double flops = 2.0 * n * n * n;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(flops));
+  state.SetLabel(blas::select_kernel().name);
+  state.counters["gflops"] = benchmark::Counter(
+      flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BlockedGemmGflops)
+    ->Arg(768)
+    ->Arg(960)
+    ->Arg(1152)
+    ->Arg(1344)
+    ->Arg(1536)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RealGemmBlocking(benchmark::State& state) {
   const std::size_t n = 256;
   auto a = linalg::random_square(n, 1);

@@ -80,7 +80,7 @@ void print_reproduction() {
           sim::simulate(m, bench::profile_for(a, kN, m, 4), 4);
       const bool fits =
           run.avg_power_w(machine::PowerPlane::kPackage) <= cap;
-      add_row(std::string("axis 3: ") + harness::algorithm_name(a) +
+      add_row(std::string("axis 3: ") + core::algorithm_name(a) +
                   ", full speed",
               run, fits);
     }

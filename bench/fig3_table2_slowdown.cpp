@@ -28,7 +28,7 @@ void print_reproduction() {
   harness::TextTable table(
       {"Avg Slowdown", "512", "1024", "2048", "4096", "Average"});
   for (AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
-    std::vector<std::string> row{harness::algorithm_name(a)};
+    std::vector<std::string> row{core::algorithm_name(a)};
     double sum = 0.0;
     for (std::size_t n : kSizes) {
       const double s = runner.average_slowdown(a, n);
@@ -59,7 +59,7 @@ void print_reproduction() {
           t, runner.find(a, 4096, t).seconds /
                  runner.find(AlgorithmId::kOpenBlas, 4096, t).seconds);
     }
-    bench::ascii_series(harness::algorithm_name(a), xy, 4.0);
+    bench::ascii_series(core::algorithm_name(a), xy, 4.0);
   }
 }
 

@@ -21,7 +21,7 @@ void print_reproduction() {
                               "class (2% tol)", "class (15% tol)"});
     for (AlgorithmId a : core::kAllAlgorithms) {
       const auto series = runner.ep_scaling(a, n);
-      std::vector<std::string> row{harness::algorithm_name(a)};
+      std::vector<std::string> row{core::algorithm_name(a)};
       for (const auto& pt : series) row.push_back(harness::fmt(pt.s, 2));
       row.push_back(core::to_string(core::classify_scaling(series, 0.02)));
       row.push_back(core::to_string(core::classify_scaling(series, 0.15)));
@@ -49,7 +49,7 @@ void print_reproduction() {
     for (const auto& pt : runner.ep_scaling(a, 4096)) {
       xy.emplace_back(pt.parallelism, pt.s);
     }
-    bench::ascii_series(harness::algorithm_name(a), xy,
+    bench::ascii_series(core::algorithm_name(a), xy,
                         runner.ep_scaling(AlgorithmId::kOpenBlas, 4096)
                             .back()
                             .s);

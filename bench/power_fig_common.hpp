@@ -32,7 +32,7 @@ inline void print_power_figure(core::AlgorithmId a,
                                const char* fig_name,
                                const double paper_avg_by_threads[4]) {
   auto& runner = paper_runner();
-  banner(fig_name, std::string(harness::algorithm_name(a)) +
+  banner(fig_name, std::string(core::algorithm_name(a)) +
                        " power scaling (package watts vs threads)");
 
   harness::TextTable table({"N", "1", "2", "3", "4"});

@@ -24,7 +24,7 @@ void print_reproduction() {
 
   harness::TextTable table({"Num Threads", "1", "2", "3", "4", "Average"});
   for (AlgorithmId a : core::kAllAlgorithms) {
-    std::vector<std::string> row{harness::algorithm_name(a)};
+    std::vector<std::string> row{core::algorithm_name(a)};
     double sum = 0.0;
     for (unsigned t = 1; t <= 4; ++t) {
       const double w = runner.average_power(a, t);
@@ -40,13 +40,13 @@ void print_reproduction() {
   for (std::size_t ai = 0; ai < 3; ++ai) {
     const AlgorithmId a = core::kAllAlgorithms[ai];
     for (unsigned t = 1; t <= 4; ++t) {
-      bench::compare_line(std::string(harness::algorithm_name(a)) + " @" +
+      bench::compare_line(std::string(core::algorithm_name(a)) + " @" +
                               std::to_string(t) + " threads",
                           kPaper[ai][t - 1], runner.average_power(a, t));
     }
     double avg = 0.0;
     for (unsigned t = 1; t <= 4; ++t) avg += runner.average_power(a, t);
-    bench::compare_line(std::string(harness::algorithm_name(a)) + " average",
+    bench::compare_line(std::string(core::algorithm_name(a)) + " average",
                         kPaperAvg[ai], avg / 4.0);
   }
 

@@ -23,7 +23,7 @@ void print_reproduction() {
   harness::TextTable table(
       {"Algorithm", "512", "1024", "2048", "4096", "Average"});
   for (AlgorithmId a : core::kAllAlgorithms) {
-    std::vector<std::string> row{harness::algorithm_name(a)};
+    std::vector<std::string> row{core::algorithm_name(a)};
     double sum = 0.0;
     for (std::size_t n : kSizes) {
       const double ep = runner.average_ep(a, n);
@@ -39,7 +39,7 @@ void print_reproduction() {
   for (std::size_t ai = 0; ai < 3; ++ai) {
     const AlgorithmId a = core::kAllAlgorithms[ai];
     for (std::size_t si = 0; si < 4; ++si) {
-      bench::compare_line(std::string(harness::algorithm_name(a)) + " @n=" +
+      bench::compare_line(std::string(core::algorithm_name(a)) + " @n=" +
                               std::to_string(kSizes[si]),
                           kPaper[ai][si], runner.average_ep(a, kSizes[si]));
     }
@@ -50,7 +50,7 @@ void print_reproduction() {
       "algorithm,\nand OpenBLAS EP dominates the Strassen family at every "
       "size — both hold:\n");
   for (AlgorithmId a : core::kAllAlgorithms) {
-    std::printf("  %-9s ratios:", harness::algorithm_name(a));
+    std::printf("  %-9s ratios:", core::algorithm_name(a));
     for (std::size_t si = 1; si < 4; ++si) {
       std::printf(" %5.1fx", runner.average_ep(a, kSizes[si - 1]) /
                                  runner.average_ep(a, kSizes[si]));

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     for (unsigned t : cfg.thread_counts) {
       const auto& r = runner.find(a, n, t);
       const bool ok = r.package_watts <= budget;
-      table.add_row({harness::algorithm_name(a), std::to_string(t),
+      table.add_row({core::algorithm_name(a), std::to_string(t),
                      harness::fmt(r.seconds, 3),
                      harness::fmt(r.package_watts, 2),
                      harness::fmt(r.ep, 2), ok ? "yes" : "no"});
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     std::printf(
         "recommendation: %s with %u thread(s) — %.3f s at %.2f W "
         "(%.1f%% of budget)\n",
-        harness::algorithm_name(best->algorithm), best->threads,
+        core::algorithm_name(best->algorithm), best->threads,
         best->seconds, best->package_watts,
         best->package_watts / budget * 100.0);
     const auto& unconstrained =

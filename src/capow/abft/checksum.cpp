@@ -1,17 +1,80 @@
 #include "capow/abft/checksum.hpp"
 
+#include <cstdint>
+#include <cstring>
+
 #include "capow/linalg/cpu_features.hpp"
 
 namespace capow::abft {
 namespace {
 
-// One binary carries a baseline and an AVX2 compile of every O(n^2)
-// sweep, dispatched once per process — the same scheme as the gemm
-// microkernels. The bodies are always_inline plain loops, so each ISA
-// clone auto-vectorizes them under its own target attribute. The AVX2
-// clones deliberately exclude FMA: with identical lane counts and no
-// contraction, both paths round identically, so checksums do not
-// depend on which CPU computed them.
+// One binary carries a baseline (SSE2), an AVX2 and an AVX-512F compile
+// of every O(n^2) sweep, one clone picked per process — the same scheme
+// as the gemm microkernels. The bodies are always_inline, so each clone
+// compiles them under its own target attribute. Checksums must not
+// depend on which CPU computed them, so every clone rounds alike: the
+// lane-split reductions below fix their lane count independently of the
+// vector width, and this file builds with -ffp-contract=off
+// (abft/CMakeLists.txt) because the avx512f target implies FMA and a
+// contracted v * rb[t] + rs would round differently.
+
+// A row sum is one long serial reduction; splitting it over kLanes
+// independent accumulators lets the adds pipeline and vectorize. Lane l
+// accumulates the elements at j = l (mod kLanes); the lanes are folded
+// in order 0..kLanes-1 and the last cols % kLanes elements are added
+// after them, so every clone reduces in the same order.
+constexpr std::size_t kLanes = 8;
+
+/// kLanes accumulators as native Bytes-wide vectors: lane l is element
+/// l % kPer of vector l / kPer; a value-initialised block is all +0.0.
+/// memcpy loads and stores keep unaligned strided rows well-defined.
+template <std::size_t Bytes>
+struct LaneBlock {
+  typedef double V __attribute__((vector_size(Bytes)));
+  typedef std::uint64_t U __attribute__((vector_size(Bytes)));
+  static constexpr std::size_t kPer = Bytes / sizeof(double);
+  static constexpr std::size_t kVecs = kLanes / kPer;
+
+  V v[kVecs];
+
+  __attribute__((always_inline)) static LaneBlock load(const double* p) {
+    LaneBlock b;
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      std::memcpy(&b.v[w], p + w * kPer, sizeof(V));
+    }
+    return b;
+  }
+  __attribute__((always_inline)) void store(double* p) const {
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      std::memcpy(p + w * kPer, &v[w], sizeof(V));
+    }
+  }
+  /// std::fabs per lane: clears the sign bit, NaN payloads included.
+  __attribute__((always_inline)) LaneBlock abs() const {
+    LaneBlock b;
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      b.v[w] = (V)((U)v[w] & (U{} + 0x7fffffffffffffffull));
+    }
+    return b;
+  }
+  __attribute__((always_inline)) LaneBlock& operator+=(const LaneBlock& o) {
+    for (std::size_t w = 0; w < kVecs; ++w) v[w] += o.v[w];
+    return *this;
+  }
+  __attribute__((always_inline)) LaneBlock operator*(const LaneBlock& o) const {
+    LaneBlock b;
+    for (std::size_t w = 0; w < kVecs; ++w) b.v[w] = v[w] * o.v[w];
+    return b;
+  }
+  /// 0.0 + lane 0 + lane 1 + ... + lane kLanes-1, left to right.
+  __attribute__((always_inline)) double fold() const {
+    double sum = 0.0;
+    for (std::size_t w = 0; w < kVecs; ++w) {
+      for (std::size_t e = 0; e < kPer; ++e) sum += v[w][e];
+    }
+    return sum;
+  }
+};
 
 __attribute__((always_inline)) inline void col_sums_body(
     linalg::ConstMatrixView a, double* out, double* mag) {
@@ -27,31 +90,22 @@ __attribute__((always_inline)) inline void col_sums_body(
   }
 }
 
-// A row sum is one long serial reduction; splitting it over kLanes
-// independent accumulators lets the adds pipeline and vectorize. The
-// lane count is fixed, not ISA-dependent, so every clone reduces in
-// the same order.
-constexpr std::size_t kLanes = 8;
-
+template <std::size_t Bytes>
 __attribute__((always_inline)) inline void row_sums_body(
     linalg::ConstMatrixView a, double* out, double* mag) {
+  using L = LaneBlock<Bytes>;
   const std::size_t rows = a.rows();
   const std::size_t cols = a.cols();
   for (std::size_t i = 0; i < rows; ++i) {
     const double* row = a.row(i);
-    double s[kLanes] = {}, m[kLanes] = {};
+    L s{}, m{};
     std::size_t j = 0;
     for (; j + kLanes <= cols; j += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        s[l] += row[j + l];
-        m[l] += std::fabs(row[j + l]);
-      }
+      const L x = L::load(row + j);
+      s += x;
+      m += x.abs();
     }
-    double sum = 0.0, mg = 0.0;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      sum += s[l];
-      mg += m[l];
-    }
+    double sum = s.fold(), mg = m.fold();
     for (; j < cols; ++j) {
       sum += row[j];
       mg += std::fabs(row[j]);
@@ -61,30 +115,31 @@ __attribute__((always_inline)) inline void row_sums_body(
   }
 }
 
+template <std::size_t Bytes>
 __attribute__((always_inline)) inline void guard_row_refs_body(
     linalg::ConstMatrixView a, const double* rb, const double* rbmag,
     double* ca, double* camag, double* rref, double* rmag) {
+  using L = LaneBlock<Bytes>;
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   for (std::size_t t = 0; t < k; ++t) ca[t] = camag[t] = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     const double* arow = a.row(i);
-    double rs[kLanes] = {}, rm[kLanes] = {};
+    L rs{}, rm{};
     std::size_t t = 0;
     for (; t + kLanes <= k; t += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v = arow[t + l];
-        ca[t + l] += v;
-        camag[t + l] += std::fabs(v);
-        rs[l] += v * rb[t + l];
-        rm[l] += std::fabs(v) * rbmag[t + l];
-      }
+      const L v = L::load(arow + t);
+      const L av = v.abs();
+      L sum = L::load(ca + t);
+      sum += v;
+      sum.store(ca + t);
+      L mag = L::load(camag + t);
+      mag += av;
+      mag.store(camag + t);
+      rs += v * L::load(rb + t);
+      rm += av * L::load(rbmag + t);
     }
-    double ref = 0.0, mg = 0.0;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      ref += rs[l];
-      mg += rm[l];
-    }
+    double ref = rs.fold(), mg = rm.fold();
     for (; t < k; ++t) {
       const double v = arow[t];
       ca[t] += v;
@@ -114,24 +169,25 @@ __attribute__((always_inline)) inline void guard_col_refs_body(
   }
 }
 
+template <std::size_t Bytes>
 __attribute__((always_inline)) inline void matrix_sums_body(
     linalg::ConstMatrixView c, double* row_out, double* col_out) {
+  using L = LaneBlock<Bytes>;
   const std::size_t m = c.rows();
   const std::size_t n = c.cols();
   for (std::size_t j = 0; j < n; ++j) col_out[j] = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     const double* crow = c.row(i);
-    double s[kLanes] = {};
+    L s{};
     std::size_t j = 0;
     for (; j + kLanes <= n; j += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const double v = crow[j + l];
-        col_out[j + l] += v;
-        s[l] += v;
-      }
+      const L v = L::load(crow + j);
+      L col = L::load(col_out + j);
+      col += v;
+      col.store(col_out + j);
+      s += v;
     }
-    double sum = 0.0;
-    for (std::size_t l = 0; l < kLanes; ++l) sum += s[l];
+    double sum = s.fold();
     for (; j < n; ++j) {
       col_out[j] += crow[j];
       sum += crow[j];
@@ -140,85 +196,82 @@ __attribute__((always_inline)) inline void matrix_sums_body(
   }
 }
 
-void col_sums_generic(linalg::ConstMatrixView a, double* out,
-                      double* mag) {
-  col_sums_body(a, out, mag);
-}
-__attribute__((target("avx2"))) void col_sums_avx2(
-    linalg::ConstMatrixView a, double* out, double* mag) {
-  col_sums_body(a, out, mag);
-}
+// The five sweeps of one clone, compiled under `attr` on Bytes-wide
+// vectors.
+#define CAPOW_SWEEP_CLONE(isa, attr, bytes)                                 \
+  attr void col_sums_##isa(linalg::ConstMatrixView a, double* out,         \
+                           double* mag) {                                  \
+    col_sums_body(a, out, mag);                                            \
+  }                                                                        \
+  attr void row_sums_##isa(linalg::ConstMatrixView a, double* out,         \
+                           double* mag) {                                  \
+    row_sums_body<bytes>(a, out, mag);                                     \
+  }                                                                        \
+  attr void guard_row_refs_##isa(                                          \
+      linalg::ConstMatrixView a, const double* rb, const double* rbmag,    \
+      double* ca, double* camag, double* rref, double* rmag) {             \
+    guard_row_refs_body<bytes>(a, rb, rbmag, ca, camag, rref, rmag);       \
+  }                                                                        \
+  attr void guard_col_refs_##isa(linalg::ConstMatrixView b,                \
+                                 const double* ca, const double* camag,    \
+                                 double* cref, double* cmag) {             \
+    guard_col_refs_body(b, ca, camag, cref, cmag);                         \
+  }                                                                        \
+  attr void matrix_sums_##isa(linalg::ConstMatrixView c, double* row_out,  \
+                              double* col_out) {                           \
+    matrix_sums_body<bytes>(c, row_out, col_out);                          \
+  }                                                                        \
+  constexpr detail::SweepClone k_##isa = {                                 \
+      #isa, col_sums_##isa, row_sums_##isa, guard_row_refs_##isa,          \
+      guard_col_refs_##isa, matrix_sums_##isa};
 
-void row_sums_generic(linalg::ConstMatrixView a, double* out,
-                      double* mag) {
-  row_sums_body(a, out, mag);
-}
-__attribute__((target("avx2"))) void row_sums_avx2(
-    linalg::ConstMatrixView a, double* out, double* mag) {
-  row_sums_body(a, out, mag);
-}
+CAPOW_SWEEP_CLONE(baseline, , 16)
+CAPOW_SWEEP_CLONE(avx2, __attribute__((target("avx2"))), 32)
+CAPOW_SWEEP_CLONE(avx512f, __attribute__((target("avx512f"))), 64)
+#undef CAPOW_SWEEP_CLONE
 
-void guard_row_refs_generic(linalg::ConstMatrixView a, const double* rb,
-                            const double* rbmag, double* ca,
-                            double* camag, double* rref, double* rmag) {
-  guard_row_refs_body(a, rb, rbmag, ca, camag, rref, rmag);
-}
-__attribute__((target("avx2"))) void guard_row_refs_avx2(
-    linalg::ConstMatrixView a, const double* rb, const double* rbmag,
-    double* ca, double* camag, double* rref, double* rmag) {
-  guard_row_refs_body(a, rb, rbmag, ca, camag, rref, rmag);
-}
+constexpr detail::SweepClone kClones[] = {k_baseline, k_avx2, k_avx512f};
 
-void guard_col_refs_generic(linalg::ConstMatrixView b, const double* ca,
-                            const double* camag, double* cref,
-                            double* cmag) {
-  guard_col_refs_body(b, ca, camag, cref, cmag);
-}
-__attribute__((target("avx2"))) void guard_col_refs_avx2(
-    linalg::ConstMatrixView b, const double* ca, const double* camag,
-    double* cref, double* cmag) {
-  guard_col_refs_body(b, ca, camag, cref, cmag);
-}
-
-void matrix_sums_generic(linalg::ConstMatrixView c, double* row_out,
-                         double* col_out) {
-  matrix_sums_body(c, row_out, col_out);
-}
-__attribute__((target("avx2"))) void matrix_sums_avx2(
-    linalg::ConstMatrixView c, double* row_out, double* col_out) {
-  matrix_sums_body(c, row_out, col_out);
+const detail::SweepClone& active() {
+  static const detail::SweepClone& clone = detail::sweep_clones().back();
+  return clone;
 }
 
 }  // namespace
 
+namespace detail {
+
+std::span<const SweepClone> sweep_clones() {
+  static const std::size_t supported = linalg::has_avx512f() ? 3
+                                       : linalg::has_avx2()  ? 2
+                                                             : 1;
+  return {kClones, supported};
+}
+
+}  // namespace detail
+
 void col_sums(linalg::ConstMatrixView a, double* out, double* mag) {
-  linalg::has_avx2() ? col_sums_avx2(a, out, mag)
-                     : col_sums_generic(a, out, mag);
+  active().col_sums(a, out, mag);
 }
 
 void row_sums(linalg::ConstMatrixView a, double* out, double* mag) {
-  linalg::has_avx2() ? row_sums_avx2(a, out, mag)
-                     : row_sums_generic(a, out, mag);
+  active().row_sums(a, out, mag);
 }
 
 void guard_row_refs(linalg::ConstMatrixView a, const double* rb,
                     const double* rbmag, double* ca, double* camag,
                     double* rref, double* rmag) {
-  linalg::has_avx2()
-      ? guard_row_refs_avx2(a, rb, rbmag, ca, camag, rref, rmag)
-      : guard_row_refs_generic(a, rb, rbmag, ca, camag, rref, rmag);
+  active().guard_row_refs(a, rb, rbmag, ca, camag, rref, rmag);
 }
 
 void guard_col_refs(linalg::ConstMatrixView b, const double* ca,
                     const double* camag, double* cref, double* cmag) {
-  linalg::has_avx2() ? guard_col_refs_avx2(b, ca, camag, cref, cmag)
-                     : guard_col_refs_generic(b, ca, camag, cref, cmag);
+  active().guard_col_refs(b, ca, camag, cref, cmag);
 }
 
 void matrix_sums(linalg::ConstMatrixView c, double* row_out,
                  double* col_out) {
-  linalg::has_avx2() ? matrix_sums_avx2(c, row_out, col_out)
-                     : matrix_sums_generic(c, row_out, col_out);
+  active().matrix_sums(c, row_out, col_out);
 }
 
 double payload_checksum(const double* data, std::size_t count) noexcept {

@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "capow/linalg/matrix.hpp"
 
@@ -85,5 +86,28 @@ void matrix_sums(linalg::ConstMatrixView c, double* row_out,
 /// words compare *bitwise* equal on an intact payload — the end-to-end
 /// check needs no tolerance.
 double payload_checksum(const double* data, std::size_t count) noexcept;
+
+namespace detail {
+
+/// One compiled ISA clone of the five O(n^2) sweeps above, for tests
+/// and benches that check or time every clone.
+struct SweepClone {
+  const char* name;  ///< "baseline", "avx2" or "avx512f"
+  void (*col_sums)(linalg::ConstMatrixView a, double* out, double* mag);
+  void (*row_sums)(linalg::ConstMatrixView a, double* out, double* mag);
+  void (*guard_row_refs)(linalg::ConstMatrixView a, const double* rb,
+                         const double* rbmag, double* ca, double* camag,
+                         double* rref, double* rmag);
+  void (*guard_col_refs)(linalg::ConstMatrixView b, const double* ca,
+                         const double* camag, double* cref, double* cmag);
+  void (*matrix_sums)(linalg::ConstMatrixView c, double* row_out,
+                      double* col_out);
+};
+
+/// The clones this host can run, narrowest first; the sweeps above
+/// dispatch to the last.
+std::span<const SweepClone> sweep_clones();
+
+}  // namespace detail
 
 }  // namespace capow::abft

@@ -18,12 +18,14 @@ std::size_t round_up_multiple(std::size_t v, std::size_t m) {
   return ((v + m - 1) / m) * m;
 }
 
-// Multiplies one packed A block against the packed B panel, accumulating
-// into the C tile anchored at (ic, jc).
+// Multiplies one packed A block against the packed B panel into the C
+// tile anchored at (ic, jc): accumulating, or on the first kc panel
+// (`overwrite`) replacing what C held.
 void block_multiply(const MicroKernel& k, const double* packed_a,
                     const double* packed_b, std::size_t mc_cur,
                     std::size_t nc_cur, std::size_t kc_cur,
-                    linalg::MatrixView c, std::size_t ic, std::size_t jc) {
+                    linalg::MatrixView c, std::size_t ic, std::size_t jc,
+                    bool overwrite) {
   for (std::size_t jr = 0; jr < nc_cur; jr += k.nr) {
     const double* bstripe = packed_b + jr * kc_cur;
     const std::size_t cols = std::min(k.nr, nc_cur - jr);
@@ -31,7 +33,7 @@ void block_multiply(const MicroKernel& k, const double* packed_a,
       const double* astripe = packed_a + ir * kc_cur;
       const std::size_t rows = std::min(k.mr, mc_cur - ir);
       run_micro_tile(k, astripe, bstripe, kc_cur, c, ic + ir, jc + jr, rows,
-                     cols);
+                     cols, overwrite);
     }
   }
   // One C tile pass: read + write mc x nc, plus the 2*mc*nc*kc flops.
@@ -97,7 +99,11 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   const std::size_t n = b.cols();
   CAPOW_TSPAN_ARGS2("gemm.blocked", "blas", "m", m, "n", n);
 
-  c.zero();
+  // No zero pass over C: each tile's first kc panel (pc == 0) writes
+  // 0.0 + its product, so C is touched once per panel. The logical
+  // initialising write stays counted, which keeps the traffic model.
+  // With k == 0 there is no panel and C is simply zeroed.
+  if (k == 0) c.zero();
   trace::count_dram_write(m * n * sizeof(double));
 
   // Flip draws are keyed on (salt, panel coordinates, element) only, so
@@ -132,7 +138,7 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
           kern.pack_a(a, ic, pc, mc_cur, kc_cur, packed_a);
           trace::count_dram_read(mc_cur * kc_cur * sizeof(double));
           block_multiply(kern, packed_a, packed_b, mc_cur, nc_cur, kc_cur, c,
-                         ic, jc);
+                         ic, jc, /*overwrite=*/pc == 0);
         }
       };
       if (pool != nullptr && pool->concurrency() > 1 && mblocks > 1) {
@@ -166,14 +172,14 @@ void small_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   kern.pack_a(a, 0, 0, m, k, packed_a);
   kern.pack_b(b, 0, 0, k, n, packed_b);
 
-  if (!accumulate) c.zero();
   for (std::size_t jr = 0; jr < n; jr += kern.nr) {
     const double* bstripe = packed_b + jr * k;
     const std::size_t cols = std::min(kern.nr, n - jr);
     for (std::size_t ir = 0; ir < m; ir += kern.mr) {
       const double* astripe = packed_a + ir * k;
       const std::size_t rows = std::min(kern.mr, m - ir);
-      run_micro_tile(kern, astripe, bstripe, k, c, ir, jr, rows, cols);
+      run_micro_tile(kern, astripe, bstripe, k, c, ir, jr, rows, cols,
+                     /*overwrite=*/!accumulate);
     }
   }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -43,9 +44,15 @@ void pack_b_t(linalg::ConstMatrixView b, std::size_t pc, std::size_t jc,
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t cols = std::min(NR, nc - jr);
     for (std::size_t p = 0; p < kc; ++p) {
-      const double* brow = b.row(pc + p);
+      const double* brow = b.row(pc + p) + jc + jr;
+      if (cols == NR) {
+        // A full stripe row is one contiguous copy.
+        std::memcpy(buf + out, brow, NR * sizeof(double));
+        out += NR;
+        continue;
+      }
       for (std::size_t cdx = 0; cdx < NR; ++cdx) {
-        buf[out++] = cdx < cols ? brow[jc + jr + cdx] : 0.0;
+        buf[out++] = cdx < cols ? brow[cdx] : 0.0;
       }
     }
   }
@@ -344,7 +351,20 @@ const MicroKernel& model_kernel(const machine::MachineSpec& spec) {
 void run_micro_tile(const MicroKernel& k, const double* astripe,
                     const double* bstripe, std::size_t kc,
                     linalg::MatrixView c, std::size_t i0, std::size_t j0,
-                    std::size_t rows, std::size_t cols) {
+                    std::size_t rows, std::size_t cols, bool overwrite) {
+  // The kernel adds into the window once, after its k loop. When
+  // overwriting, zero it first (0.0 + tile, exactly what a zeroed C
+  // gives); the stores fetch its lines. Otherwise prefetch its lines
+  // (8 doubles each) so they arrive while the k loop runs.
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* crow = c.row(i0 + r) + j0;
+    if (overwrite) {
+      std::fill_n(crow, cols, 0.0);
+      continue;
+    }
+    for (std::size_t j = 0; j < cols; j += 8) __builtin_prefetch(crow + j);
+    __builtin_prefetch(crow + cols - 1);
+  }
   if (rows == k.mr && cols == k.nr) {
     k.kernel(astripe, bstripe, kc, c.row(i0) + j0, c.ld());
     return;

@@ -137,12 +137,15 @@ const MicroKernel& select_kernel(
 /// than of the host that prints them.
 const MicroKernel& model_kernel(const machine::MachineSpec& spec);
 
-/// Runs one (possibly partial) tile: full tiles go straight to the
+/// Runs one (possibly partial) tile on the rows x cols window of C at
+/// (i0, j0): C += tile, after prefetching the window, or with
+/// `overwrite` C = 0.0 + tile, zeroing the window first, so none of its
+/// old bits (NaN included) survive. Full tiles go straight to the
 /// kernel; edge tiles accumulate into a zeroed scratch tile first and
-/// add back only the live rows x cols window of C.
+/// add back only the live window.
 void run_micro_tile(const MicroKernel& k, const double* astripe,
                     const double* bstripe, std::size_t kc,
                     linalg::MatrixView c, std::size_t i0, std::size_t j0,
-                    std::size_t rows, std::size_t cols);
+                    std::size_t rows, std::size_t cols, bool overwrite);
 
 }  // namespace capow::blas

@@ -150,7 +150,8 @@ std::optional<core::AlgorithmId> algorithm_from_name(const std::string& name) {
 
 std::string checkpoint_line(const ResultRecord& r) {
   std::string out = "{";
-  out += "\"algorithm\":\"" + std::string(algorithm_name(r.algorithm)) + "\"";
+  out += "\"algorithm\":\"" +
+         std::string(core::algorithm_name(r.algorithm)) + "\"";
   out += ",\"n\":" + std::to_string(r.n);
   out += ",\"threads\":" + std::to_string(r.threads);
   out += ",\"seconds\":" + json_double(r.seconds);

@@ -306,7 +306,7 @@ const ResultRecord& ExperimentRunner::find(core::AlgorithmId a, std::size_t n,
   }
   throw std::out_of_range(
       "ExperimentRunner::find: no record for " +
-      std::string(algorithm_name(a)) + " n=" + std::to_string(n) +
+      std::string(core::algorithm_name(a)) + " n=" + std::to_string(n) +
       " t=" + std::to_string(threads) + " (did you call run()?)");
 }
 

@@ -25,9 +25,6 @@
 
 namespace capow::harness {
 
-/// Display name ("OpenBLAS", "Strassen", "CAPS") — the registry's.
-using core::algorithm_name;
-
 /// How a configuration's measurement concluded. Order is precedence
 /// (failed > degraded > corrected > retried > ok): a run that both
 /// retried and finished degraded reports kDegraded.

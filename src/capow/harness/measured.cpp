@@ -32,7 +32,7 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
   double efficiency = 0.0;
   {
     trace::RecordingScope scope(*rec);
-    CAPOW_TSPAN_ARGS2(algorithm_name(a), "harness", "n", n, "threads",
+    CAPOW_TSPAN_ARGS2(core::algorithm_name(a), "harness", "n", n, "threads",
                       threads);
     MatmulOptions opts;
     opts.algorithm = a;
@@ -63,7 +63,7 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
       linalg::allclose(mc.view(), expect.view(), 1e-9, 1e-9);
 
   const auto measured_profile = sim::profile_from_recorder(
-      *rec, std::string(algorithm_name(a)) + "-measured", efficiency);
+      *rec, std::string(core::algorithm_name(a)) + "-measured", efficiency);
   out.projected =
       sim::simulate(machine_spec, measured_profile,
                     threads == 0 ? 1 : threads);

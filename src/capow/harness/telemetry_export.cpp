@@ -21,7 +21,7 @@ namespace capow::harness {
 namespace {
 
 std::string run_label(core::AlgorithmId a, std::size_t n, unsigned threads) {
-  return std::string(algorithm_name(a)) + " n=" + std::to_string(n) +
+  return std::string(core::algorithm_name(a)) + " n=" + std::to_string(n) +
          " t=" + std::to_string(threads);
 }
 
@@ -137,7 +137,7 @@ void export_jsonl(ExperimentRunner& runner, std::ostream& os) {
     const sim::WorkProfile profile =
         work_profile_for(cfg, r.algorithm, r.n, r.threads);
     telemetry::JsonObject obj;
-    obj.field("algorithm", algorithm_name(r.algorithm))
+    obj.field("algorithm", core::algorithm_name(r.algorithm))
         .field("n", static_cast<std::uint64_t>(r.n))
         .field("threads", static_cast<std::uint64_t>(r.threads))
         .field("seconds", r.seconds)
@@ -190,7 +190,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
     reg.family(spec.name, spec.help, spec.type);
     for (const auto& r : records) {
       const telemetry::MetricsRegistry::Labels labels = {
-          {"algorithm", algorithm_name(r.algorithm)},
+          {"algorithm", core::algorithm_name(r.algorithm)},
           {"n", std::to_string(r.n)},
           {"threads", std::to_string(r.threads)},
       };
@@ -251,7 +251,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
             profile::Plane plane) -> telemetry::MetricsRegistry::Labels {
       return {{"phase", phase},
               {"plane", profile::plane_name(plane)},
-              {"algorithm", algorithm_name(r.algorithm)},
+              {"algorithm", core::algorithm_name(r.algorithm)},
               {"n", std::to_string(r.n)},
               {"threads", std::to_string(r.threads)}};
     };
@@ -278,7 +278,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
              sweep_scaling(profile_sweep(cfg, a, n))) {
           for (const core::ScalingPoint& pt : ps.series) {
             reg.sample({{"phase", ps.phase},
-                        {"algorithm", algorithm_name(a)},
+                        {"algorithm", core::algorithm_name(a)},
                         {"n", std::to_string(n)},
                         {"threads", std::to_string(pt.parallelism)}},
                        pt.s);
@@ -293,7 +293,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
   reg.family("capow_run_attempts_total",
              "Measurement attempts consumed per configuration", "counter");
   for (const auto& r : records) {
-    reg.sample({{"algorithm", algorithm_name(r.algorithm)},
+    reg.sample({{"algorithm", core::algorithm_name(r.algorithm)},
                 {"n", std::to_string(r.n)},
                 {"threads", std::to_string(r.threads)},
                 {"status", to_string(r.status)}},
@@ -313,7 +313,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
   std::uint64_t wraps_total = 0;
   std::uint64_t retries_total = 0;
   for (const auto& r : records) {
-    reg.sample({{"algorithm", algorithm_name(r.algorithm)},
+    reg.sample({{"algorithm", core::algorithm_name(r.algorithm)},
                 {"n", std::to_string(r.n)},
                 {"threads", std::to_string(r.threads)}},
                r.status == RunStatus::kDegraded ? 1.0 : 0.0);
@@ -340,7 +340,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
   reg.family("capow_selected_kernel_info",
              "Resolved microkernel per algorithm (info gauge)", "gauge");
   for (core::AlgorithmId a : core::kAllAlgorithms) {
-    reg.sample({{"algorithm", algorithm_name(a)},
+    reg.sample({{"algorithm", core::algorithm_name(a)},
                 {"kernel", resolved_kernel_name(a)}},
                1.0);
   }
@@ -509,7 +509,7 @@ void export_ep_phases(ExperimentRunner& runner, std::ostream& os) {
       for (const profile::PhaseScaling& ps : sweep_scaling(sweep)) {
         for (const core::ScalingPoint& pt : ps.series) {
           telemetry::JsonObject obj;
-          obj.field("algorithm", algorithm_name(a))
+          obj.field("algorithm", core::algorithm_name(a))
               .field("n", static_cast<std::uint64_t>(n))
               .field("phase", ps.phase)
               .field("threads", static_cast<std::uint64_t>(pt.parallelism))

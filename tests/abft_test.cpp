@@ -8,11 +8,13 @@
 // "capow_abft_<kind> <count>" lines; the CI fault-matrix leg runs this
 // binary twice and diffs those lines to assert schedule determinism.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,6 +80,206 @@ TEST(Checksum, ColAndRowSumsMatchNaive) {
     }
     EXPECT_NEAR(row[i], s, 1e-12);
     EXPECT_NEAR(row_mag[i], m, 1e-12);
+  }
+}
+
+// Every output of the five O(n^2) sweeps on one (A, B, C) triple.
+struct SweepOutputs {
+  std::vector<double> col, col_mag, row, row_mag, ca, camag, rref, rmag,
+      cref, cmag, c_rows, c_cols;
+
+  SweepOutputs(std::size_t m, std::size_t k, std::size_t n)
+      : col(k), col_mag(k), row(k), row_mag(k), ca(k), camag(k), rref(m),
+        rmag(m), cref(n), cmag(n), c_rows(m), c_cols(n) {}
+
+  // "" when every output is memcmp-equal to o's, else the first
+  // differing element with both bit patterns.
+  std::string first_difference(const SweepOutputs& o) const {
+    const std::pair<const char*, const std::vector<double> SweepOutputs::*>
+        kFields[] = {{"col", &SweepOutputs::col},
+                     {"col_mag", &SweepOutputs::col_mag},
+                     {"row", &SweepOutputs::row},
+                     {"row_mag", &SweepOutputs::row_mag},
+                     {"ca", &SweepOutputs::ca},
+                     {"camag", &SweepOutputs::camag},
+                     {"rref", &SweepOutputs::rref},
+                     {"rmag", &SweepOutputs::rmag},
+                     {"cref", &SweepOutputs::cref},
+                     {"cmag", &SweepOutputs::cmag},
+                     {"c_rows", &SweepOutputs::c_rows},
+                     {"c_cols", &SweepOutputs::c_cols}};
+    for (const auto& [name, field] : kFields) {
+      const std::vector<double>& x = this->*field;
+      const std::vector<double>& y = o.*field;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        std::uint64_t bx = 0, by = 0;
+        std::memcpy(&bx, &x[i], sizeof bx);
+        std::memcpy(&by, &y[i], sizeof by);
+        if (bx != by) {
+          char buf[128];
+          std::snprintf(buf, sizeof buf, "%s[%zu]: %016llx vs %016llx", name,
+                        i, static_cast<unsigned long long>(bx),
+                        static_cast<unsigned long long>(by));
+          return buf;
+        }
+      }
+    }
+    return "";
+  }
+};
+
+// Runs the sweeps in the guard's order: column sums of A and row sums of
+// B, the fused pass over A against B's row sums, the pass over B against
+// A's column sums, then the verification sums of C.
+SweepOutputs run_clone(const detail::SweepClone& clone,
+                       linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+                       linalg::ConstMatrixView c) {
+  SweepOutputs o(a.rows(), a.cols(), b.cols());
+  clone.col_sums(a, o.col.data(), o.col_mag.data());
+  clone.row_sums(b, o.row.data(), o.row_mag.data());
+  clone.guard_row_refs(a, o.row.data(), o.row_mag.data(), o.ca.data(),
+                       o.camag.data(), o.rref.data(), o.rmag.data());
+  clone.guard_col_refs(b, o.ca.data(), o.camag.data(), o.cref.data(),
+                       o.cmag.data());
+  clone.matrix_sums(c, o.c_rows.data(), o.c_cols.data());
+  return o;
+}
+
+// The summation order every clone must reproduce, stated as scalar
+// loops: column sums run down each column, and a row reduction of
+// length len runs 8 lanes (lane l takes the terms at l mod 8 below the
+// last full block of 8), folds them as 0.0 + lane 0 + ... + lane 7,
+// then adds the remaining terms in order. Each term is rounded before
+// it is added (volatile keeps a test build from fusing it).
+template <class Term>
+double lane_sum(std::size_t len, Term term) {
+  constexpr std::size_t kLanes = 8;
+  double lanes[kLanes] = {};
+  std::size_t j = 0;
+  for (; j + kLanes <= len; j += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const volatile double t = term(j + l);
+      lanes[l] += t;
+    }
+  }
+  double sum = 0.0;
+  for (const double lane : lanes) sum += lane;
+  for (; j < len; ++j) {
+    const volatile double t = term(j);
+    sum += t;
+  }
+  return sum;
+}
+
+// The column-wise order: 0.0 + term 0 + ... + term len-1.
+template <class Term>
+double serial_sum(std::size_t len, Term term) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const volatile double t = term(i);
+    sum += t;
+  }
+  return sum;
+}
+
+SweepOutputs reference_sweeps(linalg::ConstMatrixView a,
+                              linalg::ConstMatrixView b,
+                              linalg::ConstMatrixView c) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  SweepOutputs o(m, k, n);
+  for (std::size_t t = 0; t < k; ++t) {
+    o.col[t] = o.ca[t] = serial_sum(m, [&](std::size_t i) { return a(i, t); });
+    o.col_mag[t] = o.camag[t] =
+        serial_sum(m, [&](std::size_t i) { return std::fabs(a(i, t)); });
+    o.row[t] = lane_sum(n, [&](std::size_t j) { return b(t, j); });
+    o.row_mag[t] =
+        lane_sum(n, [&](std::size_t j) { return std::fabs(b(t, j)); });
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    o.rref[i] = lane_sum(k, [&](std::size_t t) { return a(i, t) * o.row[t]; });
+    o.rmag[i] = lane_sum(
+        k, [&](std::size_t t) { return std::fabs(a(i, t)) * o.row_mag[t]; });
+    o.c_rows[i] = lane_sum(n, [&](std::size_t j) { return c(i, j); });
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    o.cref[j] = serial_sum(k, [&](std::size_t t) { return o.ca[t] * b(t, j); });
+    o.cmag[j] = serial_sum(
+        k, [&](std::size_t t) { return o.camag[t] * std::fabs(b(t, j)); });
+    o.c_cols[j] = serial_sum(m, [&](std::size_t i) { return c(i, j); });
+  }
+  return o;
+}
+
+// Random values with `specials` sprinkled over a fixed pattern, as a
+// window of a larger matrix when `strided`.
+struct SpecialMatrix {
+  Matrix full;
+  linalg::MatrixView v;
+
+  SpecialMatrix(std::size_t r, std::size_t c, std::uint64_t seed,
+                bool strided, const std::vector<double>& specials)
+      : full(random_matrix(r + 2, c + 5, seed)),
+        v(full.view().block(strided ? 1 : 0, strided ? 3 : 0, r, c)) {
+    std::size_t next = seed;
+    for (std::size_t i = 0; i < r; ++i) {
+      for (std::size_t j = 0; j < c; ++j) {
+        if ((i * 7 + j * 3 + seed) % 23 == 0) {
+          v(i, j) = specials[next++ % specials.size()];
+        }
+      }
+    }
+  }
+};
+
+// Every compiled clone of the ABFT sweeps reproduces the scalar
+// summation order bit for bit, including the signs of zeros and the
+// propagation of Inf and NaN, on odd, non-square and strided shapes.
+// The Inf and NaN cases are kept apart: where two NaNs of opposite sign
+// meet in one add, the sign of the result follows the operand order the
+// compiler picked, which no summation order pins down. Inf alone only
+// ever makes the default NaN (Inf - Inf, Inf * 0), and a NaN input
+// alone only its own quiet NaN.
+TEST(Checksum, EverySweepCloneMatchesScalarOrderOnSignedZeroInfNan) {
+  struct Shape {
+    std::size_t m, k, n;
+  };
+  constexpr Shape kShapes[] = {{1, 1, 1},    {7, 9, 5},    {37, 29, 41},
+                               {64, 64, 64}, {17, 100, 3}, {3, 16, 131}};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> kSpecialSets[] = {
+      {-0.0, 0.0, inf, -inf},
+      {-0.0, std::numeric_limits<double>::quiet_NaN()},
+      {-0.0}};
+  const auto clones = detail::sweep_clones();
+  ASSERT_GE(clones.size(), 1u);
+  EXPECT_STREQ(clones[0].name, "baseline");
+  for (const std::vector<double>& specials : kSpecialSets) {
+    for (const Shape& sh : kShapes) {
+      for (const bool strided : {false, true}) {
+        SpecialMatrix a(sh.m, sh.k, 1, strided, specials),
+            b(sh.k, sh.n, 2, strided, specials),
+            c(sh.m, sh.n, 3, strided, specials);
+        const SweepOutputs want = reference_sweeps(a.v, b.v, c.v);
+        for (const detail::SweepClone& clone : clones) {
+          EXPECT_EQ(run_clone(clone, a.v, b.v, c.v).first_difference(want),
+                    "")
+              << clone.name << " " << sh.m << "x" << sh.k << "x" << sh.n
+              << (strided ? " strided" : "") << " specials "
+              << specials.size();
+        }
+      }
+    }
+  }
+  // All -0.0 operands: every sum starts from +0.0, so each is +0.0.
+  const Matrix za(9, 19, -0.0), zb(19, 7, -0.0), zc(9, 7, -0.0);
+  const SweepOutputs want = reference_sweeps(za.view(), zb.view(), zc.view());
+  const double pos_zero = 0.0;
+  EXPECT_EQ(std::memcmp(&want.rref[0], &pos_zero, sizeof(double)), 0);
+  for (const detail::SweepClone& clone : clones) {
+    EXPECT_EQ(run_clone(clone, za.view(), zb.view(), zc.view())
+                  .first_difference(want),
+              "")
+        << clone.name << " all -0.0";
   }
 }
 

@@ -430,7 +430,7 @@ TEST(Checkpoint, TornAndCorruptLinesAreRejected) {
 
 TEST(Checkpoint, AlgorithmNamesRoundTrip) {
   for (AlgorithmId a : core::kAllAlgorithms) {
-    const auto back = algorithm_from_name(algorithm_name(a));
+    const auto back = algorithm_from_name(core::algorithm_name(a));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, a);
   }
@@ -786,9 +786,9 @@ TEST(Format, FixedAndSi) {
 }
 
 TEST(AlgorithmNames, AllNamed) {
-  EXPECT_STREQ(algorithm_name(AlgorithmId::kOpenBlas), "OpenBLAS");
-  EXPECT_STREQ(algorithm_name(AlgorithmId::kStrassen), "Strassen");
-  EXPECT_STREQ(algorithm_name(AlgorithmId::kCaps), "CAPS");
+  EXPECT_STREQ(core::algorithm_name(AlgorithmId::kOpenBlas), "OpenBLAS");
+  EXPECT_STREQ(core::algorithm_name(AlgorithmId::kStrassen), "Strassen");
+  EXPECT_STREQ(core::algorithm_name(AlgorithmId::kCaps), "CAPS");
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Tests for the microkernel registry (runtime SIMD dispatch) and the
 // pooled packing workspace arena behind the matmul hot paths.
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +196,226 @@ TEST(KernelVariants, Avx512MatchesFmaBitForBit) {
                           sh.m * sh.n * sizeof(double)),
               0)
         << sh.m << "x" << sh.k << "x" << sh.n;
+  }
+}
+
+// FNV-1a over the bytes of a view's live window, row by row.
+std::uint64_t fnv1a(linalg::ConstMatrixView v) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < v.rows(); ++i) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.row(i));
+    for (std::size_t b = 0; b < v.cols() * sizeof(double); ++b) {
+      h = (h ^ p[b]) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Operands for one pinned product. Strided cases take A, B and C as
+// windows at odd offsets of larger matrices; C's surround holds 7.0,
+// and so does the window when the product accumulates.
+struct PinOperands {
+  Matrix a_full, b_full, c_full;
+  linalg::ConstMatrixView a, b;
+  linalg::MatrixView c;
+
+  PinOperands(std::size_t m, std::size_t k, std::size_t n, bool strided)
+      : a_full(random_matrix(m + 3, k + 7, 41)),
+        b_full(random_matrix(k + 4, n + 9, 42)),
+        c_full(m + 6, n + 11, 7.0) {
+    const std::size_t o = strided ? 1 : 0;
+    a = a_full.view().block(2 * o, 5 * o, m, k);
+    b = b_full.view().block(o, 3 * o, k, n);
+    c = c_full.view().block(3 * o, 4 * o, m, n);
+  }
+
+  // Elements of C's parent outside the window that no longer hold 7.0.
+  std::size_t surround_changed() const {
+    const std::size_t r0 = static_cast<std::size_t>(c.data() - c_full.data()) /
+                           c_full.cols();
+    const std::size_t c0 = static_cast<std::size_t>(c.data() - c_full.data()) %
+                           c_full.cols();
+    std::size_t changed = 0;
+    for (std::size_t i = 0; i < c_full.rows(); ++i) {
+      for (std::size_t j = 0; j < c_full.cols(); ++j) {
+        const bool inside = i >= r0 && i < r0 + c.rows() && j >= c0 &&
+                            j < c0 + c.cols();
+        if (!inside && c_full(i, j) != 7.0) ++changed;
+      }
+    }
+    return changed;
+  }
+};
+
+struct GemmPins {
+  // blas::gemm at default options: 768^3, 129x67x55, 1000x517x333, then
+  // 129x67x55 and 1000x517x333 on strided windows.
+  std::uint64_t gemm[5];
+  // small_gemm on strided 67x45x53 windows: C = A*B, then C += A*B.
+  std::uint64_t small[2];
+};
+
+// generic and avx2 round each product before adding it, fma and avx512
+// fuse the two; within each pair every element runs the same chain at
+// equal kc, so the pair shares its pins.
+constexpr GemmPins kMulThenAddPins = {
+    {0x9e07f22f99b87043, 0xc5e2e595e2181ce3, 0xbdc0420e043bd21b,
+     0x0431932e7aceeb97, 0xb3f8178d29ef6427},
+    {0x391238aed12dad8b, 0xd39583b37b0fd1da}};
+constexpr GemmPins kFusedPins = {
+    {0xb5636474a60d2fdc, 0xf4b7941239fa76ba, 0x9b92fe0b2cb35a45,
+     0x611c1a41a8436030, 0x2dc99136c538e4b6},
+    {0x80776f7769145069, 0x6ff9f0c468c814c4}};
+
+struct GemmPinCase {
+  MicroKernelId id;
+  const GemmPins* pins;
+};
+
+// Prints the kernel name, so a case's test name never carries the
+// pins' address.
+void PrintTo(const GemmPinCase& c, std::ostream* os) {
+  *os << find_kernel(c.id)->name;
+}
+
+class GemmPinTest : public ::testing::TestWithParam<GemmPinCase> {};
+
+// The exact output bits of every kernel, recorded from the version that
+// zeroed all of C before the first kc panel. Initialising each tile
+// where it is first written must reproduce them: every element is still
+// 0.0 + (first panel's chain), then += each later panel's chain.
+TEST_P(GemmPinTest, OutputBitsArePinned) {
+  const GemmPinCase& pin = GetParam();
+  const MicroKernel& kern = *find_kernel(pin.id);
+  if (!kern.supported()) {
+    GTEST_SKIP() << kern.name << " not supported on this CPU";
+  }
+  struct Shape {
+    std::size_t m, k, n;
+    bool strided;
+  };
+  constexpr Shape kShapes[] = {{768, 768, 768, false},
+                               {129, 67, 55, false},
+                               {1000, 517, 333, false},
+                               {129, 67, 55, true},
+                               {1000, 517, 333, true}};
+  GemmOptions opts;
+  opts.kernel = pin.id;
+  for (std::size_t s = 0; s < std::size(kShapes); ++s) {
+    const Shape& sh = kShapes[s];
+    PinOperands ops(sh.m, sh.k, sh.n, sh.strided);
+    gemm(ops.a, ops.b, ops.c, opts);
+    const std::uint64_t h = fnv1a(ops.c);
+    EXPECT_EQ(h, pin.pins->gemm[s]) << kern.name << " " << sh.m << "x" << sh.k
+                              << "x" << sh.n << (sh.strided ? " strided" : "")
+                              << " got 0x" << std::hex << h;
+    EXPECT_EQ(ops.surround_changed(), 0u);
+  }
+
+  WorkspaceArena arena;
+  PinOperands ops(67, 45, 53, true);
+  for (std::size_t s = 0; s < 2; ++s) {
+    small_gemm(ops.a, ops.b, ops.c, kern, arena, /*accumulate=*/s == 1);
+    const std::uint64_t h = fnv1a(ops.c);
+    EXPECT_EQ(h, pin.pins->small[s]) << kern.name << " small_gemm"
+                               << (s == 1 ? " accumulate" : "") << " got 0x"
+                               << std::hex << h;
+  }
+  EXPECT_EQ(ops.surround_changed(), 0u);
+}
+
+constexpr GemmPinCase kGemmPins[] = {
+    {MicroKernelId::kGeneric, &kMulThenAddPins},
+    {MicroKernelId::kAvx2, &kMulThenAddPins},
+    {MicroKernelId::kFma, &kFusedPins},
+    {MicroKernelId::kAvx512, &kFusedPins}};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GemmPinTest, ::testing::ValuesIn(kGemmPins),
+                         [](const auto& param_info) {
+                           return std::string(
+                               find_kernel(param_info.param.id)->name);
+                         });
+
+// The BlockingParams that pin `kern` with small panels, so a modest
+// product has several kc panels, several row blocks and edge tiles in
+// both directions.
+BlockingParams tiny_blocking(const MicroKernel& kern) {
+  return {.mc = 3 * kern.mr, .kc = 16, .nc = 2 * kern.nr, .mr = kern.mr,
+          .nr = kern.nr};
+}
+
+// No bit of C's old contents survives: a C pre-filled with NaN (which
+// would poison any tile the first panel failed to initialise) or with
+// -0.0 ends up memcmp-equal to one that started at +0.0.
+TEST(GemmInitialisesC, StaleNanAndNegativeZeroAreOverwritten) {
+  const double kFills[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                           1.0};
+  struct Shape {
+    std::size_t m, k, n;
+    bool tiny;
+  };
+  constexpr Shape kShapes[] = {
+      {67, 45, 53, true}, {67, 600, 53, false}, {1, 3, 1, true}};
+  for (const MicroKernel& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    WorkspaceArena arena;
+    for (const Shape& sh : kShapes) {
+      Matrix a = random_matrix(sh.m, sh.k, 5), b = random_matrix(sh.k, sh.n, 6);
+      GemmOptions opts;
+      opts.kernel = kern.id;
+      if (sh.tiny) opts.blocking = tiny_blocking(kern);
+      Matrix clean(sh.m, sh.n, 0.0);
+      gemm(a.view(), b.view(), clean.view(), opts);
+      Matrix small_clean(sh.m, sh.n, 0.0);
+      small_gemm(a.view(), b.view(), small_clean.view(), kern, arena);
+      for (const double fill : kFills) {
+        Matrix c(sh.m, sh.n, fill);
+        gemm(a.view(), b.view(), c.view(), opts);
+        EXPECT_EQ(std::memcmp(c.data(), clean.data(),
+                              sh.m * sh.n * sizeof(double)),
+                  0)
+            << kern.name << " " << sh.m << "x" << sh.k << "x" << sh.n
+            << " fill " << fill;
+        Matrix s(sh.m, sh.n, fill);
+        small_gemm(a.view(), b.view(), s.view(), kern, arena);
+        EXPECT_EQ(std::memcmp(s.data(), small_clean.data(),
+                              sh.m * sh.n * sizeof(double)),
+                  0)
+            << kern.name << " small_gemm " << sh.m << "x" << sh.k << "x"
+            << sh.n << " fill " << fill;
+      }
+    }
+  }
+}
+
+// Every element is 0.0 + (a chain of products), and 0.0 + -0.0 is +0.0:
+// an all -0.0 A gives an all +0.0 C, whatever C held, and so does an
+// empty inner dimension.
+TEST(GemmInitialisesC, SignedZeroProductIsPositiveZero) {
+  const double pos_zero = 0.0;
+  for (const MicroKernel& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    WorkspaceArena arena;
+    for (const std::size_t k : {std::size_t{0}, std::size_t{45}}) {
+      Matrix a(67, k, -0.0);
+      Matrix b = random_matrix(k, 53, 6);
+      for (const bool tiny : {false, true}) {
+        GemmOptions opts;
+        opts.kernel = kern.id;
+        if (tiny) opts.blocking = tiny_blocking(kern);
+        Matrix c(67, 53, std::numeric_limits<double>::quiet_NaN());
+        gemm(a.view(), b.view(), c.view(), opts);
+        Matrix s(67, 53, -0.0);
+        small_gemm(a.view(), b.view(), s.view(), kern, arena);
+        std::size_t not_pos_zero = 0;
+        for (std::size_t i = 0; i < 67 * 53; ++i) {
+          not_pos_zero += std::memcmp(&c.data()[i], &pos_zero, 8) != 0;
+          not_pos_zero += std::memcmp(&s.data()[i], &pos_zero, 8) != 0;
+        }
+        EXPECT_EQ(not_pos_zero, 0u) << kern.name << " k=" << k
+                                    << (tiny ? " tiny blocking" : "");
+      }
+    }
   }
 }
 

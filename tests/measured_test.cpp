@@ -25,7 +25,7 @@ TEST_P(MeasuredAgreementTest, MeasuredCountsAndProjectionAgree) {
   const std::size_t n = 192;
   const MeasuredRecord r = run_measured(a, n, threads, kHaswell);
 
-  EXPECT_TRUE(r.numerically_verified) << algorithm_name(a);
+  EXPECT_TRUE(r.numerically_verified) << core::algorithm_name(a);
   EXPECT_GT(r.measured_flops, 0.0);
   EXPECT_GT(r.measured_bytes, 0.0);
   EXPECT_GT(r.projected.seconds, 0.0);
@@ -36,8 +36,8 @@ TEST_P(MeasuredAgreementTest, MeasuredCountsAndProjectionAgree) {
   // within a modeling band. The measured profile treats all traffic as
   // DRAM-level and collapses phase structure, so allow a wide but
   // bounded envelope.
-  EXPECT_GT(r.time_ratio(), 0.3) << algorithm_name(a);
-  EXPECT_LT(r.time_ratio(), 4.0) << algorithm_name(a);
+  EXPECT_GT(r.time_ratio(), 0.3) << core::algorithm_name(a);
+  EXPECT_LT(r.time_ratio(), 4.0) << core::algorithm_name(a);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -671,7 +671,7 @@ int main(int argc, char** argv) {
                           "package_w", "pp0_w", "energy_j", "ep_w_per_s",
                           "status", "attempts"});
     for (const auto& r : runner.run()) {
-      t.add_row({harness::algorithm_name(r.algorithm),
+      t.add_row({core::algorithm_name(r.algorithm),
                  std::to_string(r.n), std::to_string(r.threads),
                  harness::fmt(r.seconds, 6),
                  harness::fmt(r.package_watts, 3),
@@ -736,7 +736,7 @@ int main(int argc, char** argv) {
     }
     harness::TextTable t(head);
     for (auto a : core::kAllAlgorithms) {
-      std::vector<std::string> row{harness::algorithm_name(a)};
+      std::vector<std::string> row{core::algorithm_name(a)};
       for (unsigned th : cfg.thread_counts) {
         row.push_back(harness::fmt(runner.average_power(a, th), 2));
       }
@@ -751,7 +751,7 @@ int main(int argc, char** argv) {
     for (std::size_t n : cfg.sizes) head.push_back(std::to_string(n));
     harness::TextTable t(head);
     for (auto a : core::kAllAlgorithms) {
-      std::vector<std::string> row{harness::algorithm_name(a)};
+      std::vector<std::string> row{core::algorithm_name(a)};
       for (std::size_t n : cfg.sizes) {
         row.push_back(harness::fmt(runner.average_ep(a, n), 2));
       }
@@ -774,7 +774,7 @@ int main(int argc, char** argv) {
     for (auto a : core::kAllAlgorithms) {
       for (std::size_t n : cfg.sizes) {
         const auto series = runner.ep_scaling(a, n);
-        std::vector<std::string> row{harness::algorithm_name(a),
+        std::vector<std::string> row{core::algorithm_name(a),
                                      std::to_string(n)};
         // Failed configurations leave holes in the series; keep the
         // surviving points aligned to their thread-count columns.
