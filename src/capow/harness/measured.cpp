@@ -1,6 +1,5 @@
 #include "capow/harness/measured.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include "capow/api/matmul.hpp"
@@ -27,11 +26,11 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
   const linalg::Matrix mb = linalg::random_square(n, 2);
   linalg::Matrix mc(n, n);
 
-  auto rec = std::make_unique<trace::Recorder>();
+  trace::Recorder rec;
   tasking::ThreadPool pool(threads > 1 ? threads : 0);
   double efficiency = 0.0;
   {
-    trace::RecordingScope scope(*rec);
+    trace::RecordingScope scope(rec);
     CAPOW_TSPAN_ARGS2(core::algorithm_name(a), "harness", "n", n, "threads",
                       threads);
     MatmulOptions opts;
@@ -51,7 +50,7 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
   out.algorithm = a;
   out.n = n;
   out.threads = threads;
-  const auto totals = rec->total();
+  const auto totals = rec.total();
   out.measured_flops = static_cast<double>(totals.flops);
   out.measured_bytes = static_cast<double>(totals.dram_bytes());
 
@@ -63,7 +62,7 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
       linalg::allclose(mc.view(), expect.view(), 1e-9, 1e-9);
 
   const auto measured_profile = sim::profile_from_recorder(
-      *rec, std::string(core::algorithm_name(a)) + "-measured", efficiency);
+      rec, std::string(core::algorithm_name(a)) + "-measured", efficiency);
   out.projected =
       sim::simulate(machine_spec, measured_profile,
                     threads == 0 ? 1 : threads);

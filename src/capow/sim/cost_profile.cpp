@@ -29,79 +29,16 @@ WorkProfile& WorkProfile::add(PhaseCost phase) {
 
 namespace {
 
-// Appends up to two PhaseCosts (sequential slot, parallel slots) built
-// from one set of counters.
+// Appends up to two PhaseCosts: the sequential slot's counters and the
+// parallel slots' sum.
 void append_split(WorkProfile& wp, const trace::CostCounters& seq,
                   const std::vector<trace::CostCounters>& par,
-                  const std::string& label_prefix, double efficiency) {
-  if (seq.flops > 0 || seq.dram_bytes() > 0) {
-    wp.add(PhaseCost{
-        .label = label_prefix + "sequential",
-        .flops = static_cast<double>(seq.flops),
-        .dram_bytes = static_cast<double>(seq.dram_bytes()),
-        .cache_bytes = static_cast<double>(seq.cache_bytes),
-        .parallelism = 1,
-        .efficiency = efficiency,
-        .imbalance = 1.0,
-        .sync_events = seq.syncs,
-        .spawn_events = seq.tasks_spawned,
-    });
-  }
-  if (!par.empty()) {
-    trace::CostCounters sum;
-    std::uint64_t max_flops = 0;
-    for (const auto& c : par) {
-      sum += c;
-      max_flops = std::max(max_flops, c.flops);
-    }
-    const double mean_flops =
-        static_cast<double>(sum.flops) / static_cast<double>(par.size());
-    const double imbalance =
-        (mean_flops > 0.0) ? static_cast<double>(max_flops) / mean_flops
-                           : 1.0;
-    wp.add(PhaseCost{
-        .label = label_prefix + "parallel",
-        .flops = static_cast<double>(sum.flops),
-        .dram_bytes = static_cast<double>(sum.dram_bytes()),
-        .cache_bytes = static_cast<double>(sum.cache_bytes),
-        .parallelism = static_cast<unsigned>(par.size()),
-        .efficiency = efficiency,
-        .imbalance = std::max(imbalance, 1.0),
-        .sync_events = sum.syncs,
-        .spawn_events = sum.tasks_spawned,
-    });
-  }
-}
-
-}  // namespace
-
-WorkProfile profile_from_recorder_phases(const trace::Recorder& rec,
-                                         std::string name,
-                                         double efficiency) {
-  WorkProfile wp;
-  wp.name = std::move(name);
-  for (std::size_t p = 0; p < rec.phase_count(); ++p) {
-    const std::string& pname = rec.phase_name(p);
-    const std::string prefix =
-        pname.empty() ? std::string{} : pname + "/";
-    trace::CostCounters seq = rec.cell(0, p);
-    append_split(wp, seq, rec.phase_parallel_slots(p), prefix, efficiency);
-  }
-  return wp;
-}
-
-WorkProfile profile_from_recorder(const trace::Recorder& rec,
-                                  std::string name, double efficiency) {
-  WorkProfile wp;
-  wp.name = std::move(name);
-
-  const trace::CostCounters seq = rec.slot(0);
+                  double efficiency) {
   if (seq.flops > 0 || seq.dram_bytes() > 0) {
     wp.add(PhaseCost{
         .label = "sequential",
         .flops = static_cast<double>(seq.flops),
         .dram_bytes = static_cast<double>(seq.dram_bytes()),
-        .cache_bytes = static_cast<double>(seq.cache_bytes),
         .parallelism = 1,
         .efficiency = efficiency,
         .imbalance = 1.0,
@@ -109,8 +46,6 @@ WorkProfile profile_from_recorder(const trace::Recorder& rec,
         .spawn_events = seq.tasks_spawned,
     });
   }
-
-  const auto par = rec.parallel_slots();
   if (!par.empty()) {
     trace::CostCounters sum;
     std::uint64_t max_flops = 0;
@@ -127,7 +62,6 @@ WorkProfile profile_from_recorder(const trace::Recorder& rec,
         .label = "parallel",
         .flops = static_cast<double>(sum.flops),
         .dram_bytes = static_cast<double>(sum.dram_bytes()),
-        .cache_bytes = static_cast<double>(sum.cache_bytes),
         .parallelism = static_cast<unsigned>(par.size()),
         .efficiency = efficiency,
         .imbalance = std::max(imbalance, 1.0),
@@ -135,6 +69,15 @@ WorkProfile profile_from_recorder(const trace::Recorder& rec,
         .spawn_events = sum.tasks_spawned,
     });
   }
+}
+
+}  // namespace
+
+WorkProfile profile_from_recorder(const trace::Recorder& rec,
+                                  std::string name, double efficiency) {
+  WorkProfile wp;
+  wp.name = std::move(name);
+  append_split(wp, rec.slot(0), rec.parallel_slots(), efficiency);
   return wp;
 }
 

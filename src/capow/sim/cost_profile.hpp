@@ -9,7 +9,8 @@
 // cross-validate:
 //   * closed-form cost models (blas/strassen/capsalg cost_model.hpp), and
 //   * measured trace::Recorder counters from real instrumented runs
-//     (profile_from_recorder below).
+//     (profile_from_recorder below), which carry one sequential and one
+//     parallel phase; a run's named sections are telemetry spans.
 #pragma once
 
 #include <cstdint>
@@ -53,15 +54,5 @@ struct WorkProfile {
 /// max-over-units semantics.
 WorkProfile profile_from_recorder(const trace::Recorder& rec,
                                   std::string name, double efficiency);
-
-/// Phase-aware variant: when the instrumented code marked sections with
-/// trace::PhaseScope, each recorded phase becomes its own
-/// sequential/parallel PhaseCost pair (so e.g. a Strassen run's
-/// addition passes and base products keep their distinct roofline
-/// behaviour in the simulation). Phases appear in registration order;
-/// the default phase (index 0) comes first when non-empty.
-WorkProfile profile_from_recorder_phases(const trace::Recorder& rec,
-                                         std::string name,
-                                         double efficiency);
 
 }  // namespace capow::sim

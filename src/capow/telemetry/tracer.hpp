@@ -1,10 +1,10 @@
 // The span tracer: who did what, when, on which thread.
 //
-// The trace::Recorder answers "how much" (flops, bytes) per thread and
-// phase; this module answers "when" — it timestamps the task runtime,
-// the three matmul kernels, and the mini-MPI so the paper's power
-// timelines (Figs 4-6) can be read against what the algorithm was doing
-// at each instant. Design constraints, in order:
+// The trace::Recorder answers "how much" (flops, bytes) per thread;
+// this module answers "when" and "in which named section" — it
+// timestamps the task runtime, the three matmul kernels, and the
+// mini-MPI so the paper's power timelines (Figs 4-6) can be read
+// against what the algorithm was doing at each instant. Design constraints, in order:
 //
 //   1. near-zero cost when no tracer is installed (one relaxed atomic
 //      load per call site),

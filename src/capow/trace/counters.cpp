@@ -11,7 +11,6 @@ CostCounters& CostCounters::operator+=(const CostCounters& o) noexcept {
   flops += o.flops;
   dram_read_bytes += o.dram_read_bytes;
   dram_write_bytes += o.dram_write_bytes;
-  cache_bytes += o.cache_bytes;
   messages += o.messages;
   message_bytes += o.message_bytes;
   tasks_spawned += o.tasks_spawned;
@@ -19,73 +18,7 @@ CostCounters& CostCounters::operator+=(const CostCounters& o) noexcept {
   return *this;
 }
 
-void Recorder::reset() noexcept {
-  for (auto& s : slots_) s.by_phase.fill(CostCounters{});
-  {
-    std::lock_guard lock(phase_mutex_);
-    phase_names_.assign(1, std::string{});
-  }
-  active_phase_.store(0, std::memory_order_release);
-}
-
-std::size_t Recorder::begin_phase(const std::string& name) {
-  std::lock_guard lock(phase_mutex_);
-  for (std::size_t i = 0; i < phase_names_.size(); ++i) {
-    if (phase_names_[i] == name) {
-      active_phase_.store(i, std::memory_order_release);
-      return i;
-    }
-  }
-  if (phase_names_.size() >= kMaxPhases) {
-    // Overflow: absorb into the default phase rather than fail.
-    active_phase_.store(0, std::memory_order_release);
-    return 0;
-  }
-  phase_names_.push_back(name);
-  const std::size_t idx = phase_names_.size() - 1;
-  active_phase_.store(idx, std::memory_order_release);
-  return idx;
-}
-
-void Recorder::end_phase() noexcept {
-  active_phase_.store(0, std::memory_order_release);
-}
-
-void Recorder::restore_phase(std::size_t phase) noexcept {
-  active_phase_.store(phase < kMaxPhases ? phase : 0,
-                      std::memory_order_release);
-}
-
-std::size_t Recorder::phase_count() const noexcept {
-  std::lock_guard lock(phase_mutex_);
-  return phase_names_.size();
-}
-
-const std::string& Recorder::phase_name(std::size_t i) const {
-  std::lock_guard lock(phase_mutex_);
-  return phase_names_.at(i);
-}
-
-const CostCounters& Recorder::cell(std::size_t slot,
-                                   std::size_t phase) const {
-  return slots_.at(slot).by_phase.at(phase);
-}
-
-CostCounters Recorder::phase_total(std::size_t phase) const {
-  CostCounters t;
-  for (const auto& s : slots_) t += s.by_phase.at(phase);
-  return t;
-}
-
-std::vector<CostCounters> Recorder::phase_parallel_slots(
-    std::size_t phase) const {
-  std::vector<CostCounters> out;
-  for (std::size_t i = 1; i < kMaxSlots; ++i) {
-    const CostCounters& c = slots_[i].by_phase.at(phase);
-    if (c != CostCounters{}) out.push_back(c);
-  }
-  return out;
-}
+void Recorder::reset() noexcept { slots_.fill(Slot{}); }
 
 namespace {
 /// Parallel-unit slot claimed by ScopedRecorderSlot for non-worker
@@ -107,52 +40,37 @@ std::size_t Recorder::slot_for_current_thread() noexcept {
   return slot < kMaxSlots ? slot : kMaxSlots - 1;
 }
 
-void Recorder::add_flops(std::uint64_t n) noexcept {
-  slots_[slot_for_current_thread()].active(active_phase()).flops += n;
-}
+void Recorder::add_flops(std::uint64_t n) noexcept { mine().flops += n; }
 void Recorder::add_dram_read(std::uint64_t bytes) noexcept {
-  slots_[slot_for_current_thread()].active(active_phase()).dram_read_bytes +=
-      bytes;
+  mine().dram_read_bytes += bytes;
 }
 void Recorder::add_dram_write(std::uint64_t bytes) noexcept {
-  slots_[slot_for_current_thread()]
-      .active(active_phase())
-      .dram_write_bytes += bytes;
-}
-void Recorder::add_cache_traffic(std::uint64_t bytes) noexcept {
-  slots_[slot_for_current_thread()].active(active_phase()).cache_bytes +=
-      bytes;
+  mine().dram_write_bytes += bytes;
 }
 void Recorder::add_message(std::uint64_t bytes) noexcept {
-  auto& c = slots_[slot_for_current_thread()].active(active_phase());
+  CostCounters& c = mine();
   c.messages += 1;
   c.message_bytes += bytes;
 }
 void Recorder::add_task_spawn(std::uint64_t n) noexcept {
-  slots_[slot_for_current_thread()].active(active_phase()).tasks_spawned +=
-      n;
+  mine().tasks_spawned += n;
 }
-void Recorder::add_sync(std::uint64_t n) noexcept {
-  slots_[slot_for_current_thread()].active(active_phase()).syncs += n;
-}
+void Recorder::add_sync(std::uint64_t n) noexcept { mine().syncs += n; }
 
 CostCounters Recorder::slot(std::size_t i) const noexcept {
-  CostCounters t;
-  for (const auto& c : slots_[i].by_phase) t += c;
-  return t;
+  return slots_[i].c;
 }
 
 CostCounters Recorder::total() const noexcept {
   CostCounters t;
-  for (std::size_t i = 0; i < kMaxSlots; ++i) t += slot(i);
+  for (const Slot& s : slots_) t += s.c;
   return t;
 }
 
 std::vector<CostCounters> Recorder::parallel_slots() const {
   std::vector<CostCounters> out;
   for (std::size_t i = 1; i < kMaxSlots; ++i) {
-    const CostCounters c = slot(i);
-    if (c != CostCounters{}) out.push_back(c);
+    if (slots_[i].c != CostCounters{}) out.push_back(slots_[i].c);
   }
   return out;
 }
@@ -160,7 +78,7 @@ std::vector<CostCounters> Recorder::parallel_slots() const {
 std::uint64_t Recorder::max_parallel_flops() const noexcept {
   std::uint64_t m = 0;
   for (std::size_t i = 1; i < kMaxSlots; ++i) {
-    m = std::max(m, slot(i).flops);
+    m = std::max(m, slots_[i].c.flops);
   }
   return m;
 }
@@ -190,9 +108,6 @@ void count_dram_read(std::uint64_t bytes) noexcept {
 }
 void count_dram_write(std::uint64_t bytes) noexcept {
   if (Recorder* r = RecordingScope::current()) r->add_dram_write(bytes);
-}
-void count_cache_traffic(std::uint64_t bytes) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_cache_traffic(bytes);
 }
 void count_message(std::uint64_t bytes) noexcept {
   if (Recorder* r = RecordingScope::current()) r->add_message(bytes);

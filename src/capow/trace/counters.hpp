@@ -15,14 +15,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <string>
 #include <vector>
-
-#include "capow/telemetry/telemetry.hpp"
 
 namespace capow::trace {
 
@@ -31,7 +26,6 @@ struct CostCounters {
   std::uint64_t flops = 0;          ///< floating point operations executed
   std::uint64_t dram_read_bytes = 0;   ///< modeled DRAM read traffic
   std::uint64_t dram_write_bytes = 0;  ///< modeled DRAM write traffic
-  std::uint64_t cache_bytes = 0;    ///< modeled cache-resident traffic
   std::uint64_t messages = 0;       ///< messages sent (distributed runs)
   std::uint64_t message_bytes = 0;  ///< message payload bytes
   std::uint64_t tasks_spawned = 0;  ///< tasks created
@@ -49,69 +43,27 @@ struct CostCounters {
   bool operator==(const CostCounters&) const = default;
 };
 
-/// Records costs for up to kMaxSlots concurrent execution units,
-/// optionally split across up to kMaxPhases named phases.
+/// Records costs for up to kMaxSlots concurrent execution units.
 ///
 /// Slot assignment: pool worker i writes slot i+1; any non-worker thread
 /// (the main/sequential thread) writes slot 0. This matches the EP
 /// model's sequential-vs-parallel decomposition: slot 0 holds the
-/// sequential component, slots 1..N the parallel units.
-///
-/// Phases: PhaseScope (below) switches the recorder's active phase;
-/// counts land in (slot, phase) cells. Phase 0 is the implicit default.
-/// Phase switching is a *global* section marker (all threads record into
-/// the announced phase), matching how the algorithms stage their work —
-/// a phase boundary is always a synchronization point.
+/// sequential component, slots 1..N the parallel units. Named sections
+/// of a run are telemetry spans; the recorder only counts.
 class Recorder {
  public:
   static constexpr std::size_t kMaxSlots = 65;
-  static constexpr std::size_t kMaxPhases = 32;
 
   Recorder() = default;
 
-  /// Clears every slot and phase, resetting to the single default phase.
+  /// Clears every slot.
   void reset() noexcept;
-
-  /// Declares/activates a named phase; returns its index. Re-announcing
-  /// an existing name re-activates it (counts accumulate). Beyond
-  /// kMaxPhases the default phase absorbs the overflow.
-  std::size_t begin_phase(const std::string& name);
-
-  /// Reverts to the default phase.
-  void end_phase() noexcept;
-
-  /// Index of the currently active phase (0 = default).
-  std::size_t active_phase_index() const noexcept {
-    return active_phase();
-  }
-
-  /// Re-activates a previously returned phase index (PhaseScope uses
-  /// this to restore its parent on destruction, so nested scopes do not
-  /// wipe out the enclosing phase). Out-of-range indices clamp to the
-  /// default phase.
-  void restore_phase(std::size_t phase) noexcept;
-
-  /// Number of phases seen (>= 1; the default phase is always present).
-  std::size_t phase_count() const noexcept;
-
-  /// Name of phase i ("" for the default phase).
-  const std::string& phase_name(std::size_t i) const;
-
-  /// Counters of one (slot, phase) cell.
-  const CostCounters& cell(std::size_t slot, std::size_t phase) const;
-
-  /// Sum over slots for one phase.
-  CostCounters phase_total(std::size_t phase) const;
-
-  /// Per-phase parallel-slot breakdown (non-empty slots only).
-  std::vector<CostCounters> phase_parallel_slots(std::size_t phase) const;
 
   // Recording entry points; `slot` resolution uses the calling thread's
   // pool worker index (see slot_for_current_thread()).
   void add_flops(std::uint64_t n) noexcept;
   void add_dram_read(std::uint64_t bytes) noexcept;
   void add_dram_write(std::uint64_t bytes) noexcept;
-  void add_cache_traffic(std::uint64_t bytes) noexcept;
   void add_message(std::uint64_t bytes) noexcept;
   void add_task_spawn(std::uint64_t n = 1) noexcept;
   void add_sync(std::uint64_t n = 1) noexcept;
@@ -119,11 +71,10 @@ class Recorder {
   /// Slot written by the calling thread (worker_index()+1, or 0).
   static std::size_t slot_for_current_thread() noexcept;
 
-  /// Aggregate counters for one slot (0 = sequential/main thread),
-  /// summed over phases.
+  /// Counters of one slot (0 = sequential/main thread).
   CostCounters slot(std::size_t i) const noexcept;
 
-  /// Sum over all slots and phases.
+  /// Sum over all slots.
   CostCounters total() const noexcept;
 
   /// Counters of the parallel slots (1..) that are non-empty.
@@ -134,21 +85,12 @@ class Recorder {
 
  private:
   struct alignas(64) Slot {
-    std::array<CostCounters, kMaxPhases> by_phase;
-    CostCounters& active(std::size_t phase) noexcept {
-      return by_phase[phase];
-    }
+    CostCounters c;
   };
 
-  std::size_t active_phase() const noexcept {
-    return active_phase_.load(std::memory_order_acquire);
-  }
+  CostCounters& mine() noexcept { return slots_[slot_for_current_thread()].c; }
 
   std::array<Slot, kMaxSlots> slots_{};
-  // Phase registry: written under mutex, names immutable once added.
-  mutable std::mutex phase_mutex_;
-  std::vector<std::string> phase_names_{std::string{}};
-  std::atomic<std::size_t> active_phase_{0};
 };
 
 /// RAII parallel-unit slot claim for threads that are not pool workers.
@@ -168,39 +110,6 @@ class ScopedRecorderSlot {
 
  private:
   int previous_;
-};
-
-/// RAII phase section: activates `name` on construction and restores
-/// the *previously active* phase on destruction, so nested scopes
-/// resume their parent's phase instead of resetting to the default.
-/// When a telemetry tracer is installed, the section is also emitted as
-/// a timed span (category "phase"), aligning the cost counters with the
-/// span timeline.
-class PhaseScope {
- public:
-  PhaseScope(Recorder& r, const std::string& name)
-      : recorder_(&r),
-        previous_(r.active_phase_index())
-#if CAPOW_TELEMETRY_ENABLED
-        ,
-        span_(telemetry::Tracer::active() != nullptr
-                  ? telemetry::intern(name)
-                  : nullptr,
-              "phase")
-#endif
-  {
-    recorder_->begin_phase(name);
-  }
-  ~PhaseScope() { recorder_->restore_phase(previous_); }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Recorder* recorder_;
-  std::size_t previous_;
-#if CAPOW_TELEMETRY_ENABLED
-  telemetry::SpanScope span_;
-#endif
 };
 
 /// Installs `r` as the calling thread's *and* subsequently-created
@@ -227,7 +136,6 @@ class RecordingScope {
 void count_flops(std::uint64_t n) noexcept;
 void count_dram_read(std::uint64_t bytes) noexcept;
 void count_dram_write(std::uint64_t bytes) noexcept;
-void count_cache_traffic(std::uint64_t bytes) noexcept;
 void count_message(std::uint64_t bytes) noexcept;
 void count_task_spawn(std::uint64_t n = 1) noexcept;
 void count_sync(std::uint64_t n = 1) noexcept;

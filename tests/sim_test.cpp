@@ -291,58 +291,5 @@ TEST(ProfileFromRecorder, EmptyRecorderYieldsEmptyProfile) {
   EXPECT_TRUE(wp.phases.empty());
 }
 
-TEST(ProfileFromRecorderPhases, OnePhaseCostPairPerRecordedPhase) {
-  trace::Recorder rec;
-  rec.add_flops(100);
-  rec.add_dram_read(800);
-  {
-    trace::PhaseScope phase(rec, "adds");
-    rec.add_flops(30);
-    rec.add_dram_write(160);
-  }
-  {
-    trace::PhaseScope phase(rec, "products");
-    rec.add_flops(500);
-  }
-  const WorkProfile wp = profile_from_recorder_phases(rec, "staged", 0.25);
-  ASSERT_EQ(wp.phases.size(), 3u);  // default + adds + products (seq only)
-  EXPECT_EQ(wp.phases[0].label, "sequential");
-  EXPECT_EQ(wp.phases[1].label, "adds/sequential");
-  EXPECT_EQ(wp.phases[2].label, "products/sequential");
-  EXPECT_DOUBLE_EQ(wp.phases[1].flops, 30.0);
-  EXPECT_DOUBLE_EQ(wp.phases[1].dram_bytes, 160.0);
-  EXPECT_DOUBLE_EQ(wp.total_flops(), 630.0);
-  // Totals conserved vs the phase-blind variant.
-  const WorkProfile flat = profile_from_recorder(rec, "flat", 0.25);
-  EXPECT_DOUBLE_EQ(flat.total_flops(), wp.total_flops());
-  EXPECT_DOUBLE_EQ(flat.total_dram_bytes(), wp.total_dram_bytes());
-}
-
-TEST(ProfileFromRecorderPhases, SimulatesPhasesIndependently) {
-  // A compute-heavy phase and a memory-heavy phase must keep their
-  // distinct roofline behaviour through the phase-aware path.
-  trace::Recorder rec;
-  {
-    trace::PhaseScope phase(rec, "compute");
-    rec.add_flops(51'200'000'000ull);  // 1 s at one Haswell core
-  }
-  {
-    trace::PhaseScope phase(rec, "stream");
-    rec.add_flops(1);
-    rec.add_dram_read(10'300'000'000ull);  // 1 s at full bandwidth
-  }
-  const WorkProfile wp = profile_from_recorder_phases(rec, "mix", 1.0);
-  const auto run = simulate(machine::haswell_e3_1225(), wp, 1);
-  EXPECT_NEAR(run.seconds, 2.0, 0.01);
-  // One phase near-full utilization, the other near zero.
-  double max_u = 0.0, min_u = 1.0;
-  for (const auto& ph : run.phases) {
-    max_u = std::max(max_u, ph.utilization);
-    min_u = std::min(min_u, ph.utilization);
-  }
-  EXPECT_GT(max_u, 0.99);
-  EXPECT_LT(min_u, 0.01);
-}
-
 }  // namespace
 }  // namespace capow::sim
