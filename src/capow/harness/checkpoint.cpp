@@ -1,12 +1,19 @@
 #include "capow/harness/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "capow/harness/jsonl.hpp"
+#include "capow/telemetry/export.hpp"
 
 namespace capow::harness {
 
 namespace {
+
+using jsonl::find_value;
+using jsonl::json_double;
+using jsonl::parse_double;
+using jsonl::parse_u64;
 
 RunStatus status_from_name(const std::string& name, bool& ok) {
   ok = true;
@@ -18,126 +25,6 @@ RunStatus status_from_name(const std::string& name, bool& ok) {
   if (name == "failed") return RunStatus::kFailed;
   ok = false;
   return RunStatus::kOk;
-}
-
-/// %.17g: shortest representation that round-trips an IEEE double, so a
-/// resumed table is bit-identical to the uninterrupted one. (The
-/// telemetry JSON exporters use %.6g — fine for dashboards, lossy for
-/// resume.)
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 'r':
-        out += '\r';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default:
-        out += s[i];
-    }
-  }
-  return out;
-}
-
-/// Extracts the raw value text of `"key":` from a single-line JSON
-/// object; false when the key is missing (torn line).
-bool find_value(const std::string& line, const std::string& key,
-                std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    // String value: scan to the next unescaped quote.
-    std::size_t end = pos + 1;
-    while (end < line.size()) {
-      if (line[end] == '\\') {
-        end += 2;
-        continue;
-      }
-      if (line[end] == '"') break;
-      ++end;
-    }
-    if (end >= line.size()) return false;
-    out = line.substr(pos + 1, end - pos - 1);
-    return true;
-  }
-  std::size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  if (end == pos) return false;
-  out = line.substr(pos, end - pos);
-  return true;
-}
-
-bool parse_double(const std::string& tok, double& out) {
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return !tok.empty() && end == tok.c_str() + tok.size();
-}
-
-bool parse_u64(const std::string& tok, unsigned long long& out) {
-  char* end = nullptr;
-  out = std::strtoull(tok.c_str(), &end, 10);
-  return !tok.empty() && end == tok.c_str() + tok.size();
 }
 
 }  // namespace
@@ -161,7 +48,7 @@ std::string checkpoint_line(const ResultRecord& r) {
   out += ",\"ep\":" + json_double(r.ep);
   out += ",\"status\":\"" + std::string(to_string(r.status)) + "\"";
   out += ",\"attempts\":" + std::to_string(r.attempts);
-  out += ",\"error\":\"" + json_escape(r.error) + "\"";
+  out += ",\"error\":\"" + telemetry::json_escape(r.error) + "\"";
   // Recovery fields appear only when set, so runs that never exercised
   // elastic recovery emit lines byte-identical to the pre-recovery
   // format (resume flows diff checkpoint bytes).
@@ -233,7 +120,7 @@ std::optional<ResultRecord> parse_checkpoint_line(const std::string& line) {
   }
   r.attempts = static_cast<int>(u);
 
-  if (find_value(line, "error", tok)) r.error = json_unescape(tok);
+  if (find_value(line, "error", tok)) r.error = jsonl::json_unescape(tok);
 
   // Optional recovery fields (absent on pre-recovery lines).
   // find_value's scalar scan stops at commas, so the rank array is
@@ -271,45 +158,26 @@ std::vector<ResultRecord> load_checkpoint(const std::string& path,
                                           std::size_t* skipped) {
   std::vector<ResultRecord> out;
   if (skipped != nullptr) *skipped = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  std::string line;
-  int c = 0;
-  const auto flush_line = [&] {
-    if (line.empty()) return;
+  jsonl::for_each_line(path, [&](const std::string& line) {
     // Checkpoint files are shared with the comm-audit records
     // (comm_audit.hpp); those lines are a different kind, not damage.
-    if (line.find("\"kind\":\"comm_audit\"") != std::string::npos) {
-      line.clear();
+    if (line.find("\"kind\":\"comm_audit\"") != std::string::npos) return;
+    auto rec = parse_checkpoint_line(line);
+    if (!rec) {
+      if (skipped != nullptr) ++*skipped;
       return;
     }
-    if (auto rec = parse_checkpoint_line(line)) {
-      // Last record for a configuration wins (a resumed run may have
-      // re-run a previously failed configuration).
-      bool replaced = false;
-      for (auto& existing : out) {
-        if (existing.algorithm == rec->algorithm && existing.n == rec->n &&
-            existing.threads == rec->threads) {
-          existing = *rec;
-          replaced = true;
-          break;
-        }
+    // Last record for a configuration wins (a resumed run may have
+    // re-run a previously failed configuration).
+    for (auto& existing : out) {
+      if (existing.algorithm == rec->algorithm && existing.n == rec->n &&
+          existing.threads == rec->threads) {
+        existing = std::move(*rec);
+        return;
       }
-      if (!replaced) out.push_back(*rec);
-    } else if (skipped != nullptr) {
-      ++*skipped;
     }
-    line.clear();
-  };
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c == '\n') {
-      flush_line();
-    } else {
-      line += static_cast<char>(c);
-    }
-  }
-  flush_line();  // a final line without '\n' is torn but may parse
-  std::fclose(f);
+    out.push_back(std::move(*rec));
+  });
   return out;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,6 +10,7 @@
 #include "capow/dist/comm.hpp"
 #include "capow/dist/dist_caps.hpp"
 #include "capow/dist/summa.hpp"
+#include "capow/harness/jsonl.hpp"
 #include "capow/linalg/random.hpp"
 
 namespace capow::harness {
@@ -21,81 +20,10 @@ namespace {
 constexpr std::uint64_t kSeedA = 80;
 constexpr std::uint64_t kSeedB = 81;
 
-/// %.17g, matching the experiment checkpoint's round-trip guarantee.
-std::string json_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-bool find_value(const std::string& line, const std::string& key,
-                std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  if (pos >= line.size()) return false;
-  if (line[pos] == '"') {
-    std::size_t end = pos + 1;
-    while (end < line.size()) {
-      if (line[end] == '\\') {
-        end += 2;
-        continue;
-      }
-      if (line[end] == '"') break;
-      ++end;
-    }
-    if (end >= line.size()) return false;
-    out = line.substr(pos + 1, end - pos - 1);
-    return true;
-  }
-  std::size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ']') {
-    ++end;
-  }
-  if (end == pos) return false;
-  out = line.substr(pos, end - pos);
-  return true;
-}
-
-bool parse_double(const std::string& tok, double& out) {
-  char* end = nullptr;
-  out = std::strtod(tok.c_str(), &end);
-  return !tok.empty() && end == tok.c_str() + tok.size();
-}
-
-bool parse_u64(const std::string& tok, unsigned long long& out) {
-  char* end = nullptr;
-  out = std::strtoull(tok.c_str(), &end, 10);
-  return !tok.empty() && end == tok.c_str() + tok.size();
-}
-
-std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtol(s.substr(i + 1, 4).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
+using jsonl::find_value;
+using jsonl::json_double;
+using jsonl::parse_double;
+using jsonl::parse_u64;
 
 /// Parses `"key":[[u,u,...],[...],...]` into rows of unsigned values.
 bool parse_u64_rows(const std::string& line, const std::string& key,
@@ -334,7 +262,7 @@ bool parse_comm_audit_line(const std::string& line, CommAuditRecord& out) {
   }
   if (!find_value(line, "bound_kind", tok)) return false;
   r.bound_kind = tok;
-  if (find_value(line, "error", tok)) r.error = json_unescape(tok);
+  if (find_value(line, "error", tok)) r.error = jsonl::json_unescape(tok);
 
   std::vector<std::vector<std::uint64_t>> rows;
   if (!parse_u64_rows(line, "edges", rows)) return false;
@@ -375,35 +303,18 @@ bool parse_comm_audit_line(const std::string& line, CommAuditRecord& out) {
 
 std::vector<CommAuditRecord> load_comm_audits(const std::string& path) {
   std::vector<CommAuditRecord> out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  std::string line;
-  int c = 0;
-  const auto flush_line = [&] {
+  jsonl::for_each_line(path, [&](const std::string& line) {
     CommAuditRecord rec;
-    if (!line.empty() && parse_comm_audit_line(line, rec)) {
-      bool replaced = false;
-      for (auto& existing : out) {
-        if (existing.algorithm == rec.algorithm && existing.n == rec.n &&
-            existing.ranks == rec.ranks) {
-          existing = rec;
-          replaced = true;
-          break;
-        }
+    if (!parse_comm_audit_line(line, rec)) return;
+    for (auto& existing : out) {
+      if (existing.algorithm == rec.algorithm && existing.n == rec.n &&
+          existing.ranks == rec.ranks) {
+        existing = std::move(rec);
+        return;
       }
-      if (!replaced) out.push_back(std::move(rec));
     }
-    line.clear();
-  };
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c == '\n') {
-      flush_line();
-    } else {
-      line += static_cast<char>(c);
-    }
-  }
-  flush_line();
-  std::fclose(f);
+    out.push_back(std::move(rec));
+  });
   return out;
 }
 
