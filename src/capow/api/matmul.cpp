@@ -10,27 +10,11 @@ namespace capow {
 
 namespace {
 
-/// Strassen/CAPS base-kernel resolution: facade override, then the
-/// algorithm option, then the CAPOW_KERNEL environment (a whole-stack
-/// A/B switch), then the BOTS kernel (null).
-std::optional<blas::MicroKernelId> resolve_base_kernel(
-    std::optional<blas::MicroKernelId> facade,
-    std::optional<blas::MicroKernelId> algorithm_option) {
-  if (facade) return facade;
-  if (algorithm_option) return algorithm_option;
-  return blas::env_kernel_override();
-}
-
 blas::GemmOptions gemm_options(const MatmulOptions& opts) {
   blas::GemmOptions g;
   g.blocking = opts.blocking;
-  g.kernel = opts.kernel;
   g.pool = opts.pool;
   return g;
-}
-
-std::string tile_str(std::size_t mr, std::size_t nr) {
-  return std::to_string(mr) + "x" + std::to_string(nr);
 }
 
 }  // namespace
@@ -38,23 +22,13 @@ std::string tile_str(std::size_t mr, std::size_t nr) {
 void validate_options(const MatmulOptions& opts) {
   if (!opts.blocking) return;
   const blas::BlockingParams& bl = *opts.blocking;
-  const blas::MicroKernel* pinned = blas::find_kernel_for_tile(bl.mr, bl.nr);
-  if (pinned == nullptr) {
+  if (blas::find_kernel_for_tile(bl.mr, bl.nr) == nullptr) {
     throw std::invalid_argument(
-        "matmul: blocking requests a " + tile_str(bl.mr, bl.nr) +
+        "matmul: blocking requests a " + std::to_string(bl.mr) + "x" +
+        std::to_string(bl.nr) +
         " register tile, which matches no registered microkernel (valid "
         "kernel=tile combinations: " +
         blas::kernel_tile_listing() + ")");
-  }
-  if (opts.kernel && *opts.kernel != pinned->id) {
-    const blas::MicroKernel* requested = blas::find_kernel(*opts.kernel);
-    throw std::invalid_argument(
-        std::string("matmul: explicit kernel '") +
-        (requested != nullptr ? requested->name : "?") +
-        "' conflicts with the blocking parameters, whose " +
-        tile_str(bl.mr, bl.nr) + " tile pins kernel '" + pinned->name +
-        "' (valid kernel=tile combinations: " + blas::kernel_tile_listing() +
-        ")");
   }
 }
 
@@ -63,15 +37,10 @@ const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts) {
   switch (opts.algorithm) {
     case core::AlgorithmId::kOpenBlas:
       return &blas::resolve_kernel(gemm_options(opts));
-    case core::AlgorithmId::kStrassen: {
-      const auto id =
-          resolve_base_kernel(opts.kernel, opts.strassen.base_kernel);
-      return id ? blas::find_kernel(*id) : nullptr;
-    }
-    case core::AlgorithmId::kCaps: {
-      const auto id = resolve_base_kernel(opts.kernel, opts.caps.base_kernel);
-      return id ? blas::find_kernel(*id) : nullptr;
-    }
+    case core::AlgorithmId::kStrassen:
+      return strassen::resolve_base_kernel(opts.strassen.base_kernel);
+    case core::AlgorithmId::kCaps:
+      return strassen::resolve_base_kernel(opts.caps.base_kernel);
   }
   return nullptr;
 }
@@ -128,7 +97,6 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     case core::AlgorithmId::kStrassen: {
       strassen::StrassenOptions s = opts.strassen;
       if (s.arena == nullptr) s.arena = &arena;
-      s.base_kernel = resolve_base_kernel(opts.kernel, s.base_kernel);
       if (!s.abft.mode) s.abft = opts.abft;
       strassen::multiply(a, b, c, s, opts.pool);
       break;
@@ -136,7 +104,6 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     case core::AlgorithmId::kCaps: {
       capsalg::CapsOptions o = opts.caps;
       if (o.arena == nullptr) o.arena = &arena;
-      o.base_kernel = resolve_base_kernel(opts.kernel, o.base_kernel);
       if (!o.abft.mode) o.abft = opts.abft;
       capsalg::multiply(a, b, c, o, opts.pool, opts.caps_stats);
       break;

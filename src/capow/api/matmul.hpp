@@ -7,9 +7,10 @@
 // are gone). One options struct carries everything the paper's
 // experiments vary: the algorithm (core::AlgorithmId registry), the
 // *backend* the call dispatches onto (capow::backend seam — device
-// identity, kernel registry, device arena, power plane), the register
-// microkernel (explicit > CAPOW_KERNEL env > fastest supported),
-// blocking/cutoff tuning, and the thread pool.
+// identity, kernel registry, device arena, power plane), blocking and
+// cutoff tuning (which also pin the register microkernel: a blocking
+// tile, or a Strassen/CAPS base_kernel, else CAPOW_KERNEL), and the
+// thread pool.
 //
 // The facade also owns the per-call observability: a "matmul" telemetry
 // span tagged with the resolved algorithm/kernel/backend, plus arena
@@ -44,26 +45,20 @@ struct MatmulOptions {
   /// chosen backend does not support falls back to the host (graceful,
   /// counted by capow_backend_fallbacks_total — never an error). The
   /// backend supplies the kernel registry, the device memory pool and
-  /// the machine model in one handle, subsuming the `kernel` alias
-  /// below.
+  /// the machine model in one handle.
   std::optional<backend::BackendId> backend;
-
-  /// DEPRECATED alias (subsumed by `backend`; one release of grace):
-  /// register-microkernel override. Precedence, for every algorithm:
-  /// this field > the per-algorithm option (blocking tile / base_kernel)
-  /// > the CAPOW_KERNEL environment variable > the algorithm default
-  /// (blocked GEMM: fastest supported; Strassen/CAPS: the BOTS-style
-  /// base kernel the paper models).
-  std::optional<blas::MicroKernelId> kernel;
 
   /// Worker pool; null runs serially.
   tasking::ThreadPool* pool = nullptr;
 
   /// Blocked-GEMM path: explicit blocking parameters. The (mr, nr) tile
-  /// must match a registered kernel, which it then pins.
+  /// must match a registered kernel, which it then pins. Unset, the
+  /// kernel is CAPOW_KERNEL's, else the fastest this CPU supports.
   std::optional<blas::BlockingParams> blocking;
 
-  /// Strassen path tuning (cutoff, winograd, spawn depth).
+  /// Strassen path tuning (cutoff, winograd, spawn depth). An unset
+  /// base_kernel, here or in `caps`, falls back to CAPOW_KERNEL, then
+  /// to the BOTS base case the paper models.
   strassen::StrassenOptions strassen{};
   /// CAPS path tuning (cutoffs, thresholds).
   capsalg::CapsOptions caps{};
@@ -78,10 +73,9 @@ struct MatmulOptions {
   abft::AbftConfig abft{};
 };
 
-/// Rejects inconsistent options up front, before any dispatch work:
-///   * a `blocking` tile whose (mr, nr) matches no registered kernel,
-///   * an explicit `kernel` that disagrees with the tile `blocking` pins.
-/// Throws std::invalid_argument whose message lists the registered
+/// Rejects a `blocking` tile whose (mr, nr) matches no registered
+/// kernel up front, before any dispatch work. Throws
+/// std::invalid_argument whose message lists the registered
 /// kernel/tile combinations. matmul() calls this on entry; experiment
 /// drivers can call it early to fail before allocating operands.
 void validate_options(const MatmulOptions& opts);
@@ -100,7 +94,7 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 /// The microkernel matmul() would run for `opts` — the facade-level
 /// resolution including per-algorithm defaults. Returns null when the
 /// Strassen/CAPS base case would use the BOTS kernel. Throws exactly
-/// when matmul() would reject the kernel/blocking combination.
+/// when matmul() would reject the blocking tile.
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts);
 
 }  // namespace capow

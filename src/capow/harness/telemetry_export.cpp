@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "capow/abft/abft.hpp"
+#include "capow/api/matmul.hpp"
 #include "capow/backend/backend.hpp"
 #include "capow/blas/cost_model.hpp"
 #include "capow/blas/microkernel.hpp"
@@ -30,9 +31,10 @@ std::string run_label(core::AlgorithmId a, std::size_t n, unsigned threads) {
 // Deterministic for a given environment, so exports stay byte-stable
 // across repeat runs.
 const char* resolved_kernel_name(core::AlgorithmId a) {
-  if (a == core::AlgorithmId::kOpenBlas) return blas::select_kernel().name;
-  const auto env = blas::env_kernel_override();
-  return env ? blas::find_kernel(*env)->name : "bots";
+  MatmulOptions opts;
+  opts.algorithm = a;
+  const blas::MicroKernel* k = matmul_kernel(opts);
+  return k != nullptr ? k->name : "bots";
 }
 
 // Per-(algorithm, n) sweep of attribution profiles across the

@@ -5,6 +5,7 @@
 
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/strassen/base_kernel.hpp"
+#include "capow/strassen/strassen.hpp"
 
 namespace capow::strassen {
 
@@ -28,6 +29,12 @@ void Frame::failed_verification(const std::string& what,
   }
 }
 
+const blas::MicroKernel* resolve_base_kernel(
+    std::optional<blas::MicroKernelId> requested) {
+  if (!requested) requested = blas::env_kernel_override();
+  return requested ? blas::find_kernel(*requested) : nullptr;
+}
+
 Frame open_frame(const char* who, linalg::ConstMatrixView a,
                  linalg::ConstMatrixView b, linalg::ConstMatrixView c,
                  std::size_t base_cutoff,
@@ -46,14 +53,13 @@ Frame open_frame(const char* who, linalg::ConstMatrixView a,
   if (base_cutoff == 0) {
     throw std::invalid_argument(std::string(who) + ": base_cutoff == 0");
   }
-  if (!base_kernel) base_kernel = blas::env_kernel_override();
   Frame f;
   f.who = who;
   f.base_cutoff = base_cutoff;
   f.pool = pool;
   f.arena = arena != nullptr ? arena : &blas::active_arena();
-  f.base_kernel = base_kernel ? blas::find_kernel(*base_kernel) : nullptr;
-  if (base_kernel && !f.base_kernel->supported()) {
+  f.base_kernel = resolve_base_kernel(base_kernel);
+  if (f.base_kernel != nullptr && !f.base_kernel->supported()) {
     throw std::runtime_error(std::string(who) + ": base kernel '" +
                              f.base_kernel->name +
                              "' is not supported by this CPU");

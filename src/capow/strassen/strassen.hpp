@@ -70,6 +70,13 @@ void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
               linalg::MatrixView c, const StrassenOptions& opts = {},
               tasking::ThreadPool* pool = nullptr);
 
+/// The registry kernel a Strassen or CAPS base case runs for its
+/// `base_kernel` option: that kernel, else the CAPOW_KERNEL override,
+/// else null for the BOTS kernel. Shared by both algorithms and the
+/// capow::matmul() facade, so they cannot disagree.
+const blas::MicroKernel* resolve_base_kernel(
+    std::optional<blas::MicroKernelId> requested);
+
 /// Number of recursion levels multiply() executes for dimension n
 /// (0 when n <= cutoff): levels until the padded dimension reaches the
 /// base case.
