@@ -45,24 +45,27 @@ struct Ctx : strassen::Frame {
 /// buffer high-water mark (the "additional buffer memory" of BFS).
 /// Physical storage comes from the workspace arena; the *logical* charge
 /// stays the exact h*h*8 the cost model predicts, independent of arena
-/// size-class rounding or pool reuse.
+/// size-class rounding or pool reuse. A logical-only buffer (physical
+/// false) is charged but leases nothing: the operand it stands for is
+/// read in place.
 class TrackedMatrix {
  public:
-  TrackedMatrix(Ctx& ctx, std::size_t h)
-      : ctx_(&ctx), bytes_(h * h * sizeof(double)), m_(*ctx.arena, h, h) {
+  TrackedMatrix(Ctx& ctx, std::size_t h, bool physical = true)
+      : ctx_(&ctx), bytes_(h * h * sizeof(double)) {
+    if (physical) m_.emplace(*ctx.arena, h, h);
     ctx_->track_alloc(bytes_);
   }
   ~TrackedMatrix() { ctx_->track_free(bytes_); }
   TrackedMatrix(const TrackedMatrix&) = delete;
   TrackedMatrix& operator=(const TrackedMatrix&) = delete;
 
-  MatrixView view() { return m_.view(); }
-  ConstMatrixView cview() const { return m_.view(); }
+  MatrixView view() { return m_->view(); }
+  ConstMatrixView cview() const { return m_->view(); }
 
  private:
   Ctx* ctx_;
   std::uint64_t bytes_;
-  blas::ArenaMatrix m_;
+  std::optional<blas::ArenaMatrix> m_;
 };
 
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
@@ -72,7 +75,11 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
 //
 // All 14 operand combinations are buffered up front, then the 7
 // sub-products run as parallel tasks over disjoint private data, and the
-// quadrants of C are assembled in parallel.
+// quadrants of C are assembled in parallel. A single-quadrant operand of
+// an unguarded product is read in place: its copy is still booked as
+// logical work (trace traffic and tracked bytes), so CapsStats and the
+// cost model keep describing the paper's buffered BFS, but no arena
+// storage backs it.
 void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
@@ -81,26 +88,37 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
   const auto qb = linalg::partition(b);
   const auto qc = linalg::partition(c);
   const std::size_t h = a.rows() / 2;
+  const bool guarded = ctx.guards(depth);
+
+  // Operand j of the 14: the A side of product j/2 when j is even, else
+  // its B side.
+  const auto sum = [](int j) -> const scheme::Sum& {
+    const scheme::Product& p = scheme::kProducts[j / 2];
+    return j % 2 == 0 ? p.a : p.b;
+  };
+  const auto quadrants = [&](int j) -> const auto& {
+    return j % 2 == 0 ? qa : qb;
+  };
+  const auto in_place = [&](int j) { return !guarded && sum(j).size() == 1; };
 
   // In-place optionals, not unique_ptr: the buffers themselves lease
   // arena storage, and the handles must not re-introduce a heap
   // allocation per node.
-  std::array<std::optional<TrackedMatrix>, 7> la;
-  std::array<std::optional<TrackedMatrix>, 7> lb;
+  std::array<std::optional<TrackedMatrix>, 14> buf;
+  std::array<ConstMatrixView, 14> operand;
   std::array<std::optional<TrackedMatrix>, 7> q;
-  for (int i = 0; i < 7; ++i) {
-    la[i].emplace(ctx, h);
-    lb[i].emplace(ctx, h);
-    q[i].emplace(ctx, h);
+  for (int j = 0; j < 14; ++j) {
+    buf[j].emplace(ctx, h, !in_place(j));
+    operand[j] = in_place(j)
+                     ? scheme::quadrant(quadrants(j), sum(j).index(0))
+                     : buf[j]->cview();
+    if (j % 2 == 1) q[j / 2].emplace(ctx, h);
   }
-  // Operand j of the 14: the A side of product j/2 when j is even, else
-  // its B side.
   const auto materialize = [&](int j) {
-    const scheme::Product& p = scheme::kProducts[j / 2];
-    if (j % 2 == 0) {
-      scheme::materialize(p.a, qa, la[j / 2]->view(), CountedOps{});
+    if (in_place(j)) {
+      strassen::count_copy(h * h);
     } else {
-      scheme::materialize(p.b, qb, lb[j / 2]->view(), CountedOps{});
+      scheme::materialize(sum(j), quadrants(j), buf[j]->view(), CountedOps{});
     }
   };
   tasking::ThreadPool* const workers = ctx.workers();
@@ -115,8 +133,8 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
   // siblings. Deeper flips still surface in the depth-0 checksums.
   strassen::fan_out(workers, 7, [&](int i) {
     const MatrixView out = q[i]->view();
-    if (!ctx.guards(depth)) {
-      recurse(la[i]->cview(), lb[i]->cview(), out, ctx, depth + 1);
+    if (!guarded) {
+      recurse(operand[2 * i], operand[2 * i + 1], out, ctx, depth + 1);
       return;
     }
     strassen::guarded_product(
@@ -128,8 +146,9 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
             materialize(2 * i);
             materialize(2 * i + 1);
           }
-          return strassen::AttemptOperands{la[i]->cview(), lb[i]->cview(),
-                                           la[i]->view(), lb[i]->view()};
+          return strassen::AttemptOperands{operand[2 * i], operand[2 * i + 1],
+                                           buf[2 * i]->view(),
+                                           buf[2 * i + 1]->view()};
         },
         [&](ConstMatrixView lhs, ConstMatrixView rhs, std::uint64_t key) {
           recurse(lhs, rhs, out, ctx, depth + 1);

@@ -49,11 +49,16 @@ inline void counted_sub_inplace(linalg::MatrixView dst,
   trace::count_dram_write(s * sizeof(double));
 }
 
-inline void counted_copy(linalg::ConstMatrixView src, linalg::MatrixView dst) {
-  linalg::copy(src, dst);
-  const std::uint64_t s = dst.size();
+/// Books a copy of s elements (one read and one write each) without
+/// moving data: the logical cost of an operand read in place.
+inline void count_copy(std::uint64_t s) {
   trace::count_dram_read(s * sizeof(double));
   trace::count_dram_write(s * sizeof(double));
+}
+
+inline void counted_copy(linalg::ConstMatrixView src, linalg::MatrixView dst) {
+  linalg::copy(src, dst);
+  count_copy(dst.size());
 }
 
 /// The counted ops as the op set scheme::evaluate drives.

@@ -8,15 +8,24 @@
 //   C11 = M1 + M4 - M5 + M7         C12 = M3 + M5
 //   C21 = M2 + M4                   C22 = M1 - M2 + M3 + M6
 //
-// Every classic executor walks this table: Strassen's per-product tasks,
-// CAPS's BFS and DFS levels, dist-CAPS's root, and both cachesim
-// replays. The Strassen and CAPS cost models take their per-level
-// operand, combine, copy, accumulate and live-buffer counts from it.
-// Sums are evaluated left to right, so every executor rounds the same
-// way and each replay touches memory in its executor's order: the
-// instrumented counts, the closed forms and the replayed logical bytes
-// agree by construction. Winograd's 15-addition variant shares partial
-// sums between products and keeps its own sequence in strassen.cpp.
+// Every classic executor walks this table: Strassen's nodes, CAPS's BFS
+// and DFS levels, dist-CAPS's root, and both cachesim replays. The
+// Strassen and CAPS cost models take their per-level operand, combine,
+// copy, accumulate and live-buffer counts from it. Sums are evaluated
+// left to right, so every executor rounds the same way and the
+// instrumented counts and the closed forms agree by construction.
+//
+// A Strassen node does not evaluate kCombine over seven product
+// buffers: it runs kSchedule, which stores M1..M3 straight into the C
+// quadrants whose sums they start and passes M4..M7 through one product
+// temporary. A static_assert replays the schedule symbolically and
+// proves that every C quadrant is still kCombine's left-to-right sum
+// with the same operand order, so the result bits, -0.0 and NaN
+// payloads included, are those of the textbook evaluation. The cachesim
+// Strassen replay keeps the textbook order (seven product buffers, then
+// the four combines); its pinned logical bytes model that order, not the
+// executor's. Winograd's 15-addition variant shares partial sums between
+// products and keeps its own sequence in strassen.cpp.
 #pragma once
 
 #include <array>
@@ -125,6 +134,116 @@ constexpr std::size_t max_operand_temporaries() noexcept {
 static_assert(operand_additions() + combine_additions() == 18,
               "classic Strassen performs 18 quadrant additions per node");
 
+// ---- The node schedule. -------------------------------------------------
+
+/// The buffers a node's schedule writes: C's quadrants, in kCombine
+/// order, and the one product temporary.
+enum Buffer : int { kC11, kC12, kC21, kC22, kT };
+
+/// One step of kSchedule: store product `x` (1..7) into dst, dst = x ± y,
+/// or dst ±= x, where x and y name buffers for the two add/sub kinds.
+struct Step {
+  enum Kind { kProduct, kBinary, kAccumulate };
+  Kind kind;
+  int dst;
+  int x;
+  int y;
+  bool subtract;
+};
+
+constexpr Step store(int product, int dst) {
+  return {Step::kProduct, dst, product, 0, false};
+}
+constexpr Step binary(int dst, int x, int y, bool subtract) {
+  return {Step::kBinary, dst, x, y, subtract};
+}
+constexpr Step accumulate(int dst, int x, bool subtract) {
+  return {Step::kAccumulate, dst, x, 0, subtract};
+}
+
+/// A node's products and C additions in the order that keeps the fewest
+/// buffers live: one product temporary besides C's own quadrants.
+inline constexpr std::array<Step, 15> kSchedule{{
+    store(2, kC21),
+    store(1, kC11),
+    binary(kC22, kC11, kC21, true),  // C22 = M1 - M2
+    store(3, kC12),
+    accumulate(kC22, kC12, false),   // C22 = M1 - M2 + M3
+    store(6, kT),
+    accumulate(kC22, kT, false),     // C22 = M1 - M2 + M3 + M6
+    store(4, kT),
+    accumulate(kC11, kT, false),     // C11 = M1 + M4
+    accumulate(kC21, kT, false),     // C21 = M2 + M4
+    store(5, kT),
+    accumulate(kC11, kT, true),      // C11 = M1 + M4 - M5
+    accumulate(kC12, kT, false),     // C12 = M3 + M5
+    store(7, kT),
+    accumulate(kC11, kT, false),     // C11 = M1 + M4 - M5 + M7
+}};
+
+/// Appends single-product sum `term` to the left-to-right sum `s`;
+/// false when that would not keep s a left-to-right sum of products.
+constexpr bool append(Sum& s, const Sum& term, bool subtract) {
+  const std::size_t n = s.size();
+  if (n == 0 || n == s.terms.size() || term.size() != 1 || term.terms[0] < 0) {
+    return false;
+  }
+  s.terms[n] = subtract ? -term.terms[0] : term.terms[0];
+  return true;
+}
+
+/// Replays kSchedule over symbolic sums: true when each product is
+/// stored once, every add/sub step extends a left-to-right sum by one
+/// stored product, and each C quadrant ends as exactly kCombine's sum,
+/// term for term in the same order.
+constexpr bool schedule_matches_combine() {
+  std::array<Sum, 5> held{};
+  std::array<int, kProducts.size()> stores{};
+  for (const Step& s : kSchedule) {
+    switch (s.kind) {
+      case Step::kProduct:
+        if (s.x < 1 || s.x > 7 || stores[s.x - 1]++ != 0) return false;
+        held[s.dst] = Sum{{s.x}};
+        break;
+      case Step::kBinary:
+        if (s.dst == s.x || s.dst == s.y) return false;
+        held[s.dst] = held[s.x];
+        if (!append(held[s.dst], held[s.y], s.subtract)) return false;
+        break;
+      case Step::kAccumulate:
+        if (s.dst == s.x || !append(held[s.dst], held[s.x], s.subtract)) {
+          return false;
+        }
+        break;
+    }
+  }
+  for (std::size_t q = 0; q < kCombine.size(); ++q) {
+    if (held[q].terms != kCombine[q].terms) return false;
+  }
+  return true;
+}
+
+/// Add/sub steps in kSchedule.
+constexpr std::size_t schedule_additions() noexcept {
+  std::size_t ops = 0;
+  for (const Step& s : kSchedule) ops += s.kind != Step::kProduct;
+  return ops;
+}
+
+/// The buffer kSchedule stores product i (0-based) into.
+constexpr int destination(int i) noexcept {
+  for (const Step& s : kSchedule) {
+    if (s.kind == Step::kProduct && s.x == i + 1) return s.dst;
+  }
+  return kT;
+}
+
+static_assert(schedule_matches_combine(),
+              "kSchedule must leave every C quadrant as kCombine's "
+              "left-to-right sum");
+static_assert(schedule_additions() == combine_additions(),
+              "kSchedule performs kCombine's additions, no more");
+
 // ---- Evaluation, shared by the executors and the replays. --------------
 //
 // `ops` is the executor's op set: ops.binary(x, y, dst, subtract),
@@ -181,6 +300,33 @@ void scatter(std::size_t i, const Src& product,
       if (kCombine[q].index(k) == i) {
         ops.accumulate(quadrant(c, q), product, kCombine[q].subtracts(k));
       }
+    }
+  }
+}
+
+/// Runs kSchedule over C's quadrants `c`: product(i, dst) computes
+/// 0-based product i into dst, and ops performs each add/sub step.
+/// kT stands for temp(i) while it holds product i.
+template <typename View, typename Temp, typename Product, typename Ops>
+void run_schedule(const linalg::Quadrants<View>& c, Temp&& temp,
+                  Product&& product, Ops&& ops) {
+  int held = 0;
+  const auto buffer = [&](int b) -> View {
+    return b == kT ? View(temp(held))
+                   : quadrant(c, static_cast<std::size_t>(b));
+  };
+  for (const Step& s : kSchedule) {
+    switch (s.kind) {
+      case Step::kProduct:
+        if (s.dst == kT) held = s.x - 1;
+        product(s.x - 1, buffer(s.dst));
+        break;
+      case Step::kBinary:
+        ops.binary(buffer(s.x), buffer(s.y), buffer(s.dst), s.subtract);
+        break;
+      case Step::kAccumulate:
+        ops.accumulate(buffer(s.dst), buffer(s.x), s.subtract);
+        break;
     }
   }
 }

@@ -53,24 +53,26 @@ struct Operands {
   ConstMatrixView lhs, rhs;
 };
 
-/// Runs product(0..6), as tasks down to the spawn depth.
-template <typename Product>
-void run_products(const Ctx& ctx, std::size_t depth, Product&& product) {
-  fan_out(depth < ctx.opts.task_spawn_depth ? ctx.workers() : nullptr, 7,
-          product);
+/// The pool a node at `depth` runs its products on as tasks: null below
+/// the spawn depth or without workers, where they run inline.
+tasking::ThreadPool* product_workers(const Ctx& ctx, std::size_t depth) {
+  return depth < ctx.opts.task_spawn_depth ? ctx.workers() : nullptr;
 }
 
+// A classic node runs scheme::kSchedule. Serially it keeps one product
+// temporary live besides the two operand sums of the product in flight.
+// A node that fans its products out to workers computes all seven at
+// once, the ones the schedule passes through the temporary each into its
+// own buffer, then runs the schedule's additions in order. Either way C
+// receives the same bits as evaluating kCombine over seven products.
 void recurse_classic(const Quadrants<ConstMatrixView>& qa,
                      const Quadrants<ConstMatrixView>& qb,
                      const Quadrants<MatrixView>& qc, std::size_t h,
                      const Ctx& ctx, std::size_t depth) {
-  auto m = blas::make_arena_matrices<7>(*ctx.arena, h, h);
-
   // A guarded product's retry re-forms its operands from the pristine
   // parent quadrants and re-runs just that product — the finest
   // bit-identical recovery unit the recursion offers.
-  run_products(ctx, depth, [&](int i) {
-    const MatrixView out = m[i].view();
+  const auto product = [&](int i, MatrixView out) {
     Operands ops;
     if (!ctx.guards(depth)) {
       ops.form(i, qa, qb, *ctx.arena, h);
@@ -84,12 +86,25 @@ void recurse_classic(const Quadrants<ConstMatrixView>& qa,
           recurse(lhs, rhs, out, ctx, depth + 1);
           abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
         });
-  });
-  for (std::size_t q = 0; q < scheme::kCombine.size(); ++q) {
-    scheme::evaluate(
-        scheme::kCombine[q], [&](std::size_t i) { return m[i].cview(); },
-        scheme::quadrant(qc, q), CountedOps{});
+  };
+
+  tasking::ThreadPool* const workers = product_workers(ctx, depth);
+  if (workers == nullptr) {
+    ArenaMatrix t(*ctx.arena, h, h);
+    scheme::run_schedule(
+        qc, [&](int) { return t.view(); }, product, CountedOps{});
+    return;
   }
+  std::array<std::optional<ArenaMatrix>, 7> t;
+  fan_out(workers, 7, [&](int i) {
+    const int dst = scheme::destination(i);
+    product(i, dst == scheme::kT
+                   ? t[i].emplace(*ctx.arena, h, h).view()
+                   : scheme::quadrant(qc, static_cast<std::size_t>(dst)));
+  });
+  scheme::run_schedule(
+      qc, [&](int i) { return t[i]->view(); }, [](int, MatrixView) {},
+      CountedOps{});
 }
 
 // Winograd variant (15 additions): S/T operand sums computed up front,
@@ -128,7 +143,7 @@ void recurse_winograd(const Quadrants<ConstMatrixView>& qa,
   // guarded path injects (and recovers from) result corruption only;
   // operand corruption is exercised through the classic scheme and the
   // packed-panel site in blas::gemm.
-  run_products(ctx, depth, [&](int i) {
+  fan_out(product_workers(ctx, depth), 7, [&](int i) {
     const auto [lhs, rhs] = operands[i];
     const MatrixView out = p[i].view();
     if (!ctx.guards(depth)) {

@@ -10,6 +10,7 @@
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/strassen/strassen.hpp"
 #include "capow/trace/counters.hpp"
 
 namespace capow::capsalg {
@@ -168,6 +169,26 @@ TEST(CapsStats, BfsTradesMemoryForCommunication) {
   multiply(a.view(), b.view(), c.view(), opts, nullptr, &dfs);
 
   EXPECT_GT(bfs.peak_buffer_bytes, 3 * dfs.peak_buffer_bytes);
+}
+
+// BFS reads each single-quadrant operand of an unguarded product in
+// place, so the arena's high-water mark stays below the logical buffer
+// peak CapsStats reports for the fully buffered BFS of the paper.
+TEST(CapsStats, PhysicalPeakStaysBelowLogicalPeak) {
+  if (strassen::resolve_base_kernel(std::nullopt) != nullptr) {
+    GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
+  }
+  const std::size_t n = 896;
+  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+  Matrix c(n, n);
+  blas::WorkspaceArena arena;
+  arena.reset_stats();
+  CapsOptions opts;
+  opts.arena = &arena;
+  opts.abft.mode = abft::AbftMode::kOff;
+  CapsStats stats;
+  multiply(a.view(), b.view(), c.view(), opts, nullptr, &stats);
+  EXPECT_LT(arena.stats().peak_outstanding_bytes, stats.peak_buffer_bytes);
 }
 
 class CapsCountTest : public ::testing::TestWithParam<CapsCase> {};

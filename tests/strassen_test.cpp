@@ -456,5 +456,29 @@ TEST(Strassen, SpawnsSevenTasksPerNode) {
   EXPECT_EQ(rec.total().syncs, 1u + 7u);
 }
 
+// A serial classic node runs scheme::kSchedule: one product temporary
+// plus at most two operand sums live per level, where evaluating
+// kCombine over seven product buffers kept nine.
+TEST(Strassen, SerialFootprintIsThreeQuadrantsPerLevel) {
+  if (resolve_base_kernel(std::nullopt) != nullptr) {
+    GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
+  }
+  const std::size_t n = 1024;
+  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+  Matrix c(n, n);
+  blas::WorkspaceArena arena;
+  arena.reset_stats();
+  StrassenOptions opts;
+  opts.arena = &arena;
+  opts.abft.mode = abft::AbftMode::kOff;
+  multiply(a.view(), b.view(), c.view(), opts);
+
+  std::uint64_t bound = 0;
+  for (std::size_t h = n / 2; h >= opts.base_cutoff; h /= 2) {
+    bound += 3 * h * h * sizeof(double);
+  }
+  EXPECT_LE(arena.stats().peak_outstanding_bytes, bound);
+}
+
 }  // namespace
 }  // namespace capow::strassen
