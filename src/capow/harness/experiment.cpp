@@ -108,9 +108,9 @@ struct AttemptSlot {
   bool degraded = false;
   std::exception_ptr error;
   /// Set by the supervisor on timeout. The attempt checks it after the
-  /// injected stall and bails out before touching the fault injector
-  /// again, so an abandoned attempt cannot perturb the (deterministic)
-  /// fault schedule of the retry that replaces it.
+  /// injected stall and bails out before it measures (measure_one reads
+  /// the injector's RAPL sites), so an abandoned attempt cannot perturb
+  /// the (deterministic) fault schedule of the retry that replaces it.
   std::atomic<bool> abandoned{false};
 };
 
@@ -176,16 +176,24 @@ ResultRecord measure_one(const ExperimentConfig& config, core::AlgorithmId a,
 void run_attempt(const ExperimentConfig& config, core::AlgorithmId a,
                  std::size_t n, unsigned threads, double quiesce_seconds,
                  const std::shared_ptr<AttemptSlot>& slot) {
-  const auto body = [config, a, n, threads, quiesce_seconds, slot] {
+  // The attempt's run.stall and run.fail draws happen here, on the
+  // supervisor: an attempt the watchdog abandons keeps running detached,
+  // and the injector may live in a caller's frame that has returned by
+  // then. The draws are pure functions of the plan and the run key.
+  fault::FaultInjector* const inj = fault::FaultInjector::active();
+  const bool stall = inj != nullptr && inj->fire(fault::Site::kRunStall, 0);
+  const double stall_ms = stall ? inj->plan().run_stall_ms : 0.0;
+  const bool fail = inj != nullptr && inj->fire(fault::Site::kRunFail, 0);
+  const auto body = [config, a, n, threads, quiesce_seconds, slot, stall,
+                     stall_ms, fail] {
     try {
-      fault::FaultInjector* inj = fault::FaultInjector::active();
-      if (inj != nullptr && inj->fire(fault::Site::kRunStall, 0)) {
+      if (stall) {
         CAPOW_TINSTANT("fault.run.stall", "harness");
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            inj->plan().run_stall_ms));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(stall_ms));
       }
       if (slot->abandoned.load(std::memory_order_acquire)) return;
-      if (inj != nullptr && inj->fire(fault::Site::kRunFail, 0)) {
+      if (fail) {
         CAPOW_TINSTANT("fault.run.fail", "harness");
         throw std::runtime_error("injected run failure (run.fail)");
       }
@@ -216,9 +224,7 @@ void run_attempt(const ExperimentConfig& config, core::AlgorithmId a,
             std::chrono::duration<double>(config.run_timeout_seconds));
     if (!slot->cv.wait_until(lock, deadline, [&] { return slot->done; })) {
       slot->abandoned.store(true, std::memory_order_release);
-      if (auto* inj = fault::FaultInjector::active()) {
-        inj->record(fault::Event::kRunTimeout);
-      }
+      if (inj != nullptr) inj->record(fault::Event::kRunTimeout);
       CAPOW_TINSTANT("fault.run.timeout", "harness");
       throw std::runtime_error(
           "run watchdog: attempt exceeded " +
