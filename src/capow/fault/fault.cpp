@@ -247,9 +247,13 @@ std::string FaultPlan::spec() const {
         break;
       case Site::kRankKill:
         for (const RankKillSpec& k : rank_kills) {
-          std::string v = std::to_string(k.victim) + "/" +
-                          std::to_string(k.world);
-          if (k.epoch != 1) v += "@" + std::to_string(k.epoch);
+          std::string v = std::to_string(k.victim);
+          v += '/';
+          v += std::to_string(k.world);
+          if (k.epoch != 1) {
+            v += '@';
+            v += std::to_string(k.epoch);
+          }
           add("rank.kill", v);
         }
         break;
