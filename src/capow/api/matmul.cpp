@@ -17,6 +17,19 @@ blas::GemmOptions gemm_options(const MatmulOptions& opts) {
   return g;
 }
 
+/// matmul_kernel for options already validated.
+const blas::MicroKernel* selected_kernel(const MatmulOptions& opts) {
+  switch (opts.algorithm) {
+    case core::AlgorithmId::kOpenBlas:
+      return &blas::resolve_kernel(gemm_options(opts));
+    case core::AlgorithmId::kStrassen:
+      return strassen::resolve_base_kernel(opts.strassen.base_kernel);
+    case core::AlgorithmId::kCaps:
+      return strassen::resolve_base_kernel(opts.caps.base_kernel);
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void validate_options(const MatmulOptions& opts) {
@@ -34,15 +47,7 @@ void validate_options(const MatmulOptions& opts) {
 
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts) {
   validate_options(opts);
-  switch (opts.algorithm) {
-    case core::AlgorithmId::kOpenBlas:
-      return &blas::resolve_kernel(gemm_options(opts));
-    case core::AlgorithmId::kStrassen:
-      return strassen::resolve_base_kernel(opts.strassen.base_kernel);
-    case core::AlgorithmId::kCaps:
-      return strassen::resolve_base_kernel(opts.caps.base_kernel);
-  }
-  return nullptr;
+  return selected_kernel(opts);
 }
 
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
@@ -68,7 +73,7 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   backend::BackendScope device_guard(device);
   blas::ArenaScope arena_guard(arena);
 
-  [[maybe_unused]] const blas::MicroKernel* kern = matmul_kernel(opts);
+  [[maybe_unused]] const blas::MicroKernel* kern = selected_kernel(opts);
   // Span args: the resolved kernel id (-1 = BOTS base kernel), the
   // algorithm id and the dispatched backend id, so trace consumers can
   // attribute each multiply to the device that ran it.
