@@ -13,7 +13,10 @@
 //   disjoint workers, each owning its private operands — the
 //   shared-memory analogue of CAPS's communication avoidance (no
 //   re-streaming of parent data, no cross-worker working-set
-//   interleaving).
+//   interleaving). A single-quadrant operand of an unguarded product is
+//   read in place; its copy is still booked as logical traffic and
+//   buffer bytes, so CapsStats and the cost model describe this
+//   buffered BFS while the arena leases less.
 // * DFS level: the seven sub-products run in sequence, each fully
 //   work-shared across all participating workers.
 //
