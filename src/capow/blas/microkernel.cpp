@@ -369,8 +369,10 @@ void run_micro_tile(const MicroKernel& k, const double* astripe,
     k.kernel(astripe, bstripe, kc, c.row(i0) + j0, c.ld());
     return;
   }
-  // Edge tile: accumulate into zeroed scratch, add back the live window.
-  alignas(64) double tile[kMaxMicroTileRows * kMaxMicroTileCols] = {};
+  // Edge tile: accumulate into scratch, add back the live window. The
+  // kernel reads and writes only its mr x nr tile, so only that is zeroed.
+  alignas(64) double tile[kMaxMicroTileRows * kMaxMicroTileCols];
+  std::fill_n(tile, k.mr * k.nr, 0.0);
   k.kernel(astripe, bstripe, kc, tile, k.nr);
   for (std::size_t r = 0; r < rows; ++r) {
     double* crow = c.row(i0 + r) + j0;

@@ -1,8 +1,5 @@
 // capow-bench-diff — compare two bench-JSONL files with a noise band.
 //
-// Usage:
-//   capow-bench-diff [--tolerance=F] [--metrics=a,b,...] BASELINE CURRENT
-//
 // BASELINE and CURRENT are files of one-JSON-object-per-line benchmark
 // records as written by CAPOW_BENCH_JSONL (bench/bench_common.hpp), or
 // a committed snapshot from bench/baselines/. Repeated records of the
@@ -12,49 +9,30 @@
 //   0  no compared metric regressed beyond tolerance
 //   1  at least one regression (current > baseline * (1 + tolerance))
 //   2  usage or I/O error
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "capow/core/env.hpp"
 #include "capow/harness/bench_diff.hpp"
 #include "capow/harness/table.hpp"
+#include "cli.hpp"
 
 namespace {
 
-void print_usage(std::ostream& os) {
-  os << "usage: capow-bench-diff [options] BASELINE CURRENT\n"
-        "  --tolerance=F    fractional noise band (default 0.10 = +10%)\n"
-        "  --metrics=a,b    comma-separated metrics to compare\n"
-        "                   (default real_time,cpu_time)\n"
-        "exit: 0 ok, 1 regression, 2 usage/IO error\n";
-}
+using namespace capow;
 
-std::vector<std::string> split_csv(std::string_view s) {
-  std::vector<std::string> out;
-  while (!s.empty()) {
-    const std::size_t comma = s.find(',');
-    const std::string_view tok = s.substr(0, comma);
-    if (!tok.empty()) out.emplace_back(tok);
-    if (comma == std::string_view::npos) break;
-    s.remove_prefix(comma + 1);
-  }
-  return out;
-}
-
-std::vector<capow::harness::BenchRecord> load(const std::string& path,
-                                              bool* ok) {
+/// The records in `path`; empty (after a message) when the file cannot
+/// be read or holds none.
+std::vector<harness::BenchRecord> load(const std::string& path) {
   std::ifstream is(path);
   if (!is) {
     std::cerr << "capow-bench-diff: cannot open " << path << "\n";
-    *ok = false;
     return {};
   }
   std::size_t malformed = 0;
-  auto records = capow::harness::parse_bench_jsonl(is, &malformed);
+  auto records = harness::parse_bench_jsonl(is, &malformed);
   if (malformed > 0) {
     std::cerr << "capow-bench-diff: " << path << ": skipped " << malformed
               << " malformed line(s)\n";
@@ -62,77 +40,33 @@ std::vector<capow::harness::BenchRecord> load(const std::string& path,
   if (records.empty()) {
     std::cerr << "capow-bench-diff: " << path
               << ": no benchmark records found\n";
-    *ok = false;
-    return {};
   }
-  *ok = true;
   return records;
 }
 
-}  // namespace
+struct DiffOptions {
+  harness::BenchDiffOptions diff;
+  std::vector<std::string> paths;  // BASELINE, CURRENT
+};
 
-int main(int argc, char** argv) {
-  capow::harness::BenchDiffOptions opts;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    }
-    if (arg.rfind("--tolerance=", 0) == 0) {
-      try {
-        // Strict shared grammar: "0.1abc" is an error, not 0.1.
-        opts.tolerance = capow::core::parse_double_in(
-            "--tolerance", std::string(arg.substr(12)), 0.0, 1e9);
-      } catch (const std::exception& e) {
-        std::cerr << "capow-bench-diff: " << e.what() << "\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--metrics=", 0) == 0) {
-      opts.metrics = split_csv(arg.substr(10));
-      if (opts.metrics.empty()) {
-        std::cerr << "capow-bench-diff: --metrics needs at least one name\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::cerr << "capow-bench-diff: unknown option " << arg << "\n";
-      print_usage(std::cerr);
-      return 2;
-    }
-    paths.emplace_back(arg);
-  }
-
-  if (paths.size() != 2) {
-    print_usage(std::cerr);
-    return 2;
-  }
-
-  bool ok = false;
-  const auto baseline = load(paths[0], &ok);
-  if (!ok) return 2;
-  const auto current = load(paths[1], &ok);
-  if (!ok) return 2;
+int run(const DiffOptions& o) {
+  const auto baseline = load(o.paths[0]);
+  if (baseline.empty()) return 2;
+  const auto current = load(o.paths[1]);
+  if (current.empty()) return 2;
 
   const auto report =
-      capow::harness::diff_bench_records(baseline, current, opts);
+      harness::diff_bench_records(baseline, current, o.diff);
 
-  capow::harness::TextTable table(
+  harness::TextTable table(
       {"benchmark", "metric", "baseline", "current", "ratio", "status"});
   for (const auto& row : report.rows) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", row.ratio);
-    table.add_row({row.name, row.metric, capow::harness::fmt(row.baseline, 1),
-                   capow::harness::fmt(row.current, 1), buf,
+    table.add_row({row.name, row.metric, harness::fmt(row.baseline, 1),
+                   harness::fmt(row.current, 1), harness::fmt(row.ratio, 3),
                    row.regression ? "REGRESSION" : "ok"});
   }
-  std::cout << "tolerance: +" << opts.tolerance * 100.0 << "% ("
-            << paths[0] << " -> " << paths[1] << ")\n"
+  std::cout << "tolerance: +" << o.diff.tolerance * 100.0 << "% ("
+            << o.paths[0] << " -> " << o.paths[1] << ")\n"
             << table.str();
 
   for (const auto& name : report.missing) {
@@ -150,4 +84,34 @@ int main(int argc, char** argv) {
   std::cout << "no regressions (" << report.rows.size()
             << " metric comparison(s))\n";
   return 0;
+}
+
+const cli::Tool<DiffOptions> kTool{
+    .name = "capow-bench-diff",
+    .usage = "[flags] BASELINE CURRENT",
+    .exit_codes = "exit: 0 ok, 1 regression, 2 usage/IO error",
+    .modes = {{nullptr, "compare two bench-JSONL files with a noise band",
+               run}},
+    .flags = {
+        {"--tolerance=F", "fractional noise band (default 0.10 = +10%)",
+         cli::kAllModes,
+         [](DiffOptions& o, cli::Arg v) {
+           o.diff.tolerance = core::parse_double_in("--tolerance", v, 0, 1e9);
+         }},
+        {"--metrics=a,b,...", "metrics (default real_time,cpu_time)",
+         cli::kAllModes,
+         [](DiffOptions& o, cli::Arg v) {
+           o.diff.metrics = cli::split_list("--metrics", v);
+         }},
+    },
+    .operands = 2,
+    .store_operand = [](DiffOptions& o, cli::Arg v) { o.paths.push_back(v); },
+    .short_help = true,
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  DiffOptions opts;
+  return cli::parse(argc, argv, kTool, opts).run(opts);
 }

@@ -12,25 +12,12 @@
 // report (it varies run to run); pass --jsonl=FILE to append one JSON
 // record that includes recovery_ns alongside the deterministic fields.
 //
-// Usage:
-//   capow-chaos [options]
-//     --workload=summa|dist_caps   distributed kernel (default summa)
-//     --policy=abort|shrink|respawn  recovery policy (default respawn)
-//     --faults=SPEC                fault spec, e.g.
-//                                  rank.kill=2/4@5,seed=42 (or env
-//                                  CAPOW_FAULTS; empty = fault-free)
-//     --ranks=N                    world size (default 4)
-//     --n=N                        matrix dimension (default 48)
-//     --seed=N                     operand fill seed (default 1)
-//     --jsonl=FILE                 append the full JSON record
-//     --help
-//
 // Exit status: 0 when the run ended in a well-defined state (clean,
 // recovered, or aborted under --policy=abort) AND every verification
 // passed (output numerically correct, conservation closed, respawn
-// bit-identical to the fault-free baseline); 1 otherwise.
+// bit-identical to the fault-free baseline); 1 otherwise; 2 on a usage
+// error.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <limits>
@@ -50,26 +37,11 @@
 #include "capow/linalg/matrix.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace capow;
-
-void print_usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --workload=summa|dist_caps   distributed kernel (default summa)\n"
-      "  --policy=abort|shrink|respawn  recovery policy (default respawn)\n"
-      "  --faults=SPEC                fault spec (or env CAPOW_FAULTS),\n"
-      "                               e.g. rank.kill=2/4@5,seed=42\n"
-      "  --ranks=N                    world size (default 4)\n"
-      "  --n=N                        matrix dimension (default 48)\n"
-      "  --seed=N                     operand fill seed (default 1)\n"
-      "  --jsonl=FILE                 append full record (incl. wall-\n"
-      "                               clock recovery_ns) as one JSON line\n"
-      "  --help\n",
-      argv0);
-}
 
 /// FNV-1a over the raw matrix bytes: bit-identity is the claim the
 /// respawn path makes, so the comparison hashes bits, not values.
@@ -100,7 +72,6 @@ struct ChaosOutcome {
   std::string status;             // "clean" | "recovered" | "aborted"
   std::string root_cause;         // aborted only
   int generations = 1;
-  int recoveries = 0;
   std::vector<int> failed_ranks;  // physical, sorted
   std::uint64_t output_hash = 0;
   std::uint64_t recovery_ns = 0;
@@ -146,7 +117,6 @@ ChaosOutcome execute(const ChaosConfig& cfg, linalg::ConstMatrixView a,
     const dist::RecoveryReport rep = world.run_elastic(opts, body);
     r.status = rep.recovered ? "recovered" : "clean";
     r.generations = rep.recoveries + 1;
-    r.recoveries = rep.recoveries;
     r.failed_ranks = rep.failed_ranks;
     r.recovery_ns = rep.recovery_ns;
   } catch (const std::exception& e) {
@@ -327,60 +297,70 @@ int run(const ChaosConfig& cfg) {
   return ok ? 0 : 1;
 }
 
+using Cfg = ChaosConfig;
+
+const cli::Tool<Cfg> kTool{
+    .name = "capow-chaos",
+    .usage = "[flags]",
+    .exit_codes = "exit: 0 every check passed, 1 otherwise, 2 usage error",
+    .modes = {{nullptr, "run one dist workload under a fault spec", run}},
+    .flags = {
+        {"--workload=summa|dist_caps", "distributed kernel (default summa)",
+         cli::kAllModes,
+         [](Cfg& c, cli::Arg v) {
+           if (v != "summa" && v != "dist_caps") {
+             throw std::invalid_argument("unknown workload: " + v);
+           }
+           c.workload = v;
+         }},
+        {"--policy=abort|shrink|respawn", "recovery policy (default respawn)",
+         cli::kAllModes,
+         [](Cfg& c, cli::Arg v) { c.policy = dist::parse_recovery_policy(v); }},
+        {"--faults=SPEC", "fault spec (overrides env CAPOW_FAULTS)",
+         cli::kAllModes,
+         [](Cfg& c, cli::Arg v) {
+           c.faults_spec = v;
+           c.faults.reset();
+           if (!v.empty()) c.faults = fault::FaultPlan::parse(v);
+         }},
+        {"--ranks=N", "world size (default 4)", cli::kAllModes,
+         [](Cfg& c, cli::Arg v) {
+           c.ranks = static_cast<int>(
+               core::parse_integer_in("--ranks", v, 1, 4096));
+         }},
+        {"--n=N", "matrix dimension (default 48)", cli::kAllModes,
+         [](Cfg& c, cli::Arg v) {
+           c.n = static_cast<std::size_t>(
+               core::parse_integer_in("--n", v, 1, 1 << 20));
+         }},
+        {"--seed=N", "operand fill seed (default 1)", cli::kAllModes,
+         [](Cfg& c, cli::Arg v) {
+           c.seed = static_cast<std::uint64_t>(core::parse_integer_in(
+               "--seed", v, 0, std::numeric_limits<long long>::max()));
+         }},
+        {"--jsonl=FILE", "append the full record, incl. recovery_ns",
+         cli::kAllModes, cli::assign<&Cfg::jsonl_path>},
+    },
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ChaosConfig cfg;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value_of = [&](const char* prefix) -> const char* {
-        const std::size_t len = std::strlen(prefix);
-        return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-      };
-      if (arg == "--help") {
-        print_usage(argv[0]);
-        return 0;
-      } else if (const char* v = value_of("--workload=")) {
-        cfg.workload = v;
-        if (cfg.workload != "summa" && cfg.workload != "dist_caps") {
-          throw std::invalid_argument("unknown workload: " + cfg.workload);
-        }
-      } else if (const char* v2 = value_of("--policy=")) {
-        cfg.policy = dist::parse_recovery_policy(v2);
-      } else if (const char* v3 = value_of("--faults=")) {
-        cfg.faults_spec = v3;
-      } else if (const char* v4 = value_of("--ranks=")) {
-        cfg.ranks = static_cast<int>(
-            core::parse_integer_in("--ranks", v4, 1, 4096));
-      } else if (const char* v5 = value_of("--n=")) {
-        cfg.n = static_cast<std::size_t>(
-            core::parse_integer_in("--n", v5, 1, 1 << 20));
-      } else if (const char* v6 = value_of("--seed=")) {
-        cfg.seed = static_cast<std::uint64_t>(core::parse_integer_in(
-            "--seed", v6, 0, std::numeric_limits<long long>::max()));
-      } else if (const char* v7 = value_of("--jsonl=")) {
-        cfg.jsonl_path = v7;
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
-        print_usage(argv[0]);
-        return 2;
+  const cli::Mode<ChaosConfig>& mode = cli::parse(argc, argv, kTool, cfg);
+  if (!cfg.faults) {
+    try {
+      if (auto env = fault::FaultPlan::from_env()) {
+        cfg.faults = *env;
+        cfg.faults_spec = env->spec();
       }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "capow-chaos: bad CAPOW_FAULTS: %s\n", e.what());
+      return 2;
     }
-    if (!cfg.faults_spec.empty()) {
-      cfg.faults = fault::FaultPlan::parse(cfg.faults_spec);
-    } else if (auto env = fault::FaultPlan::from_env()) {
-      cfg.faults = *env;
-      cfg.faults_spec = env->spec();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n\n", e.what());
-    print_usage(argv[0]);
-    return 2;
   }
-
   try {
-    return run(cfg);
+    return mode.run(cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
