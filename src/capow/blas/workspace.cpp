@@ -10,10 +10,8 @@ namespace {
 
 // Buffers are handed out in 4 KiB size classes so edge-block panels
 // (slightly smaller than the interior ones) reuse the same pool entry.
-constexpr std::size_t kClassBytes = 4096;
-
 std::size_t round_up_doubles(std::size_t count) {
-  const std::size_t per_class = kClassBytes / sizeof(double);
+  const std::size_t per_class = kArenaClassBytes / sizeof(double);
   const std::size_t classes = (count + per_class - 1) / per_class;
   return (classes == 0 ? 1 : classes) * per_class;
 }

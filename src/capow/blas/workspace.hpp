@@ -33,6 +33,9 @@ namespace capow::blas {
 
 class WorkspaceArena;
 
+/// Arena leases are whole multiples of this size class.
+inline constexpr std::size_t kArenaClassBytes = 4096;
+
 /// RAII lease of one arena buffer; movable, returns on destruction.
 class WorkspaceCheckout {
  public:

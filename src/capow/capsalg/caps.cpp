@@ -80,6 +80,14 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
 // logical work (trace traffic and tracked bytes), so CapsStats and the
 // cost model keep describing the paper's buffered BFS, but no arena
 // storage backs it.
+//
+// A serial unguarded step has no workers to own private sub-problems,
+// so it runs the shared classic node (strassen::classic_node): three
+// physical h x h buffers per level instead of seventeen. It still books
+// the buffered step as logical work: its 21 tracked buffers and the
+// copies of its single-quadrant operands here, its operand sums and
+// combine additions through the node's counted ops. The node's schedule
+// leaves C with the bits of the kCombine evaluation below.
 void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
@@ -89,6 +97,22 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
   const auto qc = linalg::partition(c);
   const std::size_t h = a.rows() / 2;
   const bool guarded = ctx.guards(depth);
+  tasking::ThreadPool* const workers = ctx.workers();
+
+  if (!guarded && workers == nullptr) {
+    const std::uint64_t buffers =
+        (scheme::kOperands + scheme::kProducts.size()) * h * h *
+        sizeof(double);
+    ctx.track_alloc(buffers);
+    strassen::count_copy(scheme::operand_copies() * h * h);
+    strassen::classic_node(ctx, qc, h, [&](int i, MatrixView out) {
+      strassen::Operands ops;
+      ops.form(i, qa, qb, *ctx.arena, h);
+      recurse(ops.lhs, ops.rhs, out, ctx, depth + 1);
+    });
+    ctx.track_free(buffers);
+    return;
+  }
 
   // Operand j of the 14: the A side of product j/2 when j is even, else
   // its B side.
@@ -121,7 +145,6 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
       scheme::materialize(sum(j), quadrants(j), buf[j]->view(), CountedOps{});
     }
   };
-  tasking::ThreadPool* const workers = ctx.workers();
 
   // Stage 1: materialize the 14 private operands.
   strassen::fan_out(workers, 14, materialize);

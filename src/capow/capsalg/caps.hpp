@@ -14,9 +14,13 @@
 //   shared-memory analogue of CAPS's communication avoidance (no
 //   re-streaming of parent data, no cross-worker working-set
 //   interleaving). A single-quadrant operand of an unguarded product is
-//   read in place; its copy is still booked as logical traffic and
-//   buffer bytes, so CapsStats and the cost model describe this
-//   buffered BFS while the arena leases less.
+//   read in place. A serial unguarded step has no workers to own
+//   sub-problems, so it runs the serial classic node Strassen runs
+//   (strassen/frame.hpp): three physical h x h buffers per level
+//   instead of seventeen, with C's bits unchanged. Either way the
+//   buffered step is still booked as logical traffic and buffer bytes,
+//   so CapsStats and the cost model describe the paper's buffered BFS
+//   while the arena leases less.
 // * DFS level: the seven sub-products run in sequence, each fully
 //   work-shared across all participating workers.
 //
@@ -46,10 +50,12 @@ struct CapsOptions {
   /// Minimum quadrant dimension for work-sharing the DFS additions.
   std::size_t dfs_parallel_threshold = 256;
   /// Pool backing the BFS/DFS buffers (physical storage only — the
-  /// CapsStats peak-buffer accounting still charges logical sizes, so
-  /// the cost-model cross-check stays exact); null leases from
-  /// blas::active_arena() (the dispatched backend's device pool, or the
-  /// process arena outside any backend scope).
+  /// CapsStats peak-buffer accounting still charges the logical sizes of
+  /// the buffered BFS, so the cost-model cross-check stays exact, while
+  /// a serial unguarded BFS level leases three h x h buffers of the 21 it
+  /// charges); null leases from blas::active_arena() (the dispatched
+  /// backend's device pool, or the process arena outside any backend
+  /// scope).
   blas::WorkspaceArena* arena = nullptr;
   /// When set, the dense base case runs through the packed registry
   /// microkernel (blas::small_gemm) instead of the BOTS-style kernel.

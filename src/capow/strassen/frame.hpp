@@ -2,7 +2,8 @@
 // recursions: argument validation, base-kernel resolution, the dense
 // base case, zero-padding to a recursion-friendly dimension, the
 // end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
-// and the spawn-or-inline fan-out of sibling work.
+// the spawn-or-inline fan-out of sibling work, and the serial classic
+// node both recursions run where no worker owns a product.
 //
 // Fault-site keys stay with the callers (each site keeps its own tag),
 // so a seeded fault plan draws the same flips whichever algorithm runs.
@@ -19,7 +20,9 @@
 #include "capow/fault/fault.hpp"
 #include "capow/linalg/matrix.hpp"
 #include "capow/linalg/ops.hpp"
+#include "capow/linalg/partition.hpp"
 #include "capow/strassen/counted_ops.hpp"
+#include "capow/strassen/scheme.hpp"
 #include "capow/tasking/task_group.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
@@ -136,6 +139,48 @@ void guarded_product(const Frame& f, const char* label, std::uint64_t site,
         std::string(label) + " product " + std::to_string(i + 1), attempt);
     abft::record_recomputed();
   }
+}
+
+/// Product i's operands in the classic scheme: quadrant views where the
+/// scheme uses a quadrant directly, else sums in arena temporaries —
+/// after the first level warms the pool, recursion levels reuse the same
+/// L2/LLC-resident buffers instead of touching the allocator.
+struct Operands {
+  /// Forms product i's operands, releasing any earlier ones first.
+  AttemptOperands form(int i,
+                       const linalg::Quadrants<linalg::ConstMatrixView>& qa,
+                       const linalg::Quadrants<linalg::ConstMatrixView>& qb,
+                       blas::WorkspaceArena& arena, std::size_t h) {
+    tb.reset();
+    ta.reset();
+    const scheme::Product& p = scheme::kProducts[i];
+    lhs = scheme::operand(
+        p.a, qa, [&] { return ta.emplace(arena, h, h).view(); },
+        CountedOps{});
+    rhs = scheme::operand(
+        p.b, qb, [&] { return tb.emplace(arena, h, h).view(); },
+        CountedOps{});
+    return {lhs, rhs, ta ? ta->view() : linalg::MatrixView{},
+            tb ? tb->view() : linalg::MatrixView{}};
+  }
+
+  std::optional<blas::ArenaMatrix> ta, tb;
+  linalg::ConstMatrixView lhs, rhs;
+};
+
+/// The serial classic node over C's quadrants `qc` of size h: runs
+/// scheme::kSchedule with one product temporary, so three h x h buffers
+/// are live per level — the temporary and the operand sums of the
+/// product in flight. product(i, out) computes 0-based product i into
+/// out, forming its operands with Operands::form. C receives the bits
+/// of evaluating kCombine left to right over the seven products.
+template <typename Product>
+void classic_node(const Frame& f,
+                  const linalg::Quadrants<linalg::MatrixView>& qc,
+                  std::size_t h, Product&& product) {
+  blas::ArenaMatrix t(*f.arena, h, h);
+  scheme::run_schedule(
+      qc, [&](int) { return t.view(); }, product, CountedOps{});
 }
 
 /// Runs root(a', b', c', salt) end to end: on the operands themselves

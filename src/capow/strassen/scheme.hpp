@@ -15,10 +15,11 @@
 // left to right, so every executor rounds the same way and the
 // instrumented counts and the closed forms agree by construction.
 //
-// A Strassen node does not evaluate kCombine over seven product
-// buffers: it runs kSchedule, which stores M1..M3 straight into the C
-// quadrants whose sums they start and passes M4..M7 through one product
-// temporary. A static_assert replays the schedule symbolically and
+// A Strassen node and a serial unguarded CAPS BFS step do not evaluate
+// kCombine over seven product buffers: they run kSchedule (serially
+// through classic_node, frame.hpp), which stores M1..M3 straight into
+// the C quadrants whose sums they start and passes M4..M7 through one
+// product temporary. A static_assert replays the schedule symbolically and
 // proves that every C quadrant is still kCombine's left-to-right sum
 // with the same operand order, so the result bits, -0.0 and NaN
 // payloads included, are those of the textbook evaluation. The cachesim
@@ -102,7 +103,8 @@ constexpr std::size_t operand_additions() noexcept {
 }
 
 /// Single-term operands: used in place by Strassen and CAPS DFS, copied
-/// into private buffers by CAPS BFS and dist-CAPS.
+/// into private buffers by dist-CAPS and guarded CAPS BFS steps. Other
+/// CAPS BFS steps read them in place but still book the copies.
 constexpr std::size_t operand_copies() noexcept {
   return over_operands([](const Sum& s) { return std::size_t{s.size() == 1}; });
 }

@@ -27,44 +27,18 @@ struct Ctx : Frame {
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              const Ctx& ctx, std::size_t depth);
 
-/// Product i's operands in the classic scheme: quadrant views where the
-/// scheme uses a quadrant directly, else sums in arena temporaries —
-/// after the first level warms the pool, recursion levels reuse the same
-/// L2/LLC-resident buffers instead of touching the allocator.
-struct Operands {
-  /// Forms product i's operands, releasing any earlier ones first.
-  AttemptOperands form(int i, const Quadrants<ConstMatrixView>& qa,
-                       const Quadrants<ConstMatrixView>& qb,
-                       blas::WorkspaceArena& arena, std::size_t h) {
-    tb.reset();
-    ta.reset();
-    const scheme::Product& p = scheme::kProducts[i];
-    lhs = scheme::operand(
-        p.a, qa, [&] { return ta.emplace(arena, h, h).view(); },
-        CountedOps{});
-    rhs = scheme::operand(
-        p.b, qb, [&] { return tb.emplace(arena, h, h).view(); },
-        CountedOps{});
-    return {lhs, rhs, ta ? ta->view() : MatrixView{},
-            tb ? tb->view() : MatrixView{}};
-  }
-
-  std::optional<ArenaMatrix> ta, tb;
-  ConstMatrixView lhs, rhs;
-};
-
 /// The pool a node at `depth` runs its products on as tasks: null below
 /// the spawn depth or without workers, where they run inline.
 tasking::ThreadPool* product_workers(const Ctx& ctx, std::size_t depth) {
   return depth < ctx.opts.task_spawn_depth ? ctx.workers() : nullptr;
 }
 
-// A classic node runs scheme::kSchedule. Serially it keeps one product
-// temporary live besides the two operand sums of the product in flight.
-// A node that fans its products out to workers computes all seven at
-// once, the ones the schedule passes through the temporary each into its
-// own buffer, then runs the schedule's additions in order. Either way C
-// receives the same bits as evaluating kCombine over seven products.
+// A classic node runs scheme::kSchedule: serially through classic_node
+// (frame.hpp), the node serial CAPS BFS steps share. A node that fans
+// its products out to workers computes all seven at once, the ones the
+// schedule passes through the temporary each into its own buffer, then
+// runs the schedule's additions in order. Either way C receives the same
+// bits as evaluating kCombine over seven products.
 void recurse_classic(const Quadrants<ConstMatrixView>& qa,
                      const Quadrants<ConstMatrixView>& qb,
                      const Quadrants<MatrixView>& qc, std::size_t h,
@@ -90,9 +64,7 @@ void recurse_classic(const Quadrants<ConstMatrixView>& qa,
 
   tasking::ThreadPool* const workers = product_workers(ctx, depth);
   if (workers == nullptr) {
-    ArenaMatrix t(*ctx.arena, h, h);
-    scheme::run_schedule(
-        qc, [&](int) { return t.view(); }, product, CountedOps{});
+    classic_node(ctx, qc, h, product);
     return;
   }
   std::array<std::optional<ArenaMatrix>, 7> t;

@@ -6,6 +6,9 @@
 // element for element — not merely within a tolerance. Each comparison
 // runs inside one build, so it holds on every kernel/compiler leg.
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -62,6 +65,85 @@ TEST(ClassicScheme, CapsMatchesStrassenAtEveryBfsDepth) {
             << "n=" << n << " bfs_cutoff_depth=" << depth
             << (p != nullptr ? " pool=4" : " serial");
       }
+    }
+  }
+}
+
+/// A quiet NaN carrying `payload` in its low mantissa bits.
+double quiet_nan(std::uint64_t payload) {
+  const std::uint64_t bits = 0x7ff8000000000000ull | payload;
+  double x;
+  std::memcpy(&x, &bits, sizeof x);
+  return x;
+}
+
+/// Number of elements whose bytes differ between x and y.
+std::size_t byte_mismatches(const Matrix& x, const Matrix& y) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < x.view().rows(); ++i) {
+    for (std::size_t j = 0; j < x.view().cols(); ++j) {
+      const double u = x.view()(i, j), v = y.view()(i, j);
+      if (std::memcmp(&u, &v, sizeof u) != 0) ++bad;
+    }
+  }
+  return bad;
+}
+
+/// Distinct NaN bit patterns in x.
+std::size_t nan_patterns(const Matrix& x) {
+  std::set<std::uint64_t> seen;
+  for (std::size_t i = 0; i < x.view().rows(); ++i) {
+    for (std::size_t j = 0; j < x.view().cols(); ++j) {
+      const double v = x.view()(i, j);
+      if (v != v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        seen.insert(bits);
+      }
+    }
+  }
+  return seen.size();
+}
+
+// Where two NaNs meet in an add, the result keeps one of their payloads,
+// so C's NaN payloads record which operand came first in every addition
+// on their path. Random finite inputs cannot tell two orders that round
+// alike apart; these can. n = 520 pads to 528, n = 896 does not.
+TEST(ClassicScheme, NanPayloadsMatchAcrossExecutors) {
+  tasking::ThreadPool pool(4);
+  for (const std::size_t n : {std::size_t{520}, std::size_t{896}}) {
+    Matrix a = random_matrix(n, n, n + 21);
+    Matrix b = random_matrix(n, n, n + 22);
+    const std::size_t h = n / 2;
+    a.view()(3, 5) = quiet_nan(0x11);
+    a.view()(h + 2, 7) = quiet_nan(0x22);
+    a.view()(n - 2, h + 1) = quiet_nan(0x33);
+    b.view()(5, n - 3) = quiet_nan(0x44);
+    b.view()(h + 3, 9) = quiet_nan(0x55);
+    b.view()(n - 1, h) = quiet_nan(0x66);
+
+    strassen::StrassenOptions sopts;
+    sopts.abft.mode = abft::AbftMode::kOff;
+    Matrix expect(n, n);
+    strassen::multiply(a.view(), b.view(), expect.view(), sopts);
+    ASSERT_GE(nan_patterns(expect), 2u) << "n=" << n;
+
+    struct Run {
+      const char* name;
+      std::size_t bfs_cutoff_depth;
+      tasking::ThreadPool* pool;
+    };
+    const std::size_t levels = strassen::recursion_levels(n, 64);
+    for (const Run& run : {Run{"serial BFS", levels, nullptr},
+                           Run{"BFS pool=4", levels, &pool},
+                           Run{"serial DFS", 0, nullptr}}) {
+      capsalg::CapsOptions opts;
+      opts.bfs_cutoff_depth = run.bfs_cutoff_depth;
+      opts.abft.mode = abft::AbftMode::kOff;
+      Matrix got(n, n, -7.0);
+      capsalg::multiply(a.view(), b.view(), got.view(), opts, run.pool);
+      EXPECT_EQ(byte_mismatches(got, expect), 0u)
+          << "n=" << n << " CAPS " << run.name;
     }
   }
 }

@@ -15,6 +15,7 @@
 #include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/trace/counters.hpp"
+#include "footprint.hpp"
 
 namespace capow::strassen {
 namespace {
@@ -473,11 +474,8 @@ TEST(Strassen, SerialFootprintIsThreeQuadrantsPerLevel) {
   opts.abft.mode = abft::AbftMode::kOff;
   multiply(a.view(), b.view(), c.view(), opts);
 
-  std::uint64_t bound = 0;
-  for (std::size_t h = n / 2; h >= opts.base_cutoff; h /= 2) {
-    bound += 3 * h * h * sizeof(double);
-  }
-  EXPECT_LE(arena.stats().peak_outstanding_bytes, bound);
+  EXPECT_LE(arena.stats().peak_outstanding_bytes,
+            footprint::three_quadrants_per_level(n, opts.base_cutoff));
 }
 
 }  // namespace
