@@ -374,14 +374,6 @@ int Communicator::phys_of(int v) const {
   return world_->active_[static_cast<std::size_t>(v)];
 }
 
-int Communicator::virt_of(int p) const {
-  const int n = static_cast<int>(world_->active_.size());
-  for (int v = 0; v < n; ++v) {
-    if (world_->active_[static_cast<std::size_t>(v)] == p) return v;
-  }
-  return -1;
-}
-
 Communicator Communicator::sub(int count) const {
   if (count <= 0 || count > size_) {
     throw std::invalid_argument("Communicator::sub: bad rank count");

@@ -349,8 +349,6 @@ class Communicator {
 
   /// Physical rank behind virtual rank `v` in the current generation.
   int phys_of(int v) const;
-  /// Virtual rank of physical rank `p` in the current generation.
-  int virt_of(int p) const;
 
   World* world_;
   int rank_;  ///< virtual rank (index into the active set)

@@ -45,7 +45,6 @@ bool EnergyBudget::try_debit(double joules, QosTier tier) noexcept {
       tier == QosTier::kGuaranteed ? -capacity_j_ : reserve_j_;
   if (fill_j_ - joules < floor) return false;
   fill_j_ -= joules;
-  debited_j_ += joules;
   update_level();
   return true;
 }
@@ -53,7 +52,6 @@ bool EnergyBudget::try_debit(double joules, QosTier tier) noexcept {
 void EnergyBudget::refund(double joules) noexcept {
   if (!enabled_) return;
   fill_j_ = std::min(capacity_j_, fill_j_ + joules);
-  refunded_j_ += joules;
   update_level();
 }
 

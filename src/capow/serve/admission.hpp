@@ -86,10 +86,6 @@ class EnergyBudget {
   /// Current degradation level (updated by advance/try_debit/refund).
   DegradeLevel level() const noexcept { return level_; }
 
-  /// Lifetime accounting, for the report.
-  double debited_j() const noexcept { return debited_j_; }
-  double refunded_j() const noexcept { return refunded_j_; }
-
  private:
   void update_level() noexcept;
 
@@ -101,8 +97,6 @@ class EnergyBudget {
   double fill_j_;
   double clock_s_ = 0.0;
   DegradeLevel level_ = DegradeLevel::kNone;
-  double debited_j_ = 0.0;
-  double refunded_j_ = 0.0;
 };
 
 }  // namespace capow::serve

@@ -22,16 +22,6 @@ const char* reject_reason_name(RejectReason r) noexcept {
   return "oversized";
 }
 
-const char* outcome_name(Outcome o) noexcept {
-  switch (o) {
-    case Outcome::kCompleted: return "completed";
-    case Outcome::kRejected: return "rejected";
-    case Outcome::kExpired: return "expired";
-    case Outcome::kCancelled: return "cancelled";
-  }
-  return "cancelled";
-}
-
 const char* degrade_level_name(DegradeLevel l) noexcept {
   switch (l) {
     case DegradeLevel::kNone: return "none";

@@ -73,9 +73,6 @@ enum class Outcome {
                    ///< was cooperatively cancelled (work accounted)
 };
 
-/// "completed" / "rejected" / "expired" / "cancelled".
-const char* outcome_name(Outcome o) noexcept;
-
 /// The graceful-degradation ladder, in escalation order. Each rung
 /// subsumes the previous ones: at kShed the scheduler is also choosing
 /// minimum-energy algorithms and relaxing ABFT.

@@ -9,10 +9,13 @@
 // so a seeded fault plan draws the same flips whichever algorithm runs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "capow/abft/abft.hpp"
 #include "capow/blas/microkernel.hpp"
@@ -80,23 +83,36 @@ Frame open_frame(const char* who, linalg::ConstMatrixView a,
                  tasking::ThreadPool* pool);
 
 /// Runs fn(0) .. fn(count - 1): one task each on `pool`, joined before
-/// returning (a task whose sibling failed skips its work), or inline
-/// when `pool` is null.
+/// returning, or inline when `pool` is null. On the pool, a task skips
+/// its work once a lower-indexed one has failed, and the exception of
+/// the lowest failed index is rethrown. So when failure does not depend
+/// on timing (guarded products key every flip by product and attempt),
+/// the pool throws what the inline loop throws.
 template <typename Fn>
 void fan_out(tasking::ThreadPool* pool, int count, Fn&& fn) {
   if (pool == nullptr) {
     for (int i = 0; i < count; ++i) fn(i);
     return;
   }
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<int> lowest_failed{count};
   tasking::TaskGroup group(*pool);
   for (int i = 0; i < count; ++i) {
     trace::count_task_spawn();
     group.run([&, i] {
-      if (group.cancelled()) return;
-      fn(i);
+      if (i > lowest_failed) return;
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+        int lowest = lowest_failed;
+        while (i < lowest && !lowest_failed.compare_exchange_weak(lowest, i)) {
+        }
+      }
     });
   }
   group.wait();
+  if (lowest_failed < count) std::rethrow_exception(errors[lowest_failed]);
   trace::count_sync();
 }
 

@@ -2,15 +2,20 @@
 // buffer statistics, instrumentation vs closed forms, parallel
 // determinism.
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "capow/abft/abft.hpp"
 #include "capow/blas/gemm_ref.hpp"
 #include "capow/capsalg/caps.hpp"
 #include "capow/capsalg/cost_model.hpp"
+#include "capow/fault/fault.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/strassen.hpp"
+#include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
 #include "footprint.hpp"
 
@@ -276,6 +281,56 @@ TEST(Caps, DfsThresholdControlsWorkSharing) {
   opts.dfs_parallel_threshold = 1u << 30;
   multiply(a.view(), b.view(), c2.view(), opts, &pool);
   EXPECT_TRUE(allclose(c1.view(), c2.view(), 0.0, 0.0));
+}
+
+// On a pool, a guarded fan-out whose products exhaust their retries
+// throws for its lowest-indexed failed product, not for whichever failed
+// first in wall time. Every flip is keyed by (site, salt, product,
+// attempt), so which products fail is a function of the plan. The
+// serial guarded BFS runs its products in index order, so it is CAPS's
+// reference; Strassen's serial node runs them in schedule order, so its
+// pool message is checked for repeatability. n = 128 is one guarded
+// level at the default cutoff.
+TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 31), b = random_matrix(n, n, 32);
+  tasking::ThreadPool pool(3);
+  // The AbftError text of one run, or "" if it succeeded.
+  const auto failure = [&](bool caps, tasking::ThreadPool* p,
+                           std::uint64_t seed) -> std::string {
+    fault::FaultPlan plan;
+    plan.mem_flip = plan.compute_flip = 1e-3;
+    plan.seed = seed;
+    fault::FaultInjector inj(plan);
+    fault::FaultScope scope(inj);
+    abft::AbftConfig abft;
+    abft.mode = abft::AbftMode::kCorrect;
+    Matrix c(n, n);
+    try {
+      if (caps) {
+        CapsOptions opts;
+        opts.abft = abft;
+        multiply(a.view(), b.view(), c.view(), opts, p);
+      } else {
+        strassen::StrassenOptions opts;
+        opts.abft = abft;
+        strassen::multiply(a.view(), b.view(), c.view(), opts, p);
+      }
+    } catch (const abft::AbftError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::string caps = failure(true, nullptr, seed);
+    const std::string strassen = failure(false, &pool, seed);
+    ASSERT_FALSE(caps.empty()) << "seed " << seed;
+    ASSERT_FALSE(strassen.empty()) << "seed " << seed;
+    for (int rep = 0; rep < 10; ++rep) {
+      EXPECT_EQ(failure(true, &pool, seed), caps) << "seed " << seed;
+      EXPECT_EQ(failure(false, &pool, seed), strassen) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace
