@@ -56,7 +56,7 @@ struct MatmulOptions {
   /// kernel is CAPOW_KERNEL's, else the fastest this CPU supports.
   std::optional<blas::BlockingParams> blocking;
 
-  /// Strassen path tuning (cutoff, winograd, spawn depth). An unset
+  /// Strassen path tuning (cutoff, winograd, arena, base kernel). An unset
   /// base_kernel, here or in `caps`, falls back to CAPOW_KERNEL, then
   /// to the BOTS base case the paper models.
   strassen::StrassenOptions strassen{};

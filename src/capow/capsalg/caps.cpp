@@ -1,6 +1,5 @@
 #include "capow/capsalg/caps.hpp"
 
-#include <array>
 #include <atomic>
 #include <optional>
 
@@ -41,31 +40,28 @@ struct Ctx : strassen::Frame {
   }
 };
 
-/// An h x h scratch matrix whose allocation is charged against the CAPS
-/// buffer high-water mark (the "additional buffer memory" of BFS).
-/// Physical storage comes from the workspace arena; the *logical* charge
-/// stays the exact h*h*8 the cost model predicts, independent of arena
-/// size-class rounding or pool reuse. A logical-only buffer (physical
-/// false) is charged but leases nothing: the operand it stands for is
-/// read in place.
+/// An h x h DFS scratch matrix whose allocation is charged against the
+/// CAPS buffer high-water mark. Physical storage comes from the
+/// workspace arena; the *logical* charge stays the exact h*h*8 the cost
+/// model predicts, independent of arena size-class rounding or pool
+/// reuse.
 class TrackedMatrix {
  public:
-  TrackedMatrix(Ctx& ctx, std::size_t h, bool physical = true)
-      : ctx_(&ctx), bytes_(h * h * sizeof(double)) {
-    if (physical) m_.emplace(*ctx.arena, h, h);
+  TrackedMatrix(Ctx& ctx, std::size_t h)
+      : ctx_(&ctx), bytes_(h * h * sizeof(double)), m_(*ctx.arena, h, h) {
     ctx_->track_alloc(bytes_);
   }
   ~TrackedMatrix() { ctx_->track_free(bytes_); }
   TrackedMatrix(const TrackedMatrix&) = delete;
   TrackedMatrix& operator=(const TrackedMatrix&) = delete;
 
-  MatrixView view() { return m_->view(); }
-  ConstMatrixView cview() const { return m_->view(); }
+  MatrixView view() { return m_.view(); }
+  ConstMatrixView cview() const { return m_.view(); }
 
  private:
   Ctx* ctx_;
   std::uint64_t bytes_;
-  std::optional<blas::ArenaMatrix> m_;
+  blas::ArenaMatrix m_;
 };
 
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
@@ -73,119 +69,33 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
 
 // ---- BFS level ----------------------------------------------------------
 //
-// All 14 operand combinations are buffered up front, then the 7
-// sub-products run as parallel tasks over disjoint private data, and the
-// quadrants of C are assembled in parallel. A single-quadrant operand of
-// an unguarded product is read in place: its copy is still booked as
-// logical work (trace traffic and tracked bytes), so CapsStats and the
-// cost model keep describing the paper's buffered BFS, but no arena
-// storage backs it.
-//
-// A serial unguarded step has no workers to own private sub-problems,
-// so it runs the shared classic node (strassen::classic_node): three
-// physical h x h buffers per level instead of seventeen. It still books
-// the buffered step as logical work: its 21 tracked buffers and the
-// copies of its single-quadrant operands here, its operand sums and
-// combine additions through the node's counted ops. The node's schedule
-// leaves C with the bits of the kCombine evaluation below.
+// A BFS step runs the classic step every Strassen node runs
+// (strassen::classic_step): serially the lean classic node, three
+// physical h x h buffers per level; on a pool, down to kTaskSpawnDepth,
+// the seven sub-products as tasks over the parent quadrants. At the top
+// level each product can run checksum-guarded, re-forming its operands
+// from the pristine parent quadrants on a retry. The step still books
+// the paper's buffered BFS as logical work: its 21 tracked buffers and
+// the copies of its single-quadrant operands here, its operand sums and
+// combine additions through the step's counted ops. So CapsStats and the
+// cost model keep describing the buffered step while the arena leases
+// what Strassen leases.
 void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
   ctx.bfs_nodes.fetch_add(1, std::memory_order_relaxed);
-  const auto qa = linalg::partition(a);
-  const auto qb = linalg::partition(b);
-  const auto qc = linalg::partition(c);
   const std::size_t h = a.rows() / 2;
-  const bool guarded = ctx.guards(depth);
-  tasking::ThreadPool* const workers = ctx.workers();
-
-  if (!guarded && workers == nullptr) {
-    const std::uint64_t buffers =
-        (scheme::kOperands + scheme::kProducts.size()) * h * h *
-        sizeof(double);
-    ctx.track_alloc(buffers);
-    strassen::count_copy(scheme::operand_copies() * h * h);
-    strassen::classic_node(ctx, qc, h, [&](int i, MatrixView out) {
-      strassen::Operands ops;
-      ops.form(i, qa, qb, *ctx.arena, h);
-      recurse(ops.lhs, ops.rhs, out, ctx, depth + 1);
-    });
-    ctx.track_free(buffers);
-    return;
-  }
-
-  // Operand j of the 14: the A side of product j/2 when j is even, else
-  // its B side.
-  const auto sum = [](int j) -> const scheme::Sum& {
-    const scheme::Product& p = scheme::kProducts[j / 2];
-    return j % 2 == 0 ? p.a : p.b;
-  };
-  const auto quadrants = [&](int j) -> const auto& {
-    return j % 2 == 0 ? qa : qb;
-  };
-  const auto in_place = [&](int j) { return !guarded && sum(j).size() == 1; };
-
-  // In-place optionals, not unique_ptr: the buffers themselves lease
-  // arena storage, and the handles must not re-introduce a heap
-  // allocation per node.
-  std::array<std::optional<TrackedMatrix>, 14> buf;
-  std::array<ConstMatrixView, 14> operand;
-  std::array<std::optional<TrackedMatrix>, 7> q;
-  for (int j = 0; j < 14; ++j) {
-    buf[j].emplace(ctx, h, !in_place(j));
-    operand[j] = in_place(j)
-                     ? scheme::quadrant(quadrants(j), sum(j).index(0))
-                     : buf[j]->cview();
-    if (j % 2 == 1) q[j / 2].emplace(ctx, h);
-  }
-  const auto materialize = [&](int j) {
-    if (in_place(j)) {
-      strassen::count_copy(h * h);
-    } else {
-      scheme::materialize(sum(j), quadrants(j), buf[j]->view(), CountedOps{});
-    }
-  };
-
-  // Stage 1: materialize the 14 private operands.
-  strassen::fan_out(workers, 14, materialize);
-
-  // Stage 2: the seven sub-products, breadth-first on disjoint workers.
-  // At the top level each product can run checksum-guarded: the private
-  // operands make recovery cheap — a damaged product is re-materialized
-  // from the pristine parent quadrants and re-run, without touching its
-  // siblings. Deeper flips still surface in the depth-0 checksums.
-  strassen::fan_out(workers, 7, [&](int i) {
-    const MatrixView out = q[i]->view();
-    if (!guarded) {
-      recurse(operand[2 * i], operand[2 * i + 1], out, ctx, depth + 1);
-      return;
-    }
-    strassen::guarded_product(
-        ctx, "caps", 0xca95u, i, out,
-        [&](int attempt) {
-          if (attempt > 0) {
-            // A compute.flip corrupted the private copies, never the
-            // caller's quadrants.
-            materialize(2 * i);
-            materialize(2 * i + 1);
-          }
-          return strassen::AttemptOperands{operand[2 * i], operand[2 * i + 1],
-                                           buf[2 * i]->view(),
-                                           buf[2 * i + 1]->view()};
-        },
-        [&](ConstMatrixView lhs, ConstMatrixView rhs, std::uint64_t key) {
-          recurse(lhs, rhs, out, ctx, depth + 1);
-          abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
-        });
-  });
-
-  // Stage 3: assemble C (one job per quadrant).
-  strassen::fan_out(workers, 4, [&](int quad) {
-    scheme::evaluate(
-        scheme::kCombine[quad],
-        [&](std::size_t i) { return q[i]->cview(); },
-        scheme::quadrant(qc, quad), CountedOps{});
-  });
+  const std::uint64_t buffers =
+      (scheme::kOperands + scheme::kProducts.size()) * h * h * sizeof(double);
+  ctx.track_alloc(buffers);
+  strassen::count_copy(scheme::operand_copies() * h * h);
+  strassen::classic_step(
+      ctx, "caps", 0xca95u, linalg::partition(a), linalg::partition(b),
+      linalg::partition(c), h, depth,
+      [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
+        recurse(l, r, o, ctx, depth + 1);
+      });
+  ctx.track_free(buffers);
 }
 
 // ---- DFS level ----------------------------------------------------------

@@ -7,20 +7,17 @@
 //     if DEPTH < CUTOFF_DEPTH then execute Strassen BFS
 //     else                         execute Strassen DFS
 //
-// * BFS level: all fourteen operand quadrant combinations are
-//   materialized into private buffers up front ("requires additional
-//   buffer memory"), then the seven sub-products execute in parallel on
-//   disjoint workers, each owning its private operands — the
-//   shared-memory analogue of CAPS's communication avoidance (no
-//   re-streaming of parent data, no cross-worker working-set
-//   interleaving). A single-quadrant operand of an unguarded product is
-//   read in place. A serial unguarded step has no workers to own
-//   sub-problems, so it runs the serial classic node Strassen runs
-//   (strassen/frame.hpp): three physical h x h buffers per level
-//   instead of seventeen, with C's bits unchanged. Either way the
-//   buffered step is still booked as logical traffic and buffer bytes,
-//   so CapsStats and the cost model describe the paper's buffered BFS
-//   while the arena leases less.
+// * BFS level: the paper materializes all fourteen operand quadrant
+//   combinations into private buffers up front ("requires additional
+//   buffer memory"), then runs the seven sub-products in parallel on
+//   disjoint workers. CAPS is a schedule of one Strassen tree, so a BFS
+//   step here runs the classic step every Strassen node runs
+//   (strassen/frame.hpp): the seven sub-products as tasks on a pool down
+//   to strassen::kTaskSpawnDepth, else the serial node with three
+//   physical h x h buffers per level. The buffered step is still booked
+//   as logical traffic and buffer bytes, so CapsStats and the cost model
+//   describe the paper's buffered BFS while the arena leases what
+//   Strassen leases.
 // * DFS level: the seven sub-products run in sequence, each fully
 //   work-shared across all participating workers.
 //
@@ -52,18 +49,19 @@ struct CapsOptions {
   /// Pool backing the BFS/DFS buffers (physical storage only — the
   /// CapsStats peak-buffer accounting still charges the logical sizes of
   /// the buffered BFS, so the cost-model cross-check stays exact, while
-  /// a serial unguarded BFS level leases three h x h buffers of the 21 it
-  /// charges); null leases from blas::active_arena() (the dispatched
-  /// backend's device pool, or the process arena outside any backend
-  /// scope).
+  /// a serial BFS level leases three h x h buffers of the 21 it charges,
+  /// guarded or not); null leases from blas::active_arena() (the
+  /// dispatched backend's device pool, or the process arena outside any
+  /// backend scope).
   blas::WorkspaceArena* arena = nullptr;
   /// When set, the dense base case runs through the packed registry
   /// microkernel (blas::small_gemm) instead of the BOTS-style kernel.
   std::optional<blas::MicroKernelId> base_kernel;
   /// ABFT protection (abft::resolve_mode semantics). Detect/correct add
   /// per-product checksum verification at the top BFS level — a damaged
-  /// sub-product is re-materialized from its pristine parent quadrants
-  /// and re-run — plus an end-to-end guard with bounded full retries.
+  /// sub-product's operands are re-formed from the pristine parent
+  /// quadrants and it is re-run — plus an end-to-end guard with bounded
+  /// full retries.
   abft::AbftConfig abft{};
 };
 

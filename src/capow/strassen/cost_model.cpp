@@ -196,8 +196,9 @@ sim::WorkProfile strassen_profile(std::size_t n,
     std::uint64_t syncs = 0;
     if (threads > 1) {
       // Mirror of the implementation: 7 tasks spawned per node down to
-      // task_spawn_depth levels (3), one taskgroup join per spawning node.
-      const std::size_t spawn_levels = std::min<std::size_t>(3, g.levels);
+      // kTaskSpawnDepth levels, one taskgroup join per spawning node.
+      const std::size_t spawn_levels =
+          std::min<std::size_t>(kTaskSpawnDepth, g.levels);
       for (std::size_t l = 0; l < spawn_levels; ++l) {
         spawns += static_cast<std::uint64_t>(pow7(l)) * 7;
         syncs += static_cast<std::uint64_t>(pow7(l));

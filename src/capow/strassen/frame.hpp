@@ -2,13 +2,15 @@
 // recursions: argument validation, base-kernel resolution, the dense
 // base case, zero-padding to a recursion-friendly dimension, the
 // end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
-// the spawn-or-inline fan-out of sibling work, and the serial classic
-// node both recursions run where no worker owns a product.
+// the spawn-or-inline fan-out of sibling work, and the one classic step
+// every Strassen node and CAPS BFS step runs, serially or on a pool,
+// guarded or not.
 //
 // Fault-site keys stay with the callers (each site keeps its own tag),
 // so a seeded fault plan draws the same flips whichever algorithm runs.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/scheme.hpp"
+#include "capow/strassen/strassen.hpp"
 #include "capow/tasking/task_group.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
@@ -52,6 +55,12 @@ struct Frame {
   /// The pool when it has more than one worker to fan out onto.
   tasking::ThreadPool* workers() const noexcept {
     return pool != nullptr && pool->concurrency() > 1 ? pool : nullptr;
+  }
+  /// The pool a node at `depth` runs its seven products on as tasks:
+  /// null from kTaskSpawnDepth down or without workers, where they run
+  /// inline.
+  tasking::ThreadPool* product_workers(std::size_t depth) const noexcept {
+    return depth < kTaskSpawnDepth ? workers() : nullptr;
   }
   /// Whether products at `depth` run under guarded_product(). Only the
   /// top level is checked: per-product verification everywhere would
@@ -184,19 +193,63 @@ struct Operands {
   linalg::ConstMatrixView lhs, rhs;
 };
 
-/// The serial classic node over C's quadrants `qc` of size h: runs
-/// scheme::kSchedule with one product temporary, so three h x h buffers
-/// are live per level — the temporary and the operand sums of the
-/// product in flight. product(i, out) computes 0-based product i into
-/// out, forming its operands with Operands::form. C receives the bits
-/// of evaluating kCombine left to right over the seven products.
-template <typename Product>
-void classic_node(const Frame& f,
+/// The classic step over A's and B's quadrants qa, qb of size h into
+/// C's quadrants qc, at `depth`: the one node Strassen and CAPS BFS run.
+/// recurse(lhs, rhs, out) computes one product into out. Without product
+/// workers the step runs scheme::kSchedule serially with one product
+/// temporary, so three h x h buffers are live per level — the temporary
+/// and the operand sums of the product in flight. On a pool the seven
+/// products run as tasks in kSchedule's store order, each one the
+/// schedule passes through the temporary into a buffer of its own, then
+/// the schedule's additions run in order; so a failing fan-out throws
+/// for the product the serial schedule meets first. Either way C
+/// receives the bits of evaluating kCombine left to right over the seven
+/// products. At a guarded depth each product runs under
+/// guarded_product(): a retry re-forms its operands from the pristine
+/// parent quadrants and re-runs just that product — the finest
+/// bit-identical recovery unit the recursion offers. `label` names the
+/// algorithm in errors and `site` keys its flips.
+template <typename Recurse>
+void classic_step(const Frame& f, const char* label, std::uint64_t site,
+                  const linalg::Quadrants<linalg::ConstMatrixView>& qa,
+                  const linalg::Quadrants<linalg::ConstMatrixView>& qb,
                   const linalg::Quadrants<linalg::MatrixView>& qc,
-                  std::size_t h, Product&& product) {
-  blas::ArenaMatrix t(*f.arena, h, h);
+                  std::size_t h, std::size_t depth, Recurse&& recurse) {
+  const auto product = [&](int i, linalg::MatrixView out) {
+    Operands ops;
+    if (!f.guards(depth)) {
+      ops.form(i, qa, qb, *f.arena, h);
+      recurse(ops.lhs, ops.rhs, out);
+      return;
+    }
+    guarded_product(
+        f, label, site, i, out,
+        [&](int) { return ops.form(i, qa, qb, *f.arena, h); },
+        [&](linalg::ConstMatrixView lhs, linalg::ConstMatrixView rhs,
+            std::uint64_t key) {
+          recurse(lhs, rhs, out);
+          abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
+        });
+  };
+
+  tasking::ThreadPool* const workers = f.product_workers(depth);
+  if (workers == nullptr) {
+    blas::ArenaMatrix t(*f.arena, h, h);
+    scheme::run_schedule(
+        qc, [&](int) { return t.view(); }, product, CountedOps{});
+    return;
+  }
+  std::array<std::optional<blas::ArenaMatrix>, 7> t;
+  fan_out(workers, 7, [&](int k) {
+    const int i = scheme::stored_product(k);
+    const int dst = scheme::destination(i);
+    product(i, dst == scheme::kT
+                   ? t[i].emplace(*f.arena, h, h).view()
+                   : scheme::quadrant(qc, static_cast<std::size_t>(dst)));
+  });
   scheme::run_schedule(
-      qc, [&](int) { return t.view(); }, product, CountedOps{});
+      qc, [&](int i) { return t[i]->view(); },
+      [](int, linalg::MatrixView) {}, CountedOps{});
 }
 
 /// Runs root(a', b', c', salt) end to end: on the operands themselves

@@ -15,14 +15,15 @@
 // left to right, so every executor rounds the same way and the
 // instrumented counts and the closed forms agree by construction.
 //
-// A Strassen node and a serial unguarded CAPS BFS step do not evaluate
-// kCombine over seven product buffers: they run kSchedule (serially
-// through classic_node, frame.hpp), which stores M1..M3 straight into
+// A Strassen node and a CAPS BFS step do not evaluate kCombine over
+// seven product buffers: both run kSchedule through the one classic step
+// (strassen::classic_step, frame.hpp), which stores M1..M3 straight into
 // the C quadrants whose sums they start and passes M4..M7 through one
-// product temporary. A static_assert replays the schedule symbolically and
-// proves that every C quadrant is still kCombine's left-to-right sum
-// with the same operand order, so the result bits, -0.0 and NaN
-// payloads included, are those of the textbook evaluation. The cachesim
+// product temporary (one each when the products run as tasks). A
+// static_assert replays the schedule symbolically and proves that every
+// C quadrant is still kCombine's left-to-right sum with the same operand
+// order, so the result bits, -0.0 and NaN payloads included, are those
+// of the textbook evaluation. The cachesim
 // Strassen replay keeps the textbook order (seven product buffers, then
 // the four combines); its pinned logical bytes model that order, not the
 // executor's. Winograd's 15-addition variant shares partial sums between
@@ -102,9 +103,9 @@ constexpr std::size_t operand_additions() noexcept {
   return over_operands([](const Sum& s) { return s.size() - 1; });
 }
 
-/// Single-term operands: used in place by Strassen and CAPS DFS, copied
-/// into private buffers by dist-CAPS and guarded CAPS BFS steps. Other
-/// CAPS BFS steps read them in place but still book the copies.
+/// Single-term operands: used in place by Strassen and CAPS, copied into
+/// private buffers by dist-CAPS. CAPS BFS steps still book the copies of
+/// the paper's buffered step.
 constexpr std::size_t operand_copies() noexcept {
   return over_operands([](const Sum& s) { return std::size_t{s.size() == 1}; });
 }
@@ -238,6 +239,16 @@ constexpr int destination(int i) noexcept {
     if (s.kind == Step::kProduct && s.x == i + 1) return s.dst;
   }
   return kT;
+}
+
+/// The product (0-based) kSchedule stores k-th: a node that fans its
+/// products out in this order meets a failing product in the order the
+/// serial schedule does.
+constexpr int stored_product(int k) noexcept {
+  for (const Step& s : kSchedule) {
+    if (s.kind == Step::kProduct && k-- == 0) return s.x - 1;
+  }
+  return -1;
 }
 
 static_assert(schedule_matches_combine(),

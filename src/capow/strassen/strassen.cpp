@@ -1,14 +1,12 @@
 #include "capow/strassen/strassen.hpp"
 
 #include <array>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/frame.hpp"
-#include "capow/strassen/scheme.hpp"
 #include "capow/telemetry/telemetry.hpp"
 
 namespace capow::strassen {
@@ -26,58 +24,6 @@ struct Ctx : Frame {
 
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              const Ctx& ctx, std::size_t depth);
-
-/// The pool a node at `depth` runs its products on as tasks: null below
-/// the spawn depth or without workers, where they run inline.
-tasking::ThreadPool* product_workers(const Ctx& ctx, std::size_t depth) {
-  return depth < ctx.opts.task_spawn_depth ? ctx.workers() : nullptr;
-}
-
-// A classic node runs scheme::kSchedule: serially through classic_node
-// (frame.hpp), the node serial CAPS BFS steps share. A node that fans
-// its products out to workers computes all seven at once, the ones the
-// schedule passes through the temporary each into its own buffer, then
-// runs the schedule's additions in order. Either way C receives the same
-// bits as evaluating kCombine over seven products.
-void recurse_classic(const Quadrants<ConstMatrixView>& qa,
-                     const Quadrants<ConstMatrixView>& qb,
-                     const Quadrants<MatrixView>& qc, std::size_t h,
-                     const Ctx& ctx, std::size_t depth) {
-  // A guarded product's retry re-forms its operands from the pristine
-  // parent quadrants and re-runs just that product — the finest
-  // bit-identical recovery unit the recursion offers.
-  const auto product = [&](int i, MatrixView out) {
-    Operands ops;
-    if (!ctx.guards(depth)) {
-      ops.form(i, qa, qb, *ctx.arena, h);
-      recurse(ops.lhs, ops.rhs, out, ctx, depth + 1);
-      return;
-    }
-    guarded_product(
-        ctx, "strassen", 0x57a5u, i, out,
-        [&](int) { return ops.form(i, qa, qb, *ctx.arena, h); },
-        [&](ConstMatrixView lhs, ConstMatrixView rhs, std::uint64_t key) {
-          recurse(lhs, rhs, out, ctx, depth + 1);
-          abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
-        });
-  };
-
-  tasking::ThreadPool* const workers = product_workers(ctx, depth);
-  if (workers == nullptr) {
-    classic_node(ctx, qc, h, product);
-    return;
-  }
-  std::array<std::optional<ArenaMatrix>, 7> t;
-  fan_out(workers, 7, [&](int i) {
-    const int dst = scheme::destination(i);
-    product(i, dst == scheme::kT
-                   ? t[i].emplace(*ctx.arena, h, h).view()
-                   : scheme::quadrant(qc, static_cast<std::size_t>(dst)));
-  });
-  scheme::run_schedule(
-      qc, [&](int i) { return t[i]->view(); }, [](int, MatrixView) {},
-      CountedOps{});
-}
 
 // Winograd variant (15 additions): S/T operand sums computed up front,
 // seven products P1..P7, then the U-chain combine. Buffers are reused in
@@ -115,7 +61,7 @@ void recurse_winograd(const Quadrants<ConstMatrixView>& qa,
   // guarded path injects (and recovers from) result corruption only;
   // operand corruption is exercised through the classic scheme and the
   // packed-panel site in blas::gemm.
-  fan_out(product_workers(ctx, depth), 7, [&](int i) {
+  fan_out(ctx.product_workers(depth), 7, [&](int i) {
     const auto [lhs, rhs] = operands[i];
     const MatrixView out = p[i].view();
     if (!ctx.guards(depth)) {
@@ -155,7 +101,10 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c,
   if (ctx.opts.winograd) {
     recurse_winograd(qa, qb, qc, h, ctx, depth);
   } else {
-    recurse_classic(qa, qb, qc, h, ctx, depth);
+    classic_step(ctx, "strassen", 0x57a5u, qa, qb, qc, h, depth,
+                 [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
+                   recurse(l, r, o, ctx, depth + 1);
+                 });
   }
 }
 

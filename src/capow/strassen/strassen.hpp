@@ -10,11 +10,11 @@
 // corrected algebra; tests verify both variants against the reference
 // multiplier.)
 //
-// Parallelization follows the BOTS structure: each recursion level spawns
-// seven tasks, one per product Q_i; each task forms its own operand sums
-// and recurses. Recursion reverts to the dense base kernel when the
-// sub-matrix dimension drops to `base_cutoff` (the paper's empirically
-// chosen 64).
+// Parallelization follows the BOTS structure: each recursion level above
+// kTaskSpawnDepth spawns seven tasks, one per product Q_i; each task
+// forms its own operand sums and recurses. Recursion reverts to the
+// dense base kernel when the sub-matrix dimension drops to `base_cutoff`
+// (the paper's empirically chosen 64).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +28,12 @@
 
 namespace capow::strassen {
 
+/// Recursion depth down to which a Strassen node or CAPS BFS step on a
+/// pool spawns its seven products as tasks; deeper levels recurse
+/// serially inside their owning task. 7^3 = 343 tasks comfortably feeds
+/// any SMP-scale pool.
+inline constexpr std::size_t kTaskSpawnDepth = 3;
+
 /// Tuning knobs for strassen::multiply.
 struct StrassenOptions {
   /// Sub-matrix dimension at (or below) which the dense base kernel
@@ -35,10 +41,6 @@ struct StrassenOptions {
   std::size_t base_cutoff = 64;
   /// Use the Winograd 15-addition variant instead of classic Strassen.
   bool winograd = false;
-  /// Recursion depth down to which child products are spawned as tasks;
-  /// deeper levels recurse serially inside their owning task. 7^3 = 343
-  /// tasks comfortably feeds any SMP-scale pool.
-  std::size_t task_spawn_depth = 3;
   /// Pool backing every quadrant temporary (operand sums, the seven
   /// product buffers, padding copies); null leases from
   /// blas::active_arena() (the dispatched backend's device pool, or the

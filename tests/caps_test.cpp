@@ -177,9 +177,10 @@ TEST(CapsStats, BfsTradesMemoryForCommunication) {
   EXPECT_GT(bfs.peak_buffer_bytes, 3 * dfs.peak_buffer_bytes);
 }
 
-// BFS reads each single-quadrant operand of an unguarded product in
-// place, so the arena's high-water mark stays below the logical buffer
-// peak CapsStats reports for the fully buffered BFS of the paper.
+// A BFS step reads its single-quadrant operands in place and keeps one
+// product temporary, so the arena's high-water mark stays below the
+// logical buffer peak CapsStats reports for the fully buffered BFS of
+// the paper.
 TEST(CapsStats, PhysicalPeakStaysBelowLogicalPeak) {
   if (strassen::resolve_base_kernel(std::nullopt) != nullptr) {
     GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
@@ -223,6 +224,37 @@ TEST(CapsStats, SerialBfsFootprintIsThreeQuadrantsPerLevel) {
   cost.bfs_cutoff_depth = opts.bfs_cutoff_depth;
   EXPECT_EQ(static_cast<double>(stats.peak_buffer_bytes),
             caps_peak_buffer_bytes(n, cost));
+}
+
+// A guarded serial BFS step runs the same classic step as a guarded
+// Strassen node, re-forming a product's operands on a retry instead of
+// keeping fourteen private copies, so both lease the same arena peak.
+TEST(CapsStats, GuardedSerialFootprintMatchesStrassen) {
+  if (strassen::resolve_base_kernel(std::nullopt) != nullptr) {
+    GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
+  }
+  const std::size_t n = 896;
+  const Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+  abft::AbftConfig abft;
+  abft.mode = abft::AbftMode::kCorrect;
+  const auto peak = [&](bool caps) {
+    Matrix c(n, n);
+    blas::WorkspaceArena arena;
+    arena.reset_stats();
+    if (caps) {
+      CapsOptions opts;
+      opts.arena = &arena;
+      opts.abft = abft;
+      multiply(a.view(), b.view(), c.view(), opts);
+    } else {
+      strassen::StrassenOptions opts;
+      opts.arena = &arena;
+      opts.abft = abft;
+      strassen::multiply(a.view(), b.view(), c.view(), opts);
+    }
+    return arena.stats().peak_outstanding_bytes;
+  };
+  EXPECT_EQ(peak(true), peak(false));
 }
 
 class CapsCountTest : public ::testing::TestWithParam<CapsCase> {};
@@ -284,13 +316,13 @@ TEST(Caps, DfsThresholdControlsWorkSharing) {
 }
 
 // On a pool, a guarded fan-out whose products exhaust their retries
-// throws for its lowest-indexed failed product, not for whichever failed
-// first in wall time. Every flip is keyed by (site, salt, product,
-// attempt), so which products fail is a function of the plan. The
-// serial guarded BFS runs its products in index order, so it is CAPS's
-// reference; Strassen's serial node runs them in schedule order, so its
-// pool message is checked for repeatability. n = 128 is one guarded
-// level at the default cutoff.
+// throws for the product its serial run meets first, not for whichever
+// failed first in wall time. Every flip is keyed by (site, salt, product,
+// attempt), so which products fail is a function of the plan, and a
+// node on a pool spawns its products in kSchedule's store order, the
+// order its serial node runs them in. So each algorithm's serial run is
+// the reference for its pool runs. n = 128 is one guarded level at the
+// default cutoff.
 TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
   const std::size_t n = 128;
   const Matrix a = random_matrix(n, n, 31), b = random_matrix(n, n, 32);
@@ -323,7 +355,7 @@ TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
   };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const std::string caps = failure(true, nullptr, seed);
-    const std::string strassen = failure(false, &pool, seed);
+    const std::string strassen = failure(false, nullptr, seed);
     ASSERT_FALSE(caps.empty()) << "seed " << seed;
     ASSERT_FALSE(strassen.empty()) << "seed " << seed;
     for (int rep = 0; rep < 10; ++rep) {

@@ -83,8 +83,8 @@ constexpr Pin kPins[] = {
     {"caps", AlgorithmId::kCaps, false, 641, 0x4316f08400ddec10ull,
      {{352593112ull, 459051240ull, 253998112ull, 0, 0},
       {352593112ull, 459051240ull, 253998112ull, 0, 0},
-      {352593112ull, 459051240ull, 253998112ull, 10000, 1200},
-      {352593112ull, 459051240ull, 253998112ull, 10000, 1200}},
+      {352593112ull, 459051240ull, 253998112ull, 399, 57},
+      {352593112ull, 459051240ull, 253998112ull, 399, 57}},
      {34332744ull, 400, 0, 2401}},
     {"strassen", AlgorithmId::kStrassen, false, 769, 0x17f7cc0521e537c7ull,
      {{595851368ull, 600843400ull, 307890752ull, 0, 0},
@@ -95,8 +95,8 @@ constexpr Pin kPins[] = {
     {"caps", AlgorithmId::kCaps, false, 896, 0x18febcd4bed244eaull,
      {{883668352ull, 837989376ull, 454870528ull, 0, 0},
       {883668352ull, 837989376ull, 454870528ull, 0, 0},
-      {883668352ull, 837989376ull, 454870528ull, 10000, 1200},
-      {883668352ull, 837989376ull, 454870528ull, 10000, 1200}},
+      {883668352ull, 837989376ull, 454870528ull, 399, 57},
+      {883668352ull, 837989376ull, 454870528ull, 399, 57}},
      {44782080ull, 400, 0, 2401}},
     {"strassen", AlgorithmId::kStrassen, false, 1024, 0xdeb30c743f55f0c5ull,
      {{1311531008ull, 1000800256ull, 500400128ull, 0, 0},

@@ -421,31 +421,12 @@ TEST(Strassen, DeeperRecursionStillAccurate) {
   }
 }
 
-TEST(Strassen, TaskSpawnDepthZeroRunsSerially) {
-  const std::size_t n = 64;
-  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
-  Matrix c(n, n), expect(n, n);
-  blas::gemm_reference(a.view(), b.view(), expect.view());
-  StrassenOptions opts;
-  opts.base_cutoff = 16;
-  opts.task_spawn_depth = 0;
-  tasking::ThreadPool pool(2);
-  trace::Recorder rec;
-  {
-    trace::RecordingScope scope(rec);
-    multiply(a.view(), b.view(), c.view(), opts, &pool);
-  }
-  EXPECT_TRUE(allclose(c.view(), expect.view(), 1e-11, 1e-11));
-  EXPECT_EQ(rec.total().tasks_spawned, 0u);
-}
-
 TEST(Strassen, SpawnsSevenTasksPerNode) {
   const std::size_t n = 128;
   Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
   Matrix c(n, n);
   StrassenOptions opts;
   opts.base_cutoff = 32;  // two levels
-  opts.task_spawn_depth = 2;
   tasking::ThreadPool pool(2);
   trace::Recorder rec;
   {
