@@ -56,8 +56,9 @@ void BM_StrassenRealCutoff(benchmark::State& state) {
 }
 BENCHMARK(BM_StrassenRealCutoff)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// The BOTS base kernel alone, at the padded base sizes fast_recursion's
-// Strassen and CAPS shapes bottom out in (cutoff 64). Each leg reports
+// The BOTS base kernel alone, at the base sizes fast_recursion's
+// Strassen and CAPS shapes bottom out in (cutoff 64; 520, 641 and 769
+// recurse on their peeled 512, 640 and 768 blocks). Each leg reports
 // the `gflops` counter of 2n^3 flops per call.
 template <typename Multiply>
 void time_bots_leaf(benchmark::State& state, std::size_t n, bool strided,
@@ -86,15 +87,14 @@ void BM_BotsBaseGflops(benchmark::State& state) {
   time_bots_leaf(state, static_cast<std::size_t>(state.range(0)),
                  /*strided=*/false, strassen::base_gemm);
 }
-BENCHMARK(BM_BotsBaseGflops)->Arg(33)->Arg(41)->Arg(49)->Arg(56)->Arg(64);
+BENCHMARK(BM_BotsBaseGflops)->Arg(40)->Arg(48)->Arg(56)->Arg(64);
 
 // The leaves as the recursion sees them: quadrants of 2n x 2n matrices.
 void BM_BotsBaseStridedGflops(benchmark::State& state) {
   time_bots_leaf(state, static_cast<std::size_t>(state.range(0)),
                  /*strided=*/true, strassen::base_gemm);
 }
-BENCHMARK(BM_BotsBaseStridedGflops)
-    ->Arg(33)->Arg(41)->Arg(49)->Arg(56)->Arg(64);
+BENCHMARK(BM_BotsBaseStridedGflops)->Arg(40)->Arg(48)->Arg(56)->Arg(64);
 
 // Every ISA clone of the tile on strided leaves; args are (clone, n),
 // clones numbered baseline, avx2, avx512f. Clones the host cannot run
@@ -116,7 +116,7 @@ void BM_BotsBaseCloneGflops(benchmark::State& state) {
   state.SetLabel(clone.name);
 }
 BENCHMARK(BM_BotsBaseCloneGflops)
-    ->ArgsProduct({{0, 1, 2}, {33, 41, 49, 56, 64}});
+    ->ArgsProduct({{0, 1, 2}, {40, 48, 56, 64}});
 
 void BM_WinogradVsClassic(benchmark::State& state) {
   const std::size_t n = 256;

@@ -81,7 +81,7 @@ struct MatmulOptions {
 void validate_options(const MatmulOptions& opts);
 
 /// C = A * B via the selected algorithm on the resolved backend.
-/// Validation, padding and instrumentation follow the selected
+/// Validation, border peeling and instrumentation follow the selected
 /// algorithm's contract, and a C that shares storage with A or B throws
 /// std::invalid_argument; all three count logical traffic through
 /// capow::trace identically to their closed-form cost models.

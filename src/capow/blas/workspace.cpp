@@ -63,7 +63,20 @@ WorkspaceCheckout WorkspaceArena::acquire(std::size_t count) {
     free_[best] = free_.back();
     free_.pop_back();
   } else {
+    // A miss while nothing is leased frees every idle buffer (best fit
+    // missed, so each is too small for it): it opens a computation
+    // larger than any the pool has served, whose smaller leases reuse
+    // the larger buffers it pools. So the pool holds the largest working
+    // set, not one idle set per shape. A miss while a lease is out (a
+    // sibling task on a pool) frees nothing: between evictions the pool
+    // only grows, and each eviction raises its largest buffer, so a
+    // repeated workload stops missing in any lease order.
     ++stats_.misses;
+    if (stats_.outstanding_bytes == 0) {
+      for (const Pooled& p : free_) std::free(p.data);
+      free_.clear();
+      stats_.pooled_bytes = 0;
+    }
     capacity = want;
     data = static_cast<double*>(std::aligned_alloc(
         linalg::kMatrixAlignment, capacity * sizeof(double)));

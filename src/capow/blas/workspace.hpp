@@ -12,7 +12,11 @@
 // buffers. acquire() hands out a RAII Checkout that returns the buffer
 // on destruction; repeat acquisitions of hot sizes are free-list hits.
 // Sizes are rounded up to 4 KiB classes so slightly-different panel
-// shapes (edge blocks) still share buffers. Arena traffic is *physical*
+// shapes (edge blocks) still share buffers. Idle buffers are freed only
+// by trim() and by a miss while nothing is leased: such a miss starts a
+// computation larger than every buffer held, whose smaller leases reuse
+// the larger buffers it pools, so the pool holds the largest working set
+// seen rather than one idle set per shape. Arena traffic is *physical*
 // scratch — it deliberately moves none of the capow::trace logical
 // counters, which continue to model algorithmic traffic exactly.
 //

@@ -2,9 +2,9 @@
 
 #include <stdexcept>
 
-#include "capow/linalg/ops.hpp"
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/scheme.hpp"
+#include "capow/strassen/strassen.hpp"
 
 namespace capow::cachesim {
 
@@ -206,9 +206,9 @@ void validate_args(std::size_t n, std::size_t cutoff) {
   if (cutoff == 0) {
     throw std::invalid_argument("locality trace: zero cutoff");
   }
-  if (linalg::pad_dimension_for_recursion(n, cutoff) != n) {
+  if (strassen::peel_dimension(n, cutoff) != n) {
     throw std::invalid_argument(
-        "locality trace: n must be base*2^k for the cutoff (no padding)");
+        "locality trace: n must be base*2^k for the cutoff (no border)");
   }
 }
 

@@ -42,8 +42,8 @@ struct LocalityReport {
 
 /// Replays a serial classic-Strassen multiply of dimension n (must be
 /// base*2^k for the given cutoff) on `spec`'s single-core hierarchy.
-/// Throws std::invalid_argument for dimensions needing padding or a
-/// zero cutoff.
+/// Throws std::invalid_argument for dimensions with a border to peel
+/// or a zero cutoff.
 LocalityReport strassen_locality(std::size_t n, std::size_t base_cutoff,
                                  const machine::MachineSpec& spec);
 

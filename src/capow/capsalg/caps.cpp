@@ -207,18 +207,14 @@ void multiply(ConstMatrixView a, ConstMatrixView b, MatrixView c,
   }
 
   // Ctx is shared (the traversal counters are atomics), so the
-  // per-attempt flip salt is set here, at the only single-threaded point.
+  // per-attempt flip salt is set here, before the recursion fans out;
+  // the border products run_frame may run beside it read no Ctx.
   strassen::run_frame(
       ctx, 0xca9fu, a, b, c,
       [&](ConstMatrixView pa, ConstMatrixView pb, MatrixView pc,
           std::uint64_t salt) {
         ctx.flip_salt = salt;
-        // Padded copies of A, B and C count as CAPS buffer memory.
-        const std::uint64_t pad_bytes =
-            pa.rows() == n ? 0 : 3 * pa.size() * sizeof(double);
-        ctx.track_alloc(pad_bytes);
         recurse(pa, pb, pc, ctx, 0);
-        ctx.track_free(pad_bytes);
       });
 
   if (stats != nullptr) {

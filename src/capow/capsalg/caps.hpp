@@ -73,8 +73,8 @@ struct CapsStats {
   std::uint64_t base_products = 0;      ///< dense base-case multiplies
 };
 
-/// C = A * B for square matrices via CAPS. Padding, validation and
-/// instrumentation conventions match strassen::multiply. `stats`
+/// C = A * B for square matrices via CAPS. Border peeling, validation
+/// and instrumentation conventions match strassen::multiply. `stats`
 /// (optional) receives the traversal statistics. Throws
 /// std::invalid_argument for non-square operands or zero cutoffs.
 void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,

@@ -30,13 +30,9 @@ constexpr std::uint64_t kProductTasks = scheme::kProducts.size();
 
 double caps_total_flops(std::size_t n, const CapsCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  if (g.n <= opts.base_cutoff) {
-    const double d = static_cast<double>(n);
-    return 2.0 * d * d * d;
-  }
-  double flops = 0.0;
+  double flops = border_flops(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const bool bfs = l < opts.bfs_cutoff_depth;
     const double ops = kSums + (bfs ? kCombines : kAccumulates);
     flops += pow7(l) * ops * h * h;
@@ -48,13 +44,9 @@ double caps_total_flops(std::size_t n, const CapsCostOptions& opts) {
 
 double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  if (g.n <= opts.base_cutoff) {
-    const double d = static_cast<double>(n);
-    return 3.0 * d * d * kWord;
-  }
-  double bytes = padding_traffic(g);
+  double bytes = border_traffic(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const bool bfs = l < opts.bfs_cutoff_depth;
     // 3 words per element for a binary or in-place op, 2 per copy, 1 per
     // zero-filled element.
@@ -70,10 +62,9 @@ double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts) {
 
 double caps_peak_buffer_bytes(std::size_t n, const CapsCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  if (g.n <= opts.base_cutoff) return 0.0;
-  double bytes = g.padded ? 3.0 * static_cast<double>(g.n) * g.n * kWord : 0.0;
+  double bytes = 0.0;
   for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const bool bfs = l < opts.bfs_cutoff_depth;
     // Along one (serial) recursion spine: a BFS node keeps LA, LB and Q
     // live for every product; a DFS node keeps Q plus one product's
@@ -97,7 +88,7 @@ sim::WorkProfile caps_profile(std::size_t n,
   sim::WorkProfile wp;
   wp.name = "caps";
 
-  if (add_entry_phases(wp, g, opts.base_cutoff)) return wp;
+  if (add_entry_phases(wp, g, opts.base_cutoff, threads)) return wp;
 
   // Concurrency of worker-owned tasks at level l: the BFS fan-out above
   // it, capped by the cores.
@@ -113,7 +104,7 @@ sim::WorkProfile caps_profile(std::size_t n,
   const unsigned window = threads > 1 ? p_cap : 1u;
   const auto dram_level = [&](double h, unsigned /*conc*/, bool first) {
     return (3.0 * h * h * kWord * window > llc) ||
-           (first && 3.0 * static_cast<double>(g.n) * g.n * kWord > llc);
+           (first && 3.0 * static_cast<double>(g.m) * g.m * kWord > llc);
   };
 
   const auto add_phase = [&](const std::string& label, double flops,
@@ -136,7 +127,7 @@ sim::WorkProfile caps_profile(std::size_t n,
   // Forward sweep: operand phases per level.
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double nodes = pow7(l);
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const double elems = h * h;
     const bool bfs = l < opts.bfs_cutoff_depth;
     if (bfs) {
@@ -195,7 +186,7 @@ sim::WorkProfile caps_profile(std::size_t n,
   // Unwind sweep: combine phases, innermost first.
   for (std::size_t l = g.levels; l-- > 0;) {
     const double nodes = pow7(l);
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const double elems = h * h;
     const bool bfs = l < opts.bfs_cutoff_depth;
     if (bfs) {

@@ -240,20 +240,6 @@ double relative_error(ConstMatrixView a, ConstMatrixView b) {
   return std::sqrt(num) / std::max(std::sqrt(den), tiny);
 }
 
-void copy_padded(ConstMatrixView src, MatrixView dst) {
-  if (dst.rows() < src.rows() || dst.cols() < src.cols()) {
-    throw std::invalid_argument("copy_padded: dst smaller than src");
-  }
-  for (std::size_t i = 0; i < src.rows(); ++i) {
-    double* pd = dst.row(i);
-    std::memcpy(pd, src.row(i), src.cols() * sizeof(double));
-    std::fill(pd + src.cols(), pd + dst.cols(), 0.0);
-  }
-  for (std::size_t i = src.rows(); i < dst.rows(); ++i) {
-    std::fill_n(dst.row(i), dst.cols(), 0.0);
-  }
-}
-
 std::size_t round_up(std::size_t n, std::size_t multiple) {
   if (multiple == 0) throw std::invalid_argument("round_up: multiple == 0");
   const std::size_t rem = n % multiple;

@@ -55,16 +55,13 @@ bool allclose(ConstMatrixView a, ConstMatrixView b, double rtol = 1e-9,
 /// depth, so comparisons are against a depth-aware tolerance).
 double relative_error(ConstMatrixView a, ConstMatrixView b);
 
-/// Copies `src` into the top-left corner of `dst` and zero-fills the rest.
-/// Used to pad odd-sized problems up to a Strassen-friendly dimension.
-void copy_padded(ConstMatrixView src, MatrixView dst);
-
 /// Rounds n up to the next multiple of `multiple` (multiple >= 1).
 std::size_t round_up(std::size_t n, std::size_t multiple);
 
-/// Smallest dimension >= n of the form base * 2^k with base <= max_base.
-/// Strassen recursion halves until the base case, so inputs are padded to
-/// such a dimension; `max_base` is typically the base-case cutoff.
+/// Smallest dimension >= n of the form base * 2^k with base <= max_base:
+/// the dimension a zero-padded recursion would run on. The recursions
+/// peel a border instead (strassen::peel_dimension); error bounds and
+/// probes that quote the padded dimension still use it.
 std::size_t pad_dimension_for_recursion(std::size_t n, std::size_t max_base);
 
 }  // namespace capow::linalg

@@ -2,8 +2,8 @@
 //
 // Strassen and CAPS recurse on the 2x2 quadrant decomposition of Eq (7);
 // this header provides the canonical partition of a view into
-// {A11, A12, A21, A22}. For odd dimensions the split is handled by
-// padding at the algorithm entry point, so partition() requires even
+// {A11, A12, A21, A22}. The algorithm entry point peels sizes that do
+// not halve evenly (strassen::run_frame), so partition() requires even
 // dimensions and throws otherwise.
 #pragma once
 

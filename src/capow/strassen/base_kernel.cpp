@@ -98,9 +98,29 @@ __attribute__((always_inline)) inline void bots_strip(const Operands& o,
   for (; i < m; ++i) bots_tile<V, 1, W>(o, i, j);
 }
 
+/// Columns [j, n), fewer than Bytes/4 of them: at most one S-row strip
+/// on each narrower vector width, halving down to 16 bytes, then an
+/// S-row scalar strip for the last column, if any.
+template <std::size_t Bytes, std::size_t S>
+__attribute__((always_inline)) inline void bots_tail(const Operands& o,
+                                                     std::size_t j) {
+  if constexpr (Bytes >= 16) {
+    constexpr std::size_t kLanes = Bytes / sizeof(double);
+    if (j + kLanes <= o.b.cols()) {
+      bots_strip<typename VecOf<Bytes>::type, S, 1>(o, j);
+      j += kLanes;
+    }
+    bots_tail<Bytes / 2, S>(o, j);
+  } else {
+    if (j < o.b.cols()) bots_strip<double, S, 1>(o, j);
+  }
+}
+
 /// The whole product on Bytes-wide vectors: R x W-vector tiles, then
-/// one-vector strips of S rows for the leftover columns, then S-row
-/// scalar strips for the last fewer-than-vector-width columns.
+/// one-vector strips of S rows for the leftover columns, then the last
+/// fewer-than-vector-width columns on narrower vectors (bots_tail), so
+/// an odd-width block such as a 63-wide leaf or a 15-wide border runs at
+/// most one column scalar.
 template <std::size_t Bytes, std::size_t R, std::size_t W, std::size_t S>
 __attribute__((always_inline)) inline void bots_body(const Operands& o) {
   using V = typename VecOf<Bytes>::type;
@@ -109,7 +129,7 @@ __attribute__((always_inline)) inline void bots_body(const Operands& o) {
   std::size_t j = 0;
   for (; j + W * kLanes <= n; j += W * kLanes) bots_strip<V, R, W>(o, j);
   for (; j + kLanes <= n; j += kLanes) bots_strip<V, S, 1>(o, j);
-  for (; j < n; ++j) bots_strip<double, S, 1>(o, j);
+  bots_tail<Bytes / 2, S>(o, j);
 }
 
 // Tile shapes measured on a 4-vCPU AVX-512 Xeon VM at the leaf sizes

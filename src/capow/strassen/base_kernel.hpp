@@ -6,8 +6,9 @@
 // it keeps a strip of C sums in registers for the whole k loop and stores
 // them once: an R-row x W-vector tile of accumulators, fed by the two B
 // row segments of each 2-way-unrolled p pair, loaded once and shared by
-// the R rows. Leftover columns take one-vector strips, and the last
-// fewer-than-vector-width columns a scalar strip of the same body. It is
+// the R rows. Leftover columns take one-vector strips, then the last
+// fewer-than-vector-width columns strips on narrower vectors, and at
+// most one column a scalar strip, all of the same body. It is
 // deliberately *not* the packed Goto kernel — no packing, no FMA —
 // because the whole point of the paper's comparison is that the Strassen
 // implementations run on a far less efficient base multiplier than the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "capow/linalg/ops.hpp"
 #include "capow/strassen/scheme.hpp"
 #include "capow/strassen/strassen.hpp"
 
@@ -14,11 +13,11 @@ namespace model {
 
 Geometry geometry(std::size_t n, std::size_t cutoff) {
   Geometry g;
-  g.n_input = n;
-  g.n = linalg::pad_dimension_for_recursion(n, cutoff);
-  g.padded = g.n != n;
-  g.levels = recursion_levels(g.n, cutoff);
-  g.base_dim = g.n >> g.levels;
+  g.n = n;
+  g.m = peel_dimension(n, cutoff);
+  g.p = n - g.m;
+  g.levels = recursion_levels(g.m, cutoff);
+  g.base_dim = g.m >> g.levels;
   return g;
 }
 
@@ -28,13 +27,22 @@ double pow7(std::size_t l) {
   return v;
 }
 
-double padding_traffic(const Geometry& g) {
-  if (!g.padded) return 0.0;
-  const double n2 = static_cast<double>(g.n_input) * g.n_input;
-  const double p2 = static_cast<double>(g.n) * g.n;
-  // Pad A and B (read n^2 each, write padded^2 each) plus the counted
-  // copy-back of the n^2 result block (read + write).
-  return (2.0 * n2 + 2.0 * p2 + 2.0 * n2) * kWord;
+double border_flops(const Geometry& g) {
+  const double n = static_cast<double>(g.n);
+  const double m = static_cast<double>(g.m);
+  return 2.0 * (n * n * n - m * m * m);
+}
+
+double border_traffic(const Geometry& g) {
+  if (g.p == 0) return 0.0;
+  const double n = static_cast<double>(g.n);
+  const double m = static_cast<double>(g.m);
+  const double p = static_cast<double>(g.p);
+  // Each product reads its two operands and writes its result once:
+  // C11 += A12 B21, C[:, m:] = A B[:, m:], C[m:, :m] = A[m:, :] B[:, :m].
+  return ((2.0 * m * p + m * m) + (n * n + 2.0 * n * p) +
+          (p * n + n * m + p * m)) *
+         kWord;
 }
 
 double static_imbalance(double units, unsigned p) {
@@ -44,9 +52,9 @@ double static_imbalance(double units, unsigned p) {
 }
 
 bool add_entry_phases(sim::WorkProfile& wp, const Geometry& g,
-                      std::size_t cutoff) {
+                      std::size_t cutoff, unsigned threads) {
   if (g.n <= cutoff) {
-    const double d = static_cast<double>(g.n_input);
+    const double d = static_cast<double>(g.n);
     wp.add(sim::PhaseCost{
         .label = "base-gemm",
         .flops = 2.0 * d * d * d,
@@ -56,13 +64,16 @@ bool add_entry_phases(sim::WorkProfile& wp, const Geometry& g,
     });
     return true;
   }
-  if (g.padded) {
+  if (g.p > 0) {
     wp.add(sim::PhaseCost{
-        .label = "padding",
-        .flops = 0.0,
-        .dram_bytes = padding_traffic(g),
+        .label = "border",
+        .flops = border_flops(g),
+        .dram_bytes = border_traffic(g),
         .parallelism = 1,
-        .efficiency = 1.0,
+        .efficiency = kBotsBaseKernelEfficiency,
+        // run_frame's fan-out: the recursion and two border products.
+        .sync_events = threads > 1 ? 1u : 0u,
+        .spawn_events = threads > 1 ? 3u : 0u,
     });
   }
   return false;
@@ -87,14 +98,10 @@ std::size_t combine_ops(bool winograd) {
 
 double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  if (g.n <= opts.base_cutoff) {
-    const double d = static_cast<double>(n);
-    return 2.0 * d * d * d;
-  }
   const std::size_t ops = operand_ops(opts.winograd) + combine_ops(opts.winograd);
-  double flops = 0.0;
+  double flops = border_flops(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     flops += pow7(l) * static_cast<double>(ops) * h * h;
   }
   const double b = static_cast<double>(g.base_dim);
@@ -105,14 +112,10 @@ double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
 double strassen_total_traffic_bytes(std::size_t n,
                                     const StrassenCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  if (g.n <= opts.base_cutoff) {
-    const double d = static_cast<double>(n);
-    return 3.0 * d * d * kWord;  // base_gemm: read A, B; write C
-  }
   const std::size_t ops = operand_ops(opts.winograd) + combine_ops(opts.winograd);
-  double bytes = padding_traffic(g);
+  double bytes = border_traffic(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     bytes += pow7(l) * static_cast<double>(ops) * 3.0 * h * h * kWord;
   }
   const double b = static_cast<double>(g.base_dim);
@@ -154,7 +157,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
     const bool dram =
         (3.0 * elems * kWord * window > llc) ||
         (first_level &&
-         3.0 * static_cast<double>(g.n) * g.n * kWord > llc);
+         3.0 * static_cast<double>(g.m) * g.m * kWord > llc);
     wp.add(sim::PhaseCost{
         .label = label,
         .flops = flops,
@@ -166,14 +169,14 @@ sim::WorkProfile strassen_profile(std::size_t n,
     });
   };
 
-  if (add_entry_phases(wp, g, opts.base_cutoff)) return wp;
+  if (add_entry_phases(wp, g, opts.base_cutoff, threads)) return wp;
 
   // Operand-sum phases, outermost level first. Classic Strassen computes
   // each product's operands inside the spawned child task (concurrency =
   // children of this level); Winograd forms S/T in the parent node.
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double nodes = pow7(l);
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const double conc_d = opts.winograd ? nodes : nodes * 7.0;
     const unsigned conc = static_cast<unsigned>(
         std::min<double>(conc_d, spec.core_count));
@@ -221,7 +224,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
   // unwinds). Executed in the owning node's task: concurrency = nodes.
   for (std::size_t l = g.levels; l-- > 0;) {
     const double nodes = pow7(l);
-    const double h = static_cast<double>(g.n >> (l + 1));
+    const double h = static_cast<double>(g.m >> (l + 1));
     const unsigned conc = static_cast<unsigned>(
         std::min<double>(std::max(nodes, 1.0), spec.core_count));
     add_phase("combine@L" + std::to_string(l),

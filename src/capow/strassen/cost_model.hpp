@@ -1,12 +1,14 @@
 // Closed-form cost model for task-parallel Strassen.
 //
-// Mirrors strassen.cpp's recursion exactly: per level l (7^l nodes of
-// dimension n/2^l), classic Strassen performs the operand and combine
-// additions of the scheme table (scheme.hpp: 10 + 8) per node on
-// (n/2^(l+1))^2 quadrants (Winograd: 8 + 7), then 7^L base products of
-// the cutoff dimension. Raw flop and traffic
-// totals match the instrumentation byte-for-byte (tests assert equality);
-// the DRAM-vs-cache split and the phase list feed the simulator.
+// Mirrors strassen.cpp's recursion exactly on the peeled dimension m
+// (peel_dimension): per level l (7^l nodes of dimension m/2^l), classic
+// Strassen performs the operand and combine additions of the scheme
+// table (scheme.hpp: 10 + 8) per node on (m/2^(l+1))^2 quadrants
+// (Winograd: 8 + 7), then 7^L base products of the cutoff dimension,
+// plus run_frame's three border products when n > m. Raw flop and
+// traffic totals match the instrumentation byte-for-byte (tests assert
+// equality); the DRAM-vs-cache split and the phase list feed the
+// simulator.
 #pragma once
 
 #include <cstddef>
@@ -49,12 +51,12 @@ struct StrassenCostOptions {
   bool untied_task_interleaving = true;
 };
 
-/// Total flops strassen::multiply() executes for dimension n (including
-/// zero-padding effects when n is not base*2^k).
+/// Total flops strassen::multiply() executes for dimension n: the
+/// recursion on the peeled dimension plus the border products.
 double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts);
 
 /// Total logical traffic (bytes) the instrumentation counts for
-/// strassen::multiply() at dimension n, including padding copies.
+/// strassen::multiply() at dimension n, border products included.
 double strassen_total_traffic_bytes(std::size_t n,
                                     const StrassenCostOptions& opts);
 
@@ -72,11 +74,11 @@ namespace model {
 inline constexpr double kWord = sizeof(double);
 
 struct Geometry {
-  std::size_t n_input;   ///< caller's dimension
-  std::size_t n;         ///< padded dimension actually recursed on
-  std::size_t levels;    ///< recursion levels
+  std::size_t n;         ///< caller's dimension
+  std::size_t m;         ///< leading dimension the recursion runs on
+  std::size_t p;         ///< border rows and columns, n - m
+  std::size_t levels;    ///< recursion levels on m
   std::size_t base_dim;  ///< dimension of base-case products
-  bool padded;
 };
 
 Geometry geometry(std::size_t n, std::size_t cutoff);
@@ -84,18 +86,24 @@ Geometry geometry(std::size_t n, std::size_t cutoff);
 /// 7^l as a double.
 double pow7(std::size_t l);
 
-/// Bytes the zero-padding entry path moves (0 when not padded).
-double padding_traffic(const Geometry& g);
+/// Flops of the three border base products, 2(n^3 - m^3).
+double border_flops(const Geometry& g);
+
+/// Bytes the border base products move under base_gemm's convention
+/// (operands read, result written once; 0 without a border).
+double border_traffic(const Geometry& g);
 
 /// Worst-per-worker over evenly distributed units: ceil(u/p)*p/u,
 /// capped at 4.
 double static_imbalance(double units, unsigned p);
 
-/// Adds the phases ahead of the recursion: the whole multiply as one
+/// Adds the phases outside the recursion: the whole multiply as one
 /// BOTS base case when n is at or below the cutoff — then returns true,
-/// as nothing else runs — else the zero-padding copies, if any.
+/// as nothing else runs — else the border products, if any. On more than
+/// one thread two of them run as tasks beside the recursion; the phase
+/// counts those spawns but, phases being sequential, not the overlap.
 bool add_entry_phases(sim::WorkProfile& wp, const Geometry& g,
-                      std::size_t cutoff);
+                      std::size_t cutoff, unsigned threads);
 
 }  // namespace model
 

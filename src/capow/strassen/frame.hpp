@@ -1,7 +1,7 @@
 // The frame strassen::multiply and capsalg::multiply share around their
 // recursions: argument validation, base-kernel resolution, the dense
-// base case, zero-padding to a recursion-friendly dimension, the
-// end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
+// base case, peeling a border off a size that does not halve evenly,
+// the end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
 // the spawn-or-inline fan-out of sibling work, and the one classic step
 // every Strassen node and CAPS BFS step runs, serially or on a pool,
 // guarded or not.
@@ -24,8 +24,8 @@
 #include "capow/blas/workspace.hpp"
 #include "capow/fault/fault.hpp"
 #include "capow/linalg/matrix.hpp"
-#include "capow/linalg/ops.hpp"
 #include "capow/linalg/partition.hpp"
+#include "capow/strassen/base_kernel.hpp"
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/scheme.hpp"
 #include "capow/strassen/strassen.hpp"
@@ -252,32 +252,40 @@ void classic_step(const Frame& f, const char* label, std::uint64_t site,
       [](int, linalg::MatrixView) {}, CountedOps{});
 }
 
-/// Runs root(a', b', c', salt) end to end: on the operands themselves
-/// when n is already base*2^k, else on zero-padded copies whose product's
-/// top-left n x n block is A*B. Then the final-result mem.flip site,
-/// keyed (result_site, salt) — only the end-to-end guard sees it. With
-/// ABFT on, that guard checks C and, in correct mode, re-runs the whole
-/// computation under a fresh salt, up to the frame's retry bound.
+/// Runs root(a', b', c', salt) end to end on the leading m x m blocks
+/// of the operands, m = peel_dimension(n, cutoff), which halve evenly
+/// down to the base case. A border of p = n - m < 2^L rows and columns
+/// takes three BOTS base products, 2(n^3 - m^3) flops, no copies and no
+/// leases: C[:, m:] = A B[:, m:] and C[m:, :m] = A[m:, :] B[:, :m] beside
+/// root (on a pool, as tasks next to it), then C11 += A12 B21. Then the
+/// final-result mem.flip site, keyed (result_site, salt) — only the
+/// end-to-end guard sees it. With ABFT on, that guard checks C and, in
+/// correct mode, re-runs the whole computation under a fresh salt, up to
+/// the frame's retry bound.
 template <typename Root>
 void run_frame(const Frame& f, std::uint64_t result_site,
                linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                linalg::MatrixView c, Root&& root) {
   const std::size_t n = a.rows();
+  const std::size_t m = peel_dimension(n, f.base_cutoff);
+  const std::size_t p = n - m;
   const auto compute = [&](std::uint64_t salt) {
-    const std::size_t padded =
-        linalg::pad_dimension_for_recursion(n, f.base_cutoff);
-    if (padded == n) {
+    if (p == 0) {
       root(a, b, c, salt);
     } else {
-      blas::ArenaMatrix ap(*f.arena, padded, padded);
-      blas::ArenaMatrix bp(*f.arena, padded, padded);
-      blas::ArenaMatrix cp(*f.arena, padded, padded);
-      linalg::copy_padded(a, ap.view());
-      linalg::copy_padded(b, bp.view());
-      trace::count_dram_read(2 * n * n * sizeof(double));
-      trace::count_dram_write(2 * padded * padded * sizeof(double));
-      root(ap.cview(), bp.cview(), cp.view(), salt);
-      counted_copy(cp.view().block(0, 0, n, n), c);
+      // The three writes are disjoint, and root reads only A11 and B11.
+      const linalg::MatrixView c11 = c.block(0, 0, m, m);
+      fan_out(f.workers(), 3, [&](int k) {
+        if (k == 0) {
+          root(a.block(0, 0, m, m), b.block(0, 0, m, m), c11, salt);
+        } else if (k == 1) {
+          base_gemm(a, b.block(0, m, n, p), c.block(0, m, n, p));
+        } else {
+          base_gemm(a.block(m, 0, p, n), b.block(0, 0, n, m),
+                    c.block(m, 0, p, m));
+        }
+      });
+      base_gemm_accumulate(a.block(0, m, m, p), b.block(m, 0, p, m), c11);
     }
     if (f.flips) {
       abft::inject_flip(fault::Site::kMemFlip, fault::key(result_site, salt),

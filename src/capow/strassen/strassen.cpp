@@ -123,6 +123,13 @@ std::size_t recursion_levels(std::size_t n, std::size_t base_cutoff) {
   return levels;
 }
 
+std::size_t peel_dimension(std::size_t n, std::size_t base_cutoff) {
+  const std::size_t levels = recursion_levels(n, base_cutoff);
+  const std::size_t m = n - n % (std::size_t{1} << levels);
+  // n > cutoff * 2^(levels-1), so m >= 2^levels unless the cutoff is 1.
+  return m != 0 || levels == 0 ? m : std::size_t{1} << (levels - 1);
+}
+
 void multiply(ConstMatrixView a, ConstMatrixView b, MatrixView c,
               const StrassenOptions& opts, tasking::ThreadPool* pool) {
   const Ctx ctx{open_frame("strassen::multiply", a, b, c, opts.base_cutoff,

@@ -41,8 +41,8 @@ struct StrassenOptions {
   std::size_t base_cutoff = 64;
   /// Use the Winograd 15-addition variant instead of classic Strassen.
   bool winograd = false;
-  /// Pool backing every quadrant temporary (operand sums, the seven
-  /// product buffers, padding copies); null leases from
+  /// Pool backing every quadrant temporary (operand sums and product
+  /// buffers); null leases from
   /// blas::active_arena() (the dispatched backend's device pool, or the
   /// process arena outside any backend scope). After one warm-up
   /// multiply the recursion performs no heap allocation.
@@ -63,9 +63,10 @@ struct StrassenOptions {
 
 /// C = A * B for square matrices via task-parallel Strassen.
 ///
-/// Any n >= 1 is accepted: inputs are padded up to the nearest
-/// base * 2^k dimension when necessary (zero-padding preserves the
-/// product). `pool` may be null for serial execution. Throws
+/// Any n >= 1 is accepted: the recursion runs on the leading m x m
+/// blocks, m = peel_dimension(n, base_cutoff), and the border n - m rows
+/// and columns are folded in by dense base products, without copying the
+/// operands. `pool` may be null for serial execution. Throws
 /// std::invalid_argument for non-square inputs, shape mismatches, or a
 /// zero base_cutoff.
 void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
@@ -79,9 +80,15 @@ void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 const blas::MicroKernel* resolve_base_kernel(
     std::optional<blas::MicroKernelId> requested);
 
-/// Number of recursion levels multiply() executes for dimension n
-/// (0 when n <= cutoff): levels until the padded dimension reaches the
-/// base case.
+/// Levels of halving, rounding up, that bring n down to the cutoff (0
+/// when n <= cutoff).
 std::size_t recursion_levels(std::size_t n, std::size_t base_cutoff);
+
+/// The leading dimension m <= n the Strassen family recurses on: with
+/// L = recursion_levels(n, base_cutoff), m = n - n mod 2^L, so m halves
+/// evenly down to its base case, m / 2^L <= base_cutoff and the border
+/// n - m is below 2^L. (At cutoff 1, where n - n mod 2^L can be 0, m is
+/// the largest power of two <= n instead.)
+std::size_t peel_dimension(std::size_t n, std::size_t base_cutoff);
 
 }  // namespace capow::strassen

@@ -73,7 +73,7 @@ TEST(Integration, MeasuredProfileThroughSimulatorGivesFiniteRun) {
 }
 
 TEST(Integration, MeasuredFlopsTrackAnalyticModelAcrossAlgorithms) {
-  const std::size_t n = 160;  // padded by the Strassen family
+  const std::size_t n = 160;  // 20 * 2^3: halves evenly at cutoff 32
   Matrix a = random_matrix(n, n, 5), b = random_matrix(n, n, 6);
   Matrix c(n, n);
 

@@ -20,6 +20,7 @@
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/strassen.hpp"
+#include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
 
 namespace capow::blas {
@@ -512,6 +513,35 @@ TEST(Workspace, SizeClassesShareBuffers) {
   EXPECT_EQ(s.allocated_bytes, 4096u);
 }
 
+// On a miss no idle buffer is large enough, so a miss while nothing is
+// leased frees them all: after a small lease and a larger miss only the
+// large buffer stays pooled, and it serves the small size again by best
+// fit.
+TEST(Workspace, MissFreesIdleBuffersTooSmallForIt) {
+  WorkspaceArena arena;
+  arena.acquire(5000);  // released immediately: one idle 40 KB buffer
+  WorkspaceCheckout held = arena.acquire(90000);
+  ASSERT_TRUE(held.valid());
+  EXPECT_EQ(arena.stats().misses, 2u);
+  EXPECT_EQ(arena.stats().pooled_bytes, 0u);
+  held.release();
+  EXPECT_EQ(arena.stats().pooled_bytes, 176 * kArenaClassBytes);  // 720000 B
+  arena.acquire(5000);
+  EXPECT_EQ(arena.stats().hits, 1u);
+  EXPECT_EQ(arena.stats().misses, 2u);
+}
+
+// A miss while another lease is out frees nothing: on a pool that lease
+// is a sibling task's, whose next lease may be the idle buffer's size.
+TEST(Workspace, MissWhileLeasedKeepsIdleBuffers) {
+  WorkspaceArena arena;
+  const WorkspaceCheckout held = arena.acquire(1000);
+  arena.acquire(5000);  // released immediately: one idle 40 KB buffer
+  const WorkspaceCheckout big = arena.acquire(90000);
+  EXPECT_EQ(arena.stats().misses, 3u);
+  EXPECT_EQ(arena.stats().pooled_bytes, 10 * kArenaClassBytes);
+}
+
 TEST(Workspace, TrimDropsIdleBuffers) {
   WorkspaceArena arena;
   arena.acquire(5000);
@@ -604,21 +634,53 @@ TEST(Workspace, AbftGuardedGemmAllocatesNothingWhenWarm) {
   EXPECT_EQ(warm.hits - cold.hits, warm.acquires - cold.acquires);
 }
 
+// At cutoff 32, n = 160 = 20 * 2^3 halves evenly; n = 161 recurses on
+// its leading 160 block and folds in a one-wide border.
 TEST(Workspace, StrassenRecursionAllocatesNothingWhenWarm) {
+  for (const std::size_t n : {160u, 161u}) {
+    WorkspaceArena arena;
+    Matrix a = random_matrix(n, n, 3), b = random_matrix(n, n, 4);
+    Matrix c(n, n);
+    strassen::StrassenOptions opts;
+    opts.base_cutoff = 32;
+    opts.arena = &arena;
+    strassen::multiply(a.view(), b.view(), c.view(), opts);  // warm-up
+    const ArenaStats cold = arena.stats();
+    strassen::multiply(a.view(), b.view(), c.view(), opts);
+    const ArenaStats warm = arena.stats();
+    EXPECT_EQ(warm.misses, cold.misses)
+        << "strassen recursion allocated on the warm rerun, n=" << n;
+    EXPECT_EQ(warm.allocated_bytes, cold.allocated_bytes) << "n=" << n;
+  }
+}
+
+// Strassen at 520, 769 and 1024 in ascending order on one arena: each
+// larger shape's first lease misses while nothing is leased and frees
+// the smaller shapes' idle buffers, so the pool ends no larger than the
+// 1024 call's own working set, and a second pass over the three shapes
+// allocates nothing. The border leases nothing, so a packed base kernel
+// (CAPOW_KERNEL) keeps this too.
+TEST(Workspace, AscendingStrassenShapesPoolOnlyTheLargestWorkingSet) {
+  const auto run = [](WorkspaceArena& arena, std::size_t n) {
+    const Matrix a = random_matrix(n, n, 11), b = random_matrix(n, n, 12);
+    Matrix c(n, n);
+    strassen::StrassenOptions opts;
+    opts.arena = &arena;
+    opts.abft.mode = abft::AbftMode::kOff;
+    strassen::multiply(a.view(), b.view(), c.view(), opts);
+  };
+  WorkspaceArena fresh;
+  run(fresh, 1024);
+  const std::uint64_t largest = fresh.stats().peak_outstanding_bytes;
+
   WorkspaceArena arena;
-  const std::size_t n = 160;  // padded: exercises the pad path too
-  Matrix a = random_matrix(n, n, 3), b = random_matrix(n, n, 4);
-  Matrix c(n, n);
-  strassen::StrassenOptions opts;
-  opts.base_cutoff = 32;
-  opts.arena = &arena;
-  strassen::multiply(a.view(), b.view(), c.view(), opts);  // warm-up
-  const ArenaStats cold = arena.stats();
-  strassen::multiply(a.view(), b.view(), c.view(), opts);
-  const ArenaStats warm = arena.stats();
-  EXPECT_EQ(warm.misses, cold.misses)
-      << "strassen recursion allocated on the warm rerun";
-  EXPECT_EQ(warm.allocated_bytes, cold.allocated_bytes);
+  for (const std::size_t n : {520u, 769u, 1024u}) run(arena, n);
+  EXPECT_LE(arena.stats().pooled_bytes, largest);
+
+  arena.reset_stats();
+  for (const std::size_t n : {520u, 769u, 1024u}) run(arena, n);
+  EXPECT_EQ(arena.stats().misses, 0u);
+  EXPECT_LE(arena.stats().pooled_bytes, largest);
 }
 
 TEST(Workspace, CapsTraversalAllocatesNothingWhenWarm) {
@@ -637,6 +699,49 @@ TEST(Workspace, CapsTraversalAllocatesNothingWhenWarm) {
   EXPECT_EQ(warm.misses, cold.misses)
       << "CAPS traversal allocated on the warm rerun";
   EXPECT_EQ(warm.allocated_bytes, cold.allocated_bytes);
+}
+
+// On a pool, sibling products lease in the order they are scheduled,
+// which changes from run to run, so a warm rerun can still meet a
+// moment that needs one more buffer of some size than any run before
+// it (the never-freeing arena did too). Such a miss frees nothing, as a
+// lease is out: across reruns of one shape the pool never shrinks, so
+// it covers more schedules each time, and soon a rerun allocates
+// nothing. Had a miss emptied the pool, each one would set off more.
+TEST(Workspace, PooledRecursionsStopMissingWhenWarm) {
+  tasking::ThreadPool pool(4);
+  for (const bool caps : {false, true}) {
+    for (const std::size_t n : {161u, 769u}) {
+      WorkspaceArena arena;
+      const Matrix a = random_matrix(n, n, 13), b = random_matrix(n, n, 14);
+      Matrix c(n, n);
+      const auto run = [&] {
+        if (caps) {
+          capsalg::CapsOptions opts;
+          opts.arena = &arena;
+          opts.abft.mode = abft::AbftMode::kOff;
+          capsalg::multiply(a.view(), b.view(), c.view(), opts, &pool);
+        } else {
+          strassen::StrassenOptions opts;
+          opts.arena = &arena;
+          opts.abft.mode = abft::AbftMode::kOff;
+          strassen::multiply(a.view(), b.view(), c.view(), opts, &pool);
+        }
+      };
+      const std::string what = std::string(caps ? "caps" : "strassen") +
+                               " n=" + std::to_string(n);
+      run();
+      bool settled = false;
+      for (int rerun = 0; rerun < 8 && !settled; ++rerun) {
+        const ArenaStats before = arena.stats();
+        run();
+        const ArenaStats after = arena.stats();
+        EXPECT_GE(after.pooled_bytes, before.pooled_bytes) << what;
+        settled = after.misses == before.misses;
+      }
+      EXPECT_TRUE(settled) << what << ": eight warm reruns all allocated";
+    }
+  }
 }
 
 TEST(SmallGemm, MatchesReferenceAndCountsExactly) {

@@ -130,21 +130,6 @@ TEST(Ops, RelativeError) {
   EXPECT_EQ(relative_error(z.view(), z.view()), 0.0);
 }
 
-TEST(Ops, CopyPaddedZeroFillsBorder) {
-  Matrix src(2, 2, 5.0);
-  Matrix dst(4, 4, 9.0);
-  copy_padded(src.view(), dst.view());
-  EXPECT_EQ(dst(1, 1), 5.0);
-  EXPECT_EQ(dst(0, 2), 0.0);
-  EXPECT_EQ(dst(3, 3), 0.0);
-  EXPECT_EQ(dst(2, 0), 0.0);
-}
-
-TEST(Ops, CopyPaddedRejectsShrinking) {
-  Matrix src(3, 3), dst(2, 4);
-  EXPECT_THROW(copy_padded(src.view(), dst.view()), std::invalid_argument);
-}
-
 TEST(Ops, RoundUp) {
   EXPECT_EQ(round_up(0, 4), 0u);
   EXPECT_EQ(round_up(1, 4), 4u);

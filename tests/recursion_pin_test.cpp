@@ -72,25 +72,28 @@ struct Pin {
   capsalg::CapsStats caps;  ///< serial; zero for Strassen
 };
 
+// n = 520, 641 and 769 recurse on their leading 512, 640 and 768 blocks
+// and fold the border in with three base products (strassen::run_frame);
+// on the pool the recursion and two of them run as three more tasks.
 // clang-format off
 constexpr Pin kPins[] = {
-    {"strassen", AlgorithmId::kStrassen, false, 520, 0x5eee6e0e05cb3eb5ull,
-     {{186584904ull, 272571504ull, 139664696ull, 0, 0},
-      {186584904ull, 272571504ull, 139664696ull, 0, 0},
-      {186584904ull, 272571504ull, 139664696ull, 399, 57},
-      {186584904ull, 272571504ull, 139664696ull, 399, 57}},
+    {"strassen", AlgorithmId::kStrassen, false, 520, 0x1d10c11d81283931ull,
+     {{199468032ull, 136611328ull, 68256256ull, 0, 0},
+      {199468032ull, 136611328ull, 68256256ull, 0, 0},
+      {199468032ull, 136611328ull, 68256256ull, 402, 58},
+      {199468032ull, 136611328ull, 68256256ull, 402, 58}},
      {}},
-    {"caps", AlgorithmId::kCaps, false, 641, 0x4316f08400ddec10ull,
-     {{352593112ull, 459051240ull, 253998112ull, 0, 0},
-      {352593112ull, 459051240ull, 253998112ull, 0, 0},
-      {352593112ull, 459051240ull, 253998112ull, 399, 57},
-      {352593112ull, 459051240ull, 253998112ull, 399, 57}},
-     {34332744ull, 400, 0, 2401}},
-    {"strassen", AlgorithmId::kStrassen, false, 769, 0x17f7cc0521e537c7ull,
-     {{595851368ull, 600843400ull, 307890752ull, 0, 0},
-      {595851368ull, 600843400ull, 307890752ull, 0, 0},
-      {595851368ull, 600843400ull, 307890752ull, 399, 57},
-      {595851368ull, 600843400ull, 307890752ull, 399, 57}},
+    {"caps", AlgorithmId::kCaps, false, 641, 0x98e3ca588c14a866ull,
+     {{330381442ull, 434135064ull, 235363848ull, 0, 0},
+      {330381442ull, 434135064ull, 235363848ull, 0, 0},
+      {330381442ull, 434135064ull, 235363848ull, 402, 58},
+      {330381442ull, 434135064ull, 235363848ull, 402, 58}},
+     {22848000ull, 400, 0, 2401}},
+    {"strassen", AlgorithmId::kStrassen, false, 769, 0xbd08b1e4be7de699ull,
+     {{564258818ull, 572430360ull, 286205960ull, 0, 0},
+      {564258818ull, 572430360ull, 286205960ull, 0, 0},
+      {564258818ull, 572430360ull, 286205960ull, 402, 58},
+      {564258818ull, 572430360ull, 286205960ull, 402, 58}},
      {}},
     {"caps", AlgorithmId::kCaps, false, 896, 0x18febcd4bed244eaull,
      {{883668352ull, 837989376ull, 454870528ull, 0, 0},
@@ -104,11 +107,11 @@ constexpr Pin kPins[] = {
       {1311531008ull, 1000800256ull, 500400128ull, 399, 57},
       {1311531008ull, 1000800256ull, 500400128ull, 399, 57}},
      {}},
-    {"winograd", AlgorithmId::kStrassen, true, 520, 0x42707011905b5633ull,
-     {{184248999ull, 235197024ull, 120977456ull, 0, 0},
-      {184248999ull, 235197024ull, 120977456ull, 0, 0},
-      {184248999ull, 235197024ull, 120977456ull, 399, 57},
-      {184248999ull, 235197024ull, 120977456ull, 399, 57}},
+    {"winograd", AlgorithmId::kStrassen, true, 520, 0xdf832ac14e9935c5ull,
+     {{198325248ull, 118326784ull, 59113984ull, 0, 0},
+      {198325248ull, 118326784ull, 59113984ull, 0, 0},
+      {198325248ull, 118326784ull, 59113984ull, 402, 58},
+      {198325248ull, 118326784ull, 59113984ull, 402, 58}},
      {}},
 };
 // clang-format on

@@ -40,10 +40,14 @@ TEST(StrassenProfile, PhaseStructure) {
   EXPECT_EQ(wp.phases[6].label, "combine@L0");
 }
 
-TEST(StrassenProfile, PaddedDimensionAddsPaddingPhase) {
+// 500 peels to 496 = 62 * 2^3: the four border rows and columns cost
+// 2(500^3 - 496^3) flops in one serial "border" phase.
+TEST(StrassenProfile, BorderAddsBorderPhase) {
   const auto wp = strassen_profile(500, kHaswell, 1);
   ASSERT_FALSE(wp.phases.empty());
-  EXPECT_EQ(wp.phases[0].label, "padding");
+  EXPECT_EQ(wp.phases[0].label, "border");
+  EXPECT_EQ(wp.phases[0].flops, 2.0 * (500.0 * 500 * 500 - 496.0 * 496 * 496));
+  EXPECT_EQ(wp.phases[0].parallelism, 1u);
 }
 
 TEST(StrassenProfile, BaseCaseOnlyBelowCutoff) {

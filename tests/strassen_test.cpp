@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,12 +104,16 @@ TEST(BotsKernel, MatchesBaselineLoopBitForBit) {
   struct Shape {
     std::size_t m, k, n;
   };
-  // fast_recursion's padded base sizes, a degenerate row/column and a
-  // ragged shape with an odd k.
-  const std::vector<Shape> shapes = {{33, 33, 33}, {41, 41, 41},
-                                     {49, 49, 49}, {56, 56, 56},
-                                     {64, 64, 64}, {1, 100, 1},
-                                     {130, 7, 65}};
+  // fast_recursion's base sizes, padded (33, 41, 49) and peeled (40,
+  // 48), with 56 and 64 common to both; widths whose last columns take
+  // the narrower-vector tail (36, 63, 15, 62); the border products'
+  // shapes (a k = 8 update of a leading block, one column, one row); a
+  // degenerate row/column and a ragged shape with an odd k.
+  const std::vector<Shape> shapes = {
+      {33, 33, 33}, {40, 40, 40}, {41, 41, 41}, {48, 48, 48},
+      {49, 49, 49}, {56, 56, 56}, {63, 63, 63}, {64, 64, 64},
+      {36, 36, 36}, {96, 8, 96},  {97, 97, 1},  {1, 97, 96},
+      {1, 100, 1},  {130, 7, 65}, {70, 70, 15}, {15, 70, 62}};
   for (const Shape& s : shapes) {
     const Matrix a = random_matrix(s.m, s.k, s.m + s.k);
     const Matrix b = random_matrix(s.k, s.n, s.k + s.n);
@@ -171,10 +176,11 @@ TEST(BotsKernel, EveryCloneMatchesBaselineLoopAtEveryTileEdge) {
 }
 
 // Every clone on the recursion's own leaves: quadrants of 2n x 2n
-// matrices at fast_recursion's padded base sizes.
+// matrices at fast_recursion's base sizes, padded and peeled, and at
+// widths with a narrower-vector tail (36, 63).
 TEST(BotsKernel, EveryCloneMatchesBaselineLoopOnQuadrants) {
   for (const detail::BotsClone& clone : detail::bots_clones()) {
-    for (std::size_t n : {33u, 41u, 49u, 56u, 64u}) {
+    for (std::size_t n : {33u, 36u, 40u, 41u, 48u, 49u, 56u, 63u, 64u}) {
       const Matrix src = random_matrix(2 * n, 2 * n, n);
       const Matrix out0 = random_matrix(2 * n, 2 * n, n + 1);
       for (bool accumulate : {false, true}) {
@@ -239,6 +245,57 @@ TEST(RecursionLevels, Formula) {
   EXPECT_EQ(recursion_levels(4096, 64), 6u);
   EXPECT_EQ(recursion_levels(4096, 512), 3u);
   EXPECT_THROW(recursion_levels(64, 0), std::invalid_argument);
+}
+
+// peel_dimension: with L = recursion_levels(n, base), m <= n,
+// m / 2^L <= base and the border n - m < 2^L; and m halves evenly all
+// the way down to its base case.
+class PeelDimensionTest
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+
+TEST_P(PeelDimensionTest, LeavesABorderBelowTwoToTheLevels) {
+  const auto [n, base] = GetParam();
+  const std::size_t m = peel_dimension(n, base);
+  const std::size_t levels = recursion_levels(n, base);
+  EXPECT_LE(m, n);
+  EXPECT_LE(m >> levels, base) << "m=" << m;
+  EXPECT_LT(n - m, std::size_t{1} << levels) << "m=" << m;
+  if (n > 0) {
+    EXPECT_GT(m, 0u);
+  }
+  for (std::size_t k = m; k > base; k /= 2) {
+    EXPECT_EQ(k % 2, 0u) << "m=" << m;
+  }
+  if (n <= base) {
+    EXPECT_EQ(m, n);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, PeelDimensionTest,
+    ::testing::Values(std::pair<std::size_t, std::size_t>{1, 64},
+                      std::pair<std::size_t, std::size_t>{64, 64},
+                      std::pair<std::size_t, std::size_t>{65, 64},
+                      std::pair<std::size_t, std::size_t>{100, 64},
+                      std::pair<std::size_t, std::size_t>{129, 64},
+                      std::pair<std::size_t, std::size_t>{131, 64},
+                      std::pair<std::size_t, std::size_t>{520, 64},
+                      std::pair<std::size_t, std::size_t>{641, 64},
+                      std::pair<std::size_t, std::size_t>{769, 64},
+                      std::pair<std::size_t, std::size_t>{1000, 64},
+                      std::pair<std::size_t, std::size_t>{4096, 64},
+                      std::pair<std::size_t, std::size_t>{100, 16},
+                      std::pair<std::size_t, std::size_t>{31, 8},
+                      std::pair<std::size_t, std::size_t>{7, 1},
+                      std::pair<std::size_t, std::size_t>{3, 1}));
+
+TEST(RecursionLevels, PeelDimensionOfFastRecursionSizes) {
+  EXPECT_EQ(peel_dimension(520, 64), 512u);
+  EXPECT_EQ(peel_dimension(641, 64), 640u);
+  EXPECT_EQ(peel_dimension(769, 64), 768u);
+  EXPECT_EQ(peel_dimension(896, 64), 896u);
+  EXPECT_EQ(peel_dimension(1024, 64), 1024u);
+  EXPECT_THROW(peel_dimension(10, 0), std::invalid_argument);
 }
 
 struct StrassenCase {
@@ -440,23 +497,27 @@ TEST(Strassen, SpawnsSevenTasksPerNode) {
 
 // A serial classic node runs scheme::kSchedule: one product temporary
 // plus at most two operand sums live per level, where evaluating
-// kCombine over seven product buffers kept nine.
+// kCombine over seven product buffers kept nine. Sizes that do not halve
+// evenly (769 = 768 + 1, 520 = 512 + 8) recurse on their leading block
+// in place and lease nothing for the border.
 TEST(Strassen, SerialFootprintIsThreeQuadrantsPerLevel) {
   if (resolve_base_kernel(std::nullopt) != nullptr) {
     GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
   }
-  const std::size_t n = 1024;
-  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
-  Matrix c(n, n);
-  blas::WorkspaceArena arena;
-  arena.reset_stats();
-  StrassenOptions opts;
-  opts.arena = &arena;
-  opts.abft.mode = abft::AbftMode::kOff;
-  multiply(a.view(), b.view(), c.view(), opts);
+  for (const std::size_t n : {1024u, 769u, 520u}) {
+    Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+    Matrix c(n, n);
+    blas::WorkspaceArena arena;
+    arena.reset_stats();
+    StrassenOptions opts;
+    opts.arena = &arena;
+    opts.abft.mode = abft::AbftMode::kOff;
+    multiply(a.view(), b.view(), c.view(), opts);
 
-  EXPECT_LE(arena.stats().peak_outstanding_bytes,
-            footprint::three_quadrants_per_level(n, opts.base_cutoff));
+    EXPECT_LE(arena.stats().peak_outstanding_bytes,
+              footprint::three_quadrants_per_level(n, opts.base_cutoff))
+        << "n=" << n;
+  }
 }
 
 }  // namespace
