@@ -35,10 +35,11 @@ void print_reproduction() {
     std::printf("%s", table.str().c_str());
   }
   std::printf(
-      "\nreading: deeper BFS buys parallel, pinned sub-trees (time falls,\n"
-      "then flattens once every level above the cache boundary is BFS)\n"
-      "at the cost of a geometrically growing buffer high-water mark —\n"
-      "the paper's depth-4 choice sits at the knee for its 4 GB node.\n");
+      "\nreading: one BFS level gives each of the 4 workers a pinned\n"
+      "sub-tree (ceil(log7 P) = 1), so time falls from depth 0 to 1 and\n"
+      "then stays flat: a deeper BFS level adds operand copies, not\n"
+      "parallelism, while the buffer high-water mark grows geometrically.\n"
+      "The paper's depth 4 still fits its 4 GB node.\n");
 }
 
 void BM_CapsRealCutoffDepth(benchmark::State& state) {

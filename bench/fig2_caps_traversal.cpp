@@ -35,7 +35,7 @@ void print_reproduction() {
     std::printf("  %5zu  %8.0f  %7zu  %-4s  %s\n", l, nodes, dim,
                 bfs ? "BFS" : "DFS",
                 bfs ? "7 sub-products in parallel, operands buffered"
-                    : "7 sub-products in sequence, all workers share each");
+                    : "7 sub-products in sequence on the owning worker");
     nodes *= 7.0;
   }
   std::printf("  %5zu  %8.0f  %7zu  base  dense kernel\n", levels, nodes,

@@ -1,7 +1,7 @@
 // Pooled packing/temporary workspaces for the matmul hot paths.
 //
 // Blocked GEMM packs a kc x nc B panel plus an mc x kc A block per
-// iteration; Strassen and the CAPS DFS base case additionally need
+// iteration; the Strassen and CAPS recursions additionally need
 // quadrant-sized temporaries at every recursion level. The seed
 // allocated all of these fresh on each call, which (a) costs
 // page-faulting mallocs on the hot path and (b) forfeits the LLC/L2

@@ -88,10 +88,6 @@ struct Tracer {
     touch(dst);
     logical_bytes += 2 * dst.elems() * kWord;
   }
-  void zero(const Region& dst) {
-    touch(dst);
-    logical_bytes += dst.elems() * kWord;
-  }
 
   // Base multiply, real access shape: per output row, stream the A row,
   // all of B, and the C row. Logical accounting keeps the
@@ -144,8 +140,9 @@ void replay_strassen(Tracer& t, RegionAllocator& heap, const Region& a,
 }
 
 /// CAPS: BFS levels materialize all 14 operands, then run the 7
-/// products, then combine; DFS levels zero C and stream each product
-/// into it through one live product buffer.
+/// products, then combine; DFS levels run the node schedule with one
+/// product temporary, forming each product's operand sums just before
+/// it, as the classic step does.
 void replay_caps(Tracer& t, RegionAllocator& heap, const Region& a,
                  const Region& b, const Region& c, std::size_t cutoff,
                  std::size_t bfs_depth, std::size_t depth) {
@@ -177,17 +174,18 @@ void replay_caps(Tracer& t, RegionAllocator& heap, const Region& a,
     return;
   }
 
-  t.zero(c);
-  const Region q = heap.alloc(h);
-  for (std::size_t i = 0; i < 7; ++i) {
-    const std::uint64_t pmark = heap.mark();
-    const scheme::Product& p = scheme::kProducts[i];
-    const Region lhs = scheme::operand(p.a, qa, temporary, t);
-    const Region rhs = scheme::operand(p.b, qb, temporary, t);
-    replay_caps(t, heap, lhs, rhs, q, cutoff, bfs_depth, depth + 1);
-    scheme::scatter(i, q, qc, t);
-    heap.release(pmark);
-  }
+  const Region temp = heap.alloc(h);
+  scheme::run_schedule(
+      qc, [&](int) { return temp; },
+      [&](int i, const Region& out) {
+        const std::uint64_t pmark = heap.mark();
+        const scheme::Product& p = scheme::kProducts[i];
+        const Region lhs = scheme::operand(p.a, qa, temporary, t);
+        const Region rhs = scheme::operand(p.b, qb, temporary, t);
+        replay_caps(t, heap, lhs, rhs, out, cutoff, bfs_depth, depth + 1);
+        heap.release(pmark);
+      },
+      t);
   heap.release(mark);
 }
 

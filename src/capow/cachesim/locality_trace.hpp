@@ -4,11 +4,14 @@
 //
 // This is the validation instrument for the cost models' central
 // approximation — the closed-form DRAM-vs-cache classification of
-// addition traffic. The trace walks the same operations in the same
-// order as the real implementations (operand sums, recursive products,
-// combines, base multiplies), with temporaries placed by a stack
-// allocator that mirrors the implementations' nested buffer lifetimes,
-// and asks the simulated hierarchy what actually missed to DRAM.
+// addition traffic. The trace walks the operations the implementations
+// perform (operand sums, recursive products, combines, base multiplies),
+// with temporaries placed by a stack allocator that mirrors nested
+// buffer lifetimes, and asks the simulated hierarchy what actually
+// missed to DRAM. The Strassen replay and CAPS's BFS levels keep the
+// textbook order (seven product buffers, then the combines, as the
+// paper's buffered BFS step does); CAPS's DFS levels replay the node
+// schedule the classic step runs (scheme::kSchedule).
 //
 // Conventions: logical_bytes uses the instrumentation's counting rules
 // (so it equals the cost models' raw traffic exactly — asserted in
@@ -48,7 +51,9 @@ LocalityReport strassen_locality(std::size_t n, std::size_t base_cutoff,
                                  const machine::MachineSpec& spec);
 
 /// Replays a serial CAPS multiply (BFS above `bfs_cutoff_depth`, DFS
-/// below) under the same rules.
+/// below) under the same rules: a BFS level materializes all fourteen
+/// operands before its products, a DFS level runs the node schedule
+/// with one product temporary.
 LocalityReport caps_locality(std::size_t n, std::size_t base_cutoff,
                              std::size_t bfs_cutoff_depth,
                              const machine::MachineSpec& spec);

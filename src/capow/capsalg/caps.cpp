@@ -1,13 +1,11 @@
 #include "capow/capsalg/caps.hpp"
 
 #include <atomic>
-#include <optional>
 
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/frame.hpp"
 #include "capow/strassen/scheme.hpp"
-#include "capow/tasking/parallel_for.hpp"
 #include "capow/telemetry/telemetry.hpp"
 
 namespace capow::capsalg {
@@ -16,7 +14,6 @@ namespace {
 
 using linalg::ConstMatrixView;
 using linalg::MatrixView;
-using strassen::CountedOps;
 namespace scheme = strassen::scheme;
 
 struct Ctx : strassen::Frame {
@@ -40,138 +37,63 @@ struct Ctx : strassen::Frame {
   }
 };
 
-/// An h x h DFS scratch matrix whose allocation is charged against the
-/// CAPS buffer high-water mark. Physical storage comes from the
-/// workspace arena; the *logical* charge stays the exact h*h*8 the cost
-/// model predicts, independent of arena size-class rounding or pool
-/// reuse.
-class TrackedMatrix {
- public:
-  TrackedMatrix(Ctx& ctx, std::size_t h)
-      : ctx_(&ctx), bytes_(h * h * sizeof(double)), m_(*ctx.arena, h, h) {
-    ctx_->track_alloc(bytes_);
-  }
-  ~TrackedMatrix() { ctx_->track_free(bytes_); }
-  TrackedMatrix(const TrackedMatrix&) = delete;
-  TrackedMatrix& operator=(const TrackedMatrix&) = delete;
-
-  MatrixView view() { return m_.view(); }
-  ConstMatrixView cview() const { return m_.view(); }
-
- private:
-  Ctx* ctx_;
-  std::uint64_t bytes_;
-  blas::ArenaMatrix m_;
-};
-
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
              std::size_t depth);
 
+/// Runs one CAPS step through the classic step every Strassen node runs
+/// (strassen::classic_step), its products fanned out on `workers` or run
+/// in sequence when that is null, while `buffers` h x h buffers are
+/// booked against the CAPS buffer high-water mark: the logical charge
+/// the cost model predicts, whatever the workspace arena leases. At the
+/// top level each product runs checksum-guarded, whichever traversal
+/// runs there, re-forming its operands from the pristine parent
+/// quadrants on a retry.
+void run_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
+              std::size_t depth, std::size_t buffers,
+              tasking::ThreadPool* workers) {
+  const std::size_t h = a.rows() / 2;
+  const std::uint64_t bytes = buffers * h * h * sizeof(double);
+  ctx.track_alloc(bytes);
+  strassen::classic_step(
+      ctx, "caps", 0xca95u, linalg::partition(a), linalg::partition(b),
+      linalg::partition(c), h, depth, workers,
+      [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
+        recurse(l, r, o, ctx, depth + 1);
+      });
+  ctx.track_free(bytes);
+}
+
 // ---- BFS level ----------------------------------------------------------
 //
-// A BFS step runs the classic step every Strassen node runs
-// (strassen::classic_step): serially the lean classic node, three
-// physical h x h buffers per level; on a pool, down to kTaskSpawnDepth,
-// the seven sub-products as tasks over the parent quadrants. At the top
-// level each product can run checksum-guarded, re-forming its operands
-// from the pristine parent quadrants on a retry. The step still books
-// the paper's buffered BFS as logical work: its 21 tracked buffers and
-// the copies of its single-quadrant operands here, its operand sums and
-// combine additions through the step's counted ops. So CapsStats and the
-// cost model keep describing the buffered step while the arena leases
-// what Strassen leases.
+// Serially a BFS step is the lean classic node, three physical h x h
+// buffers per level; on a pool, down to kTaskSpawnDepth, its seven
+// sub-products run as tasks over the parent quadrants. The step still
+// books the paper's buffered BFS as logical work: its 21 tracked
+// buffers and the copies of its single-quadrant operands here, its
+// operand sums and combine additions through the step's counted ops. So
+// CapsStats and the cost model keep describing the buffered step while
+// the arena leases what Strassen leases.
 void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
   ctx.bfs_nodes.fetch_add(1, std::memory_order_relaxed);
   const std::size_t h = a.rows() / 2;
-  const std::uint64_t buffers =
-      (scheme::kOperands + scheme::kProducts.size()) * h * h * sizeof(double);
-  ctx.track_alloc(buffers);
   strassen::count_copy(scheme::operand_copies() * h * h);
-  strassen::classic_step(
-      ctx, "caps", 0xca95u, linalg::partition(a), linalg::partition(b),
-      linalg::partition(c), h, depth,
-      [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
-        recurse(l, r, o, ctx, depth + 1);
-      });
-  ctx.track_free(buffers);
+  run_step(a, b, c, ctx, depth, scheme::kOperands + scheme::kProducts.size(),
+           ctx.product_workers(depth));
 }
 
 // ---- DFS level ----------------------------------------------------------
 //
-// The seven sub-products run in sequence; additions are work-shared
-// across all workers when the quadrants are large enough. Only one
-// product buffer is live at a time (the memory the BFS levels trade
-// away), with results streamed into C via in-place accumulation.
-
-/// The counted ops, work-shared over row blocks when the quadrants are
-/// large enough to pay for it.
-struct SharedOps {
-  Ctx& ctx;
-
-  template <typename Op, typename... Views>
-  void rows(Op&& op, MatrixView dst, Views... srcs) const {
-    const auto block = [](auto v, std::size_t lo, std::size_t hi) {
-      return v.block(lo, 0, hi - lo, v.cols());
-    };
-    const auto run = [&](std::size_t lo, std::size_t hi) {
-      op(block(srcs, lo, hi)..., block(dst, lo, hi));
-    };
-    if (ctx.workers() != nullptr &&
-        dst.rows() >= ctx.opts.dfs_parallel_threshold) {
-      tasking::parallel_for(*ctx.pool, 0, dst.rows(), run);
-      trace::count_sync();
-    } else {
-      run(0, dst.rows());
-    }
-  }
-  void binary(ConstMatrixView x, ConstMatrixView y, MatrixView dst,
-              bool subtract) const {
-    rows(
-        [subtract](auto a, auto b, auto d) {
-          CountedOps{}.binary(a, b, d, subtract);
-        },
-        dst, x, y);
-  }
-  void accumulate(MatrixView dst, ConstMatrixView src, bool subtract) const {
-    rows(
-        [subtract](auto s, auto d) {
-          CountedOps{}.accumulate(d, s, subtract);
-        },
-        dst, src);
-  }
-};
-
+// The seven sub-products run in sequence through the same lean node,
+// never as tasks: one product temporary plus the operand sums of the
+// product in flight are live, and that is what the step books.
 void dfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.dfs", "caps", "depth", depth, "n", a.rows());
   ctx.dfs_nodes.fetch_add(1, std::memory_order_relaxed);
-  const auto qa = linalg::partition(a);
-  const auto qb = linalg::partition(b);
-  const auto qc = linalg::partition(c);
-  const std::size_t h = a.rows() / 2;
-  const SharedOps ops{ctx};
-
-  c.zero();
-  trace::count_dram_write(c.size() * sizeof(double));
-
-  TrackedMatrix q(ctx, h);
-  for (int i = 0; i < 7; ++i) {
-    {
-      // This product's operands (transient temporaries only).
-      const scheme::Product& p = scheme::kProducts[i];
-      std::optional<TrackedMatrix> ta;
-      std::optional<TrackedMatrix> tb;
-      const ConstMatrixView lhs = scheme::operand(
-          p.a, qa, [&] { return ta.emplace(ctx, h).view(); }, ops);
-      const ConstMatrixView rhs = scheme::operand(
-          p.b, qb, [&] { return tb.emplace(ctx, h).view(); }, ops);
-      recurse(lhs, rhs, q.view(), ctx, depth + 1);
-    }
-    // Stream the product into the C quadrants it contributes to.
-    scheme::scatter(static_cast<std::size_t>(i), q.cview(), qc, ops);
-  }
+  run_step(a, b, c, ctx, depth, 1 + scheme::max_operand_temporaries(),
+           nullptr);
 }
 
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,

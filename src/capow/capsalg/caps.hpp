@@ -18,8 +18,10 @@
 //   as logical traffic and buffer bytes, so CapsStats and the cost model
 //   describe the paper's buffered BFS while the arena leases what
 //   Strassen leases.
-// * DFS level: the seven sub-products run in sequence, each fully
-//   work-shared across all participating workers.
+// * DFS level: the seven sub-products run in sequence through the same
+//   classic step, never as tasks. One product temporary and the operand
+//   sums of the product in flight are live, and a DFS step books just
+//   those three h x h buffers where a BFS step books the paper's 21.
 //
 // The paper's empirically chosen cutoff depth is 4; with a base cutoff
 // of 64, problems up to 4096^2 run BFS at the top levels and DFS below.
@@ -44,8 +46,6 @@ struct CapsOptions {
   /// Tree depth below which the traversal switches BFS -> DFS
   /// (paper: 4).
   std::size_t bfs_cutoff_depth = 4;
-  /// Minimum quadrant dimension for work-sharing the DFS additions.
-  std::size_t dfs_parallel_threshold = 256;
   /// Pool backing the BFS/DFS buffers (physical storage only — the
   /// CapsStats peak-buffer accounting still charges the logical sizes of
   /// the buffered BFS, so the cost-model cross-check stays exact, while
@@ -58,10 +58,10 @@ struct CapsOptions {
   /// microkernel (blas::small_gemm) instead of the BOTS-style kernel.
   std::optional<blas::MicroKernelId> base_kernel;
   /// ABFT protection (abft::resolve_mode semantics). Detect/correct add
-  /// per-product checksum verification at the top BFS level — a damaged
-  /// sub-product's operands are re-formed from the pristine parent
-  /// quadrants and it is re-run — plus an end-to-end guard with bounded
-  /// full retries.
+  /// per-product checksum verification at the top level, whether it runs
+  /// BFS or DFS — a damaged sub-product's operands are re-formed from the
+  /// pristine parent quadrants and it is re-run — plus an end-to-end
+  /// guard with bounded full retries.
   abft::AbftConfig abft{};
 };
 

@@ -14,49 +14,34 @@ using namespace strassen::model;
 namespace scheme = strassen::scheme;
 
 // Per-node op counts of the classic scheme as CAPS runs it (the units
-// are h^2 elements). A BFS node materializes every operand — sums and
-// single-quadrant copies alike — and combines the products once; a DFS
-// node forms only the operand sums, zero-fills its C quadrants and
-// accumulates each product into the quadrants that use it.
+// are h^2 elements): every node forms its operand sums and combines the
+// products once; a BFS node also books the copies of its single-quadrant
+// operands, as the paper's buffered step materializes every operand.
 constexpr double kSums = scheme::operand_additions();
 constexpr double kCopies = scheme::operand_copies();
 constexpr double kCombines = scheme::combine_additions();
-constexpr double kAccumulates = scheme::accumulations();
 constexpr double kQuadrants = scheme::kCombine.size();
 constexpr double kOperands = scheme::kOperands;
 constexpr std::uint64_t kProductTasks = scheme::kProducts.size();
 
 }  // namespace
 
+// Every CAPS node runs the classic step a Strassen node runs, so CAPS
+// counts Strassen's flops and bytes. A BFS node also books the copies of
+// its single-quadrant operands: 2 words per element and no flops.
 double caps_total_flops(std::size_t n, const CapsCostOptions& opts) {
-  const Geometry g = geometry(n, opts.base_cutoff);
-  double flops = border_flops(g);
-  for (std::size_t l = 0; l < g.levels; ++l) {
-    const double h = static_cast<double>(g.m >> (l + 1));
-    const bool bfs = l < opts.bfs_cutoff_depth;
-    const double ops = kSums + (bfs ? kCombines : kAccumulates);
-    flops += pow7(l) * ops * h * h;
-  }
-  const double b = static_cast<double>(g.base_dim);
-  flops += pow7(g.levels) * 2.0 * b * b * b;
-  return flops;
+  return strassen::strassen_total_flops(
+      n, strassen::StrassenCostOptions{.base_cutoff = opts.base_cutoff});
 }
 
 double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  double bytes = border_traffic(g);
-  for (std::size_t l = 0; l < g.levels; ++l) {
+  double bytes = strassen::strassen_total_traffic_bytes(
+      n, strassen::StrassenCostOptions{.base_cutoff = opts.base_cutoff});
+  for (std::size_t l = 0; l < std::min(g.levels, opts.bfs_cutoff_depth); ++l) {
     const double h = static_cast<double>(g.m >> (l + 1));
-    const bool bfs = l < opts.bfs_cutoff_depth;
-    // 3 words per element for a binary or in-place op, 2 per copy, 1 per
-    // zero-filled element.
-    const double words =
-        bfs ? kSums * 3.0 + kCopies * 2.0 + kCombines * 3.0
-            : kQuadrants + kSums * 3.0 + kAccumulates * 3.0;
-    bytes += pow7(l) * words * h * h * kWord;
+    bytes += pow7(l) * kCopies * 2.0 * h * h * kWord;
   }
-  const double b = static_cast<double>(g.base_dim);
-  bytes += pow7(g.levels) * 3.0 * b * b * kWord;
   return bytes;
 }
 
@@ -142,18 +127,11 @@ sim::WorkProfile caps_profile(std::size_t n,
                 static_cast<std::uint64_t>(nodes) *
                     (static_cast<std::uint64_t>(kOperands) + kProductTasks));
     } else {
-      const unsigned conc = h >= static_cast<double>(opts.dfs_parallel_threshold)
-                                ? p_cap
-                                : task_conc(l);
-      // Includes the node's C zero-fill (4h^2 words, no flops).
+      // A DFS node runs serially inside the task that owns it.
+      const unsigned conc = task_conc(l);
       add_phase("dfs-operands@L" + std::to_string(l),
-                nodes * kSums * elems,
-                nodes * (kSums * 3.0 + kQuadrants) * elems * kWord, conc,
-                dram_level(h, conc, l == 0), nodes * kSums,
-                h >= static_cast<double>(opts.dfs_parallel_threshold)
-                    ? static_cast<std::uint64_t>(nodes * kSums)
-                    : 0,
-                0);
+                nodes * kSums * elems, nodes * kSums * 3.0 * elems * kWord,
+                conc, dram_level(h, conc, l == 0), nodes * kSums, 0, 0);
     }
   }
 
@@ -200,17 +178,11 @@ sim::WorkProfile caps_profile(std::size_t n,
                 static_cast<std::uint64_t>(nodes),
                 static_cast<std::uint64_t>(nodes * kQuadrants));
     } else {
-      const unsigned conc = h >= static_cast<double>(opts.dfs_parallel_threshold)
-                                ? p_cap
-                                : task_conc(l);
-      add_phase("dfs-accumulate@L" + std::to_string(l),
-                nodes * kAccumulates * elems,
-                nodes * kAccumulates * 3.0 * elems * kWord, conc,
-                dram_level(h, conc, l == 0), nodes * kAccumulates,
-                h >= static_cast<double>(opts.dfs_parallel_threshold)
-                    ? static_cast<std::uint64_t>(nodes * kAccumulates)
-                    : 0,
-                0);
+      const unsigned conc = task_conc(l);
+      add_phase("dfs-combine@L" + std::to_string(l),
+                nodes * kCombines * elems,
+                nodes * kCombines * 3.0 * elems * kWord, conc,
+                dram_level(h, conc, l == 0), nodes * kCombines, 0, 0);
     }
   }
 

@@ -1,10 +1,11 @@
 // Closed-form cost model for CAPS, mirroring caps.cpp exactly.
 //
-// Per BFS node (half-dimension h): 10 binary operand ops + 4 operand
-// copies (the extra buffering) + 8 combine ops. Per DFS node: a C
-// zero-fill, 10 operand ops and 12 streaming accumulations (DFS keeps
-// only one product buffer live, paying more adds to save memory). Raw
-// totals match the instrumentation byte-for-byte.
+// Per node (half-dimension h): 10 binary operand ops and the 8 combine
+// ops of the classic step, exactly as a Strassen node does; a BFS node
+// also books 4 operand copies (the paper's extra buffering). A DFS node
+// saves memory, not additions: it books one product temporary plus one
+// product's operand sums where a BFS node books 21 buffers. Raw totals
+// match the instrumentation byte-for-byte.
 //
 // The communication-avoidance property appears here as the *absence* of
 // the untied-task interleave factor the classic Strassen model pays:
@@ -24,7 +25,6 @@ namespace capow::capsalg {
 struct CapsCostOptions {
   std::size_t base_cutoff = 64;
   std::size_t bfs_cutoff_depth = 4;
-  std::size_t dfs_parallel_threshold = 256;
 };
 
 /// Total flops capsalg::multiply() executes for dimension n.

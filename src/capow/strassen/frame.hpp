@@ -3,8 +3,8 @@
 // base case, peeling a border off a size that does not halve evenly,
 // the end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
 // the spawn-or-inline fan-out of sibling work, and the one classic step
-// every Strassen node and CAPS BFS step runs, serially or on a pool,
-// guarded or not.
+// every Strassen node and CAPS step runs, serially or on a pool, guarded
+// or not.
 //
 // Fault-site keys stay with the callers (each site keeps its own tag),
 // so a seeded fault plan draws the same flips whichever algorithm runs.
@@ -194,15 +194,17 @@ struct Operands {
 };
 
 /// The classic step over A's and B's quadrants qa, qb of size h into
-/// C's quadrants qc, at `depth`: the one node Strassen and CAPS BFS run.
-/// recurse(lhs, rhs, out) computes one product into out. Without product
-/// workers the step runs scheme::kSchedule serially with one product
-/// temporary, so three h x h buffers are live per level — the temporary
-/// and the operand sums of the product in flight. On a pool the seven
-/// products run as tasks in kSchedule's store order, each one the
-/// schedule passes through the temporary into a buffer of its own, then
-/// the schedule's additions run in order; so a failing fan-out throws
-/// for the product the serial schedule meets first. Either way C
+/// C's quadrants qc, at `depth`: the one node Strassen and CAPS run.
+/// recurse(lhs, rhs, out) computes one product into out. `workers` is
+/// the pool the seven products fan out on: Strassen nodes and CAPS BFS
+/// steps pass Frame::product_workers(depth), a CAPS DFS step passes
+/// null. Without workers the step runs scheme::kSchedule serially with
+/// one product temporary, so three h x h buffers are live per level —
+/// the temporary and the operand sums of the product in flight. On a
+/// pool the seven products run as tasks in kSchedule's store order, each
+/// one the schedule passes through the temporary into a buffer of its
+/// own, then the schedule's additions run in order; so a failing fan-out
+/// throws for the product the serial schedule meets first. Either way C
 /// receives the bits of evaluating kCombine left to right over the seven
 /// products. At a guarded depth each product runs under
 /// guarded_product(): a retry re-forms its operands from the pristine
@@ -214,7 +216,8 @@ void classic_step(const Frame& f, const char* label, std::uint64_t site,
                   const linalg::Quadrants<linalg::ConstMatrixView>& qa,
                   const linalg::Quadrants<linalg::ConstMatrixView>& qb,
                   const linalg::Quadrants<linalg::MatrixView>& qc,
-                  std::size_t h, std::size_t depth, Recurse&& recurse) {
+                  std::size_t h, std::size_t depth,
+                  tasking::ThreadPool* workers, Recurse&& recurse) {
   const auto product = [&](int i, linalg::MatrixView out) {
     Operands ops;
     if (!f.guards(depth)) {
@@ -232,7 +235,6 @@ void classic_step(const Frame& f, const char* label, std::uint64_t site,
         });
   };
 
-  tasking::ThreadPool* const workers = f.product_workers(depth);
   if (workers == nullptr) {
     blas::ArenaMatrix t(*f.arena, h, h);
     scheme::run_schedule(

@@ -11,23 +11,24 @@
 // Every classic executor walks this table: Strassen's nodes, CAPS's BFS
 // and DFS levels, dist-CAPS's root, and both cachesim replays. The
 // Strassen and CAPS cost models take their per-level operand, combine,
-// copy, accumulate and live-buffer counts from it. Sums are evaluated
-// left to right, so every executor rounds the same way and the
-// instrumented counts and the closed forms agree by construction.
+// copy and live-buffer counts from it. Sums are evaluated left to right,
+// so every executor rounds the same way and the instrumented counts and
+// the closed forms agree by construction.
 //
-// A Strassen node and a CAPS BFS step do not evaluate kCombine over
-// seven product buffers: both run kSchedule through the one classic step
-// (strassen::classic_step, frame.hpp), which stores M1..M3 straight into
-// the C quadrants whose sums they start and passes M4..M7 through one
-// product temporary (one each when the products run as tasks). A
+// A Strassen node and a CAPS step, BFS or DFS, do not evaluate kCombine
+// over seven product buffers: all run kSchedule through the one classic
+// step (strassen::classic_step, frame.hpp), which stores M1..M3 straight
+// into the C quadrants whose sums they start and passes M4..M7 through
+// one product temporary (one each when the products run as tasks). A
 // static_assert replays the schedule symbolically and proves that every
 // C quadrant is still kCombine's left-to-right sum with the same operand
 // order, so the result bits, -0.0 and NaN payloads included, are those
-// of the textbook evaluation. The cachesim
-// Strassen replay keeps the textbook order (seven product buffers, then
-// the four combines); its pinned logical bytes model that order, not the
-// executor's. Winograd's 15-addition variant shares partial sums between
-// products and keeps its own sequence in strassen.cpp.
+// of the textbook evaluation. The cachesim Strassen replay and the CAPS
+// replay's BFS levels keep the textbook order (seven product buffers,
+// then the four combines); their pinned logical bytes model that order,
+// not the executor's. The CAPS replay's DFS levels run kSchedule.
+// Winograd's 15-addition variant shares partial sums between products
+// and keeps its own sequence in strassen.cpp.
 #pragma once
 
 #include <array>
@@ -116,12 +117,6 @@ constexpr std::size_t combine_additions() noexcept {
   std::size_t ops = 0;
   for (const Sum& q : kCombine) ops += q.size() - 1;
   return ops;
-}
-
-/// In-place accumulations when each product streams into C as soon as it
-/// is ready (CAPS DFS): one per product term of every C quadrant.
-constexpr std::size_t accumulations() noexcept {
-  return combine_additions() + kCombine.size();
 }
 
 /// Most operand temporaries one product holds at once.
@@ -300,21 +295,6 @@ View operand(const Sum& s, const linalg::Quadrants<View>& q, Make&& make,
   const auto dst = make();
   evaluate(s, [&](std::size_t i) { return quadrant(q, i); }, dst, ops);
   return View(dst);
-}
-
-/// Accumulates product i into every C quadrant whose sum holds it, in
-/// quadrant order: the combine of a traversal that keeps one product
-/// buffer live.
-template <typename View, typename Src, typename Ops>
-void scatter(std::size_t i, const Src& product,
-             const linalg::Quadrants<View>& c, Ops&& ops) {
-  for (std::size_t q = 0; q < kCombine.size(); ++q) {
-    for (std::size_t k = 0; k < kCombine[q].size(); ++k) {
-      if (kCombine[q].index(k) == i) {
-        ops.accumulate(quadrant(c, q), product, kCombine[q].subtracts(k));
-      }
-    }
-  }
 }
 
 /// Runs kSchedule over C's quadrants `c`: product(i, dst) computes

@@ -102,6 +102,7 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c,
     recurse_winograd(qa, qb, qc, h, ctx, depth);
   } else {
     classic_step(ctx, "strassen", 0x57a5u, qa, qb, qc, h, depth,
+                 ctx.product_workers(depth),
                  [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
                    recurse(l, r, o, ctx, depth + 1);
                  });

@@ -1,8 +1,10 @@
 // parallel_for: OpenMP-style work sharing over an index range.
 //
-// CAPS's DFS levels parallelize the quadrant adds and base-case products
-// via work sharing ("loops are parallelized such that threaded work
-// sharing ... can be realized"); this is that primitive.
+// The paper's CAPS parallelizes loops by work sharing ("loops are
+// parallelized such that threaded work sharing ... can be realized");
+// this is that primitive. Here blocked GEMM shares its panel loops
+// through it; CAPS DFS levels run their sub-products in sequence through
+// the classic step Strassen runs, without work sharing.
 #pragma once
 
 #include <algorithm>

@@ -2,7 +2,8 @@
 //
 // The paper's Strassen implementation (BOTS) uses untied OpenMP tasks and
 // its CAPS implementation mixes tasking (BFS levels) with work sharing
-// (DFS levels). This module provides the two primitives those map onto:
+// (DFS levels). This module provides the two primitives those map onto
+// (here the recursions spawn tasks and blocked GEMM work-shares):
 //
 //   * ThreadPool + TaskGroup — spawn/wait with nested-task support
 //     (waiting threads *help* execute queued tasks, so deep recursion

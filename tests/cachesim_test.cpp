@@ -216,7 +216,7 @@ TEST(LocalityTrace, ReplayAccessOrderIsPinned) {
   expect_levels(strassen_locality(256, 64, kHaswell),
                 {{872176u, 1065232u}, {821744u, 243488u}, {195872u, 47616u}});
   expect_levels(caps_locality(256, 64, 1, kHaswell),
-                {{879816u, 1102648u}, {829752u, 272896u}, {203776u, 69120u}});
+                {{875672u, 1067368u}, {834920u, 232448u}, {163328u, 69120u}});
   expect_levels(caps_locality(256, 64, 2, kHaswell),
                 {{1185408u, 797056u}, {484736u, 312320u}, {233984u, 78336u}});
 }

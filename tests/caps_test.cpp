@@ -3,6 +3,7 @@
 // determinism.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "capow/fault/fault.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
@@ -59,9 +61,9 @@ constexpr CapsCase kCorrectnessCases[] = {
     {64, 8, 1},    // BFS then DFS
     {64, 8, 2},
     {64, 8, 9},    // pure BFS
-    {100, 16, 1},  // padded, mixed
+    {100, 16, 1},  // peeled to 96 plus a 4-wide border, mixed
     {128, 16, 2},
-    {129, 32, 4},  // padded
+    {129, 32, 4},  // peeled to 128 plus a 1-wide border
     {256, 64, 4},
     {256, 32, 1}};
 
@@ -75,7 +77,6 @@ TEST(Caps, ParallelMatchesSerialBitwise) {
   CapsOptions opts;
   opts.base_cutoff = 16;
   opts.bfs_cutoff_depth = 2;
-  opts.dfs_parallel_threshold = 16;  // exercise work-shared DFS adds
   multiply(a.view(), b.view(), serial.view(), opts);
   tasking::ThreadPool pool(3);
   multiply(a.view(), b.view(), parallel.view(), opts, &pool);
@@ -293,6 +294,48 @@ constexpr CapsCase kCountCases[] = {
 INSTANTIATE_TEST_SUITE_P(Sweep, CapsCountTest,
                          ::testing::ValuesIn(kCountCases));
 
+// A DFS step runs the same classic step as a Strassen node, so serial
+// pure-DFS CAPS counts exactly Strassen's flops and bytes, measured and
+// modelled. n = 200 at cutoff 16 peels to 192 plus an 8-wide border.
+TEST(Caps, PureDfsCountsWhatStrassenCounts) {
+  for (const auto& cse : {CapsCase{256, 32, 0}, CapsCase{200, 16, 0}}) {
+    Matrix a = random_matrix(cse.n, cse.n, 1);
+    Matrix b = random_matrix(cse.n, cse.n, 2);
+    Matrix c(cse.n, cse.n);
+    const auto record = [&](bool caps) {
+      trace::Recorder rec;
+      trace::RecordingScope scope(rec);
+      if (caps) {
+        CapsOptions opts;
+        opts.base_cutoff = cse.cutoff;
+        opts.bfs_cutoff_depth = cse.bfs_depth;
+        multiply(a.view(), b.view(), c.view(), opts);
+      } else {
+        strassen::StrassenOptions opts;
+        opts.base_cutoff = cse.cutoff;
+        strassen::multiply(a.view(), b.view(), c.view(), opts);
+      }
+      return rec.total();
+    };
+    const trace::CostCounters caps = record(true);
+    const trace::CostCounters strassen = record(false);
+    EXPECT_EQ(caps.flops, strassen.flops) << "n=" << cse.n;
+    EXPECT_EQ(caps.dram_bytes(), strassen.dram_bytes()) << "n=" << cse.n;
+
+    CapsCostOptions cost;
+    cost.base_cutoff = cse.cutoff;
+    cost.bfs_cutoff_depth = cse.bfs_depth;
+    strassen::StrassenCostOptions scost;
+    scost.base_cutoff = cse.cutoff;
+    EXPECT_EQ(caps_total_flops(cse.n, cost),
+              strassen::strassen_total_flops(cse.n, scost))
+        << "n=" << cse.n;
+    EXPECT_EQ(caps_total_traffic_bytes(cse.n, cost),
+              strassen::strassen_total_traffic_bytes(cse.n, scost))
+        << "n=" << cse.n;
+  }
+}
+
 TEST(Caps, MoreFlopsThanStrassenButSameProducts) {
   // CAPS pays extra O(n^2) work (operand copies / DFS accumulation) for
   // its communication structure; the 7^L multiplication count is
@@ -305,19 +348,34 @@ TEST(Caps, MoreFlopsThanStrassenButSameProducts) {
   EXPECT_GT(caps, classical_products);
 }
 
-TEST(Caps, DfsThresholdControlsWorkSharing) {
-  // With a huge threshold DFS adds never work-share; results identical.
-  Matrix a = random_matrix(64, 64, 1), b = random_matrix(64, 64, 2);
-  Matrix c1(64, 64), c2(64, 64);
-  tasking::ThreadPool pool(2);
+// A pure-DFS run guards its top-level products like a BFS run: a flipped
+// product is recomputed alone, and C comes out bit-identical to the
+// fault-free run. n = 128 is one guarded level at the default cutoff.
+TEST(GuardedFanOut, PureDfsRecomputesAFlippedProduct) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 41), b = random_matrix(n, n, 42);
   CapsOptions opts;
-  opts.base_cutoff = 8;
   opts.bfs_cutoff_depth = 0;
-  opts.dfs_parallel_threshold = 8;
-  multiply(a.view(), b.view(), c1.view(), opts, &pool);
-  opts.dfs_parallel_threshold = 1u << 30;
-  multiply(a.view(), b.view(), c2.view(), opts, &pool);
-  EXPECT_TRUE(allclose(c1.view(), c2.view(), 0.0, 0.0));
+  opts.abft.mode = abft::AbftMode::kCorrect;
+  Matrix expect(n, n), got(n, n);
+  multiply(a.view(), b.view(), expect.view(), opts);
+
+  fault::FaultPlan plan;
+  plan.mem_flip = plan.compute_flip = 1e-5;
+  plan.seed = 4;
+  fault::FaultInjector inj(plan);
+  const abft::AbftCounters before = abft::counters();
+  {
+    fault::FaultScope scope(inj);
+    CapsStats stats;
+    multiply(a.view(), b.view(), got.view(), opts, nullptr, &stats);
+    ASSERT_EQ(stats.bfs_nodes, 0u);
+  }
+  const abft::AbftCounters after = abft::counters();
+  ASSERT_GT(inj.count(fault::Event::kComputeFlip), 0u);
+  EXPECT_GT(after.recomputed, before.recomputed);
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), n * n * sizeof(double)),
+            0);
 }
 
 // On a pool, a guarded fan-out whose products exhaust their retries

@@ -26,7 +26,8 @@ namespace {
 using linalg::Matrix;
 using linalg::random_matrix;
 
-// 128 and 200 need no padding at cutoff 64; 333 pads to 336.
+// 128 and 200 halve evenly to cutoff 64; 333 runs as 328 plus a 5-wide
+// border.
 constexpr std::size_t kSizes[] = {128, 200, 333};
 
 /// Number of elements where x and y differ under operator==.
@@ -108,7 +109,8 @@ std::size_t nan_patterns(const Matrix& x) {
 // Where two NaNs meet in an add, the result keeps one of their payloads,
 // so C's NaN payloads record which operand came first in every addition
 // on their path. Random finite inputs cannot tell two orders that round
-// alike apart; these can. n = 520 pads to 528, n = 896 does not.
+// alike apart; these can. n = 520 runs as 512 plus an 8-wide border,
+// n = 896 halves evenly.
 TEST(ClassicScheme, NanPayloadsMatchAcrossExecutors) {
   tasking::ThreadPool pool(4);
   for (const std::size_t n : {std::size_t{520}, std::size_t{896}}) {
@@ -136,7 +138,9 @@ TEST(ClassicScheme, NanPayloadsMatchAcrossExecutors) {
     const std::size_t levels = strassen::recursion_levels(n, 64);
     for (const Run& run : {Run{"serial BFS", levels, nullptr},
                            Run{"BFS pool=4", levels, &pool},
-                           Run{"serial DFS", 0, nullptr}}) {
+                           Run{"serial DFS", 0, nullptr},
+                           Run{"DFS pool=4", 0, &pool},
+                           Run{"BFS then DFS pool=4", 1, &pool}}) {
       capsalg::CapsOptions opts;
       opts.bfs_cutoff_depth = run.bfs_cutoff_depth;
       opts.abft.mode = abft::AbftMode::kOff;

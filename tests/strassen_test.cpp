@@ -391,7 +391,8 @@ TEST(Strassen, EmptyMatrixIsNoop) {
 class StrassenCountTest : public ::testing::TestWithParam<StrassenCase> {};
 
 // Instrumented flops and logical traffic match the closed forms exactly
-// — including padded (non power-of-two) dimensions.
+// — including dimensions peeled to an evenly halving block plus a
+// border.
 TEST_P(StrassenCountTest, InstrumentedCountsMatchClosedForm) {
   const auto p = GetParam();
   Matrix a = random_matrix(p.n, p.n, 1), b = random_matrix(p.n, p.n, 2);
@@ -417,10 +418,10 @@ TEST_P(StrassenCountTest, InstrumentedCountsMatchClosedForm) {
 constexpr StrassenCase kCountCases[] = {
     {32, 8, false},    // exact power recursion
     {48, 8, false},    // base*2^k with base 6
-    {100, 16, false},  // padded
+    {100, 16, false},  // peeled: 96 plus a 4-wide border
     {128, 32, false},
     {64, 64, false},   // pure base case
-    {33, 8, false},    // padded odd
+    {33, 8, false},    // peeled odd: 32 plus a 1-wide border
     {32, 8, true},
     {100, 16, true}};
 

@@ -363,10 +363,15 @@ TEST(PowerSampler, EmitsCounterEventsIntoActiveTracer) {
   {
     TracingScope scope(tracer);
     sampler.start();
-    for (int i = 0; i < 10; ++i) {
+    // Deposit until the sampler has taken a sample, however late its
+    // thread gets scheduled; the deadline only bounds a hung sampler.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
       msr.deposit(machine::PowerPlane::kPackage, 0.02);
       std::this_thread::sleep_for(std::chrono::microseconds(400));
-    }
+    } while (sampler.samples().empty() &&
+             std::chrono::steady_clock::now() < deadline);
     sampler.stop();
   }
   std::size_t pkg = 0, pp0 = 0;
