@@ -104,55 +104,19 @@ struct Tracer {
 
 // ---- Replays (each mirrors its implementation's serial order).
 
-void combine(Tracer& t, const Region* products,
-             const linalg::Quadrants<Region>& qc) {
-  for (std::size_t quad = 0; quad < scheme::kCombine.size(); ++quad) {
-    scheme::evaluate(
-        scheme::kCombine[quad], [&](std::size_t i) { return products[i]; },
-        scheme::quadrant(qc, quad), t);
-  }
-}
-
-/// Classic Strassen: per product, its operand sums then the recursive
-/// product; then the combine.
-void replay_strassen(Tracer& t, RegionAllocator& heap, const Region& a,
-                     const Region& b, const Region& c, std::size_t cutoff) {
-  if (a.rows <= cutoff) {
-    t.base_multiply(a, b, c);
-    return;
-  }
-  const std::size_t h = a.rows / 2;
-  const auto qa = a.split(), qb = b.split();
-  const auto temporary = [&] { return heap.alloc(h); };
-  const std::uint64_t node_mark = heap.mark();
-  Region m[7];
-  for (auto& mi : m) mi = heap.alloc(h);
-  for (std::size_t i = 0; i < 7; ++i) {
-    const std::uint64_t mark = heap.mark();
-    const scheme::Product& p = scheme::kProducts[i];
-    const Region lhs = scheme::operand(p.a, qa, temporary, t);
-    const Region rhs = scheme::operand(p.b, qb, temporary, t);
-    replay_strassen(t, heap, lhs, rhs, m[i], cutoff);
-    heap.release(mark);
-  }
-  combine(t, m, c.split());
-  heap.release(node_mark);
-}
-
-/// CAPS: BFS levels materialize all 14 operands, then run the 7
-/// products, then combine; DFS levels run the node schedule with one
-/// product temporary, forming each product's operand sums just before
-/// it, as the classic step does.
-void replay_caps(Tracer& t, RegionAllocator& heap, const Region& a,
-                 const Region& b, const Region& c, std::size_t cutoff,
-                 std::size_t bfs_depth, std::size_t depth) {
+/// CAPS's BFS levels (depth < bfs_depth) materialize all 14 operands,
+/// run the 7 products, then combine, as the paper's buffered step does;
+/// every other CAPS level and every Strassen level runs scheme::kClassic
+/// in order over its three temporaries, as the serial node does.
+void replay(Tracer& t, RegionAllocator& heap, const Region& a,
+            const Region& b, const Region& c, std::size_t cutoff,
+            std::size_t bfs_depth, std::size_t depth) {
   if (a.rows <= cutoff) {
     t.base_multiply(a, b, c);
     return;
   }
   const std::size_t h = a.rows / 2;
   const auto qa = a.split(), qb = b.split(), qc = c.split();
-  const auto temporary = [&] { return heap.alloc(h); };
   const std::uint64_t mark = heap.mark();
 
   if (depth < bfs_depth) {
@@ -167,25 +131,37 @@ void replay_caps(Tracer& t, RegionAllocator& heap, const Region& a,
       scheme::materialize(scheme::kProducts[i].b, qb, lb[i], t);
     }
     for (std::size_t i = 0; i < 7; ++i) {
-      replay_caps(t, heap, la[i], lb[i], q[i], cutoff, bfs_depth, depth + 1);
+      replay(t, heap, la[i], lb[i], q[i], cutoff, bfs_depth, depth + 1);
     }
-    combine(t, q, qc);
+    for (std::size_t quad = 0; quad < scheme::kCombine.size(); ++quad) {
+      scheme::evaluate(
+          scheme::kCombine[quad], [&](std::size_t i) { return q[i]; },
+          scheme::quadrant(qc, quad), t);
+    }
     heap.release(mark);
     return;
   }
 
-  const Region temp = heap.alloc(h);
-  scheme::run_schedule(
-      qc, [&](int) { return temp; },
-      [&](int i, const Region& out) {
-        const std::uint64_t pmark = heap.mark();
-        const scheme::Product& p = scheme::kProducts[i];
-        const Region lhs = scheme::operand(p.a, qa, temporary, t);
-        const Region rhs = scheme::operand(p.b, qb, temporary, t);
-        replay_caps(t, heap, lhs, rhs, out, cutoff, bfs_depth, depth + 1);
-        heap.release(pmark);
-      },
-      t);
+  Region temp[scheme::kBuffers - scheme::kX];
+  for (Region& r : temp) r = heap.alloc(h);
+  const auto buffer = [&](int n) {
+    const std::size_t i = static_cast<std::size_t>(n % 4);
+    return n < scheme::kB11   ? scheme::quadrant(qa, i)
+           : n < scheme::kC11 ? scheme::quadrant(qb, i)
+           : n < scheme::kX   ? scheme::quadrant(qc, i)
+                              : temp[n - scheme::kX];
+  };
+  for (const scheme::Step& s : scheme::kClassic) {
+    const bool subtract = s.op == scheme::Step::kSub;
+    if (s.op == scheme::Step::kMul) {
+      replay(t, heap, buffer(s.x), buffer(s.y), buffer(s.dst), cutoff,
+             bfs_depth, depth + 1);
+    } else if (s.dst == s.x) {
+      t.accumulate(buffer(s.dst), buffer(s.y), subtract);
+    } else {
+      t.binary(buffer(s.x), buffer(s.y), buffer(s.dst), subtract);
+    }
+  }
   heap.release(mark);
 }
 
@@ -228,7 +204,7 @@ LocalityReport strassen_locality(std::size_t n, std::size_t base_cutoff,
   const Operands ops = layout(n);
   Tracer t{CacheHierarchy::from_machine(spec)};
   RegionAllocator heap(ops.heap_base);
-  replay_strassen(t, heap, ops.a, ops.b, ops.c, base_cutoff);
+  replay(t, heap, ops.a, ops.b, ops.c, base_cutoff, 0, 0);
   return finish(t);
 }
 
@@ -239,8 +215,7 @@ LocalityReport caps_locality(std::size_t n, std::size_t base_cutoff,
   const Operands ops = layout(n);
   Tracer t{CacheHierarchy::from_machine(spec)};
   RegionAllocator heap(ops.heap_base);
-  replay_caps(t, heap, ops.a, ops.b, ops.c, base_cutoff, bfs_cutoff_depth,
-              0);
+  replay(t, heap, ops.a, ops.b, ops.c, base_cutoff, bfs_cutoff_depth, 0);
   return finish(t);
 }
 

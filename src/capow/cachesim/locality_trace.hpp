@@ -8,10 +8,10 @@
 // perform (operand sums, recursive products, combines, base multiplies),
 // with temporaries placed by a stack allocator that mirrors nested
 // buffer lifetimes, and asks the simulated hierarchy what actually
-// missed to DRAM. The Strassen replay and CAPS's BFS levels keep the
-// textbook order (seven product buffers, then the combines, as the
-// paper's buffered BFS step does); CAPS's DFS levels replay the node
-// schedule the classic step runs (scheme::kSchedule).
+// missed to DRAM. CAPS's BFS levels keep the textbook order (seven
+// product buffers, then the combines, as the paper's buffered BFS step
+// does); Strassen and CAPS's DFS levels replay the classic program a
+// serial node runs (scheme::kClassic).
 //
 // Conventions: logical_bytes uses the instrumentation's counting rules
 // (so it equals the cost models' raw traffic exactly — asserted in

@@ -40,23 +40,23 @@ struct Ctx : strassen::Frame {
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
              std::size_t depth);
 
-/// Runs one CAPS step through the classic step every Strassen node runs
-/// (strassen::classic_step), its products fanned out on `workers` or run
-/// in sequence when that is null, while `buffers` h x h buffers are
-/// booked against the CAPS buffer high-water mark: the logical charge
-/// the cost model predicts, whatever the workspace arena leases. At the
-/// top level each product runs checksum-guarded, whichever traversal
-/// runs there, re-forming its operands from the pristine parent
-/// quadrants on a retry.
+/// Runs one CAPS step through the node every Strassen node runs
+/// (strassen::node_step) on the classic scheme, its products fanned out
+/// on `workers` or run in sequence when that is null, while `buffers`
+/// h x h buffers are booked against the CAPS buffer high-water mark: the
+/// logical charge the cost model predicts, whatever the workspace arena
+/// leases. At the top level each product runs checksum-guarded,
+/// whichever traversal runs there, re-forming its operands from the
+/// pristine parent quadrants on a retry.
 void run_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth, std::size_t buffers,
               tasking::ThreadPool* workers) {
   const std::size_t h = a.rows() / 2;
   const std::uint64_t bytes = buffers * h * h * sizeof(double);
   ctx.track_alloc(bytes);
-  strassen::classic_step(
-      ctx, "caps", 0xca95u, linalg::partition(a), linalg::partition(b),
-      linalg::partition(c), h, depth, workers,
+  strassen::node_step(
+      ctx, scheme::kClassic, "caps", 0xca95u, linalg::partition(a),
+      linalg::partition(b), linalg::partition(c), h, depth, workers,
       [&](ConstMatrixView l, ConstMatrixView r, MatrixView o) {
         recurse(l, r, o, ctx, depth + 1);
       });
@@ -78,22 +78,21 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
   CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
   ctx.bfs_nodes.fetch_add(1, std::memory_order_relaxed);
   const std::size_t h = a.rows() / 2;
-  strassen::count_copy(scheme::operand_copies() * h * h);
-  run_step(a, b, c, ctx, depth, scheme::kOperands + scheme::kProducts.size(),
+  strassen::count_copy(scheme::kClassic.quadrant_operands() * h * h);
+  run_step(a, b, c, ctx, depth, 3 * scheme::kProducts.size(),
            ctx.product_workers(depth));
 }
 
 // ---- DFS level ----------------------------------------------------------
 //
 // The seven sub-products run in sequence through the same lean node,
-// never as tasks: one product temporary plus the operand sums of the
-// product in flight are live, and that is what the step books.
+// never as tasks: the program's temporaries are live, and that is what
+// the step books.
 void dfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
   CAPOW_TSPAN_ARGS2("caps.dfs", "caps", "depth", depth, "n", a.rows());
   ctx.dfs_nodes.fetch_add(1, std::memory_order_relaxed);
-  run_step(a, b, c, ctx, depth, 1 + scheme::max_operand_temporaries(),
-           nullptr);
+  run_step(a, b, c, ctx, depth, scheme::kClassic.temporaries(), nullptr);
 }
 
 void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,

@@ -19,9 +19,9 @@
 //   describe the paper's buffered BFS while the arena leases what
 //   Strassen leases.
 // * DFS level: the seven sub-products run in sequence through the same
-//   classic step, never as tasks. One product temporary and the operand
-//   sums of the product in flight are live, and a DFS step books just
-//   those three h x h buffers where a BFS step books the paper's 21.
+//   classic step, never as tasks. The classic program's temporaries X, Y
+//   and T are live, and a DFS step books just those three h x h buffers
+//   where a BFS step books the paper's 21.
 //
 // The paper's empirically chosen cutoff depth is 4; with a base cutoff
 // of 64, problems up to 4096^2 run BFS at the top levels and DFS below.

@@ -17,11 +17,11 @@ namespace scheme = strassen::scheme;
 // are h^2 elements): every node forms its operand sums and combines the
 // products once; a BFS node also books the copies of its single-quadrant
 // operands, as the paper's buffered step materializes every operand.
-constexpr double kSums = scheme::operand_additions();
-constexpr double kCopies = scheme::operand_copies();
-constexpr double kCombines = scheme::combine_additions();
+constexpr double kSums = scheme::kClassic.operand_additions();
+constexpr double kCopies = scheme::kClassic.quadrant_operands();
+constexpr double kCombines = scheme::kClassic.combine_additions();
 constexpr double kQuadrants = scheme::kCombine.size();
-constexpr double kOperands = scheme::kOperands;
+constexpr double kOperands = 2 * scheme::kProducts.size();
 constexpr std::uint64_t kProductTasks = scheme::kProducts.size();
 
 }  // namespace
@@ -52,11 +52,9 @@ double caps_peak_buffer_bytes(std::size_t n, const CapsCostOptions& opts) {
     const double h = static_cast<double>(g.m >> (l + 1));
     const bool bfs = l < opts.bfs_cutoff_depth;
     // Along one (serial) recursion spine: a BFS node keeps LA, LB and Q
-    // live for every product; a DFS node keeps Q plus one product's
-    // transient operand sums.
-    const double live =
-        bfs ? 3.0 * scheme::kProducts.size()
-            : 1.0 + scheme::max_operand_temporaries();
+    // live for every product; a DFS node keeps the program's temporaries.
+    const double live = bfs ? 3.0 * scheme::kProducts.size()
+                            : 1.0 * scheme::kClassic.temporaries();
     bytes += live * h * h * kWord;
   }
   return bytes;

@@ -81,24 +81,12 @@ bool add_entry_phases(sim::WorkProfile& wp, const Geometry& g,
 
 }  // namespace model
 
-namespace {
-
 using namespace model;
-
-// Winograd forms 8 S/T operand sums and combines through 7 U-chain ops;
-// the classic counts come from the scheme table.
-std::size_t operand_ops(bool winograd) {
-  return winograd ? 8u : scheme::operand_additions();
-}
-std::size_t combine_ops(bool winograd) {
-  return winograd ? 7u : scheme::combine_additions();
-}
-
-}  // namespace
 
 double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  const std::size_t ops = operand_ops(opts.winograd) + combine_ops(opts.winograd);
+  const scheme::Program& p = scheme::program(opts.winograd);
+  const std::size_t ops = p.operand_additions() + p.combine_additions();
   double flops = border_flops(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double h = static_cast<double>(g.m >> (l + 1));
@@ -112,7 +100,8 @@ double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
 double strassen_total_traffic_bytes(std::size_t n,
                                     const StrassenCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
-  const std::size_t ops = operand_ops(opts.winograd) + combine_ops(opts.winograd);
+  const scheme::Program& p = scheme::program(opts.winograd);
+  const std::size_t ops = p.operand_additions() + p.combine_additions();
   double bytes = border_traffic(g);
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double h = static_cast<double>(g.m >> (l + 1));
@@ -128,6 +117,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
                                   unsigned threads,
                                   const StrassenCostOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
+  const scheme::Program& program = scheme::program(opts.winograd);
   const double llc = static_cast<double>(spec.llc_capacity_bytes());
   const unsigned p_cap = std::min(threads, spec.core_count);
 
@@ -173,7 +163,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
 
   // Operand-sum phases, outermost level first. Classic Strassen computes
   // each product's operands inside the spawned child task (concurrency =
-  // children of this level); Winograd forms S/T in the parent node.
+  // children of this level); Winograd forms its shared S/T in the parent.
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double nodes = pow7(l);
     const double h = static_cast<double>(g.m >> (l + 1));
@@ -181,7 +171,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
     const unsigned conc = static_cast<unsigned>(
         std::min<double>(conc_d, spec.core_count));
     add_phase("operands@L" + std::to_string(l),
-              nodes * static_cast<double>(operand_ops(opts.winograd)), h,
+              nodes * static_cast<double>(program.operand_additions()), h,
               std::max(conc, 1u), l == 0);
   }
 
@@ -228,7 +218,7 @@ sim::WorkProfile strassen_profile(std::size_t n,
     const unsigned conc = static_cast<unsigned>(
         std::min<double>(std::max(nodes, 1.0), spec.core_count));
     add_phase("combine@L" + std::to_string(l),
-              nodes * static_cast<double>(combine_ops(opts.winograd)), h,
+              nodes * static_cast<double>(program.combine_additions()), h,
               std::max(conc, 1u), l == 0);
   }
 

@@ -1,14 +1,13 @@
 // Closed-form cost model for task-parallel Strassen.
 //
 // Mirrors strassen.cpp's recursion exactly on the peeled dimension m
-// (peel_dimension): per level l (7^l nodes of dimension m/2^l), classic
-// Strassen performs the operand and combine additions of the scheme
-// table (scheme.hpp: 10 + 8) per node on (m/2^(l+1))^2 quadrants
-// (Winograd: 8 + 7), then 7^L base products of the cutoff dimension,
-// plus run_frame's three border products when n > m. Raw flop and
-// traffic totals match the instrumentation byte-for-byte (tests assert
-// equality); the DRAM-vs-cache split and the phase list feed the
-// simulator.
+// (peel_dimension): per level l (7^l nodes of dimension m/2^l), a node
+// performs the operand and combine additions of its scheme's program
+// (scheme.hpp) on (m/2^(l+1))^2 quadrants, then 7^L base products of the
+// cutoff dimension, plus run_frame's three border products when n > m.
+// Raw flop and traffic totals match the instrumentation byte-for-byte
+// (tests assert equality); the DRAM-vs-cache split and the phase list
+// feed the simulator.
 #pragma once
 
 #include <cstddef>

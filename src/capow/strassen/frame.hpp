@@ -2,9 +2,9 @@
 // recursions: argument validation, base-kernel resolution, the dense
 // base case, peeling a border off a size that does not halve evenly,
 // the end-to-end ABFT retry loop, the depth-0 guarded-product retry loop,
-// the spawn-or-inline fan-out of sibling work, and the one classic step
-// every Strassen node and CAPS step runs, serially or on a pool, guarded
-// or not.
+// the spawn-or-inline fan-out of sibling work, and the one node every
+// Strassen and Winograd node and every CAPS step runs, serially or on a
+// pool, guarded or not.
 //
 // Fault-site keys stay with the callers (each site keeps its own tag),
 // so a seeded fault plan draws the same flips whichever algorithm runs.
@@ -62,7 +62,7 @@ struct Frame {
   tasking::ThreadPool* product_workers(std::size_t depth) const noexcept {
     return depth < kTaskSpawnDepth ? workers() : nullptr;
   }
-  /// Whether products at `depth` run under guarded_product(). Only the
+  /// Whether products at `depth` run checksum-guarded. Only the
   /// top level is checked: per-product verification everywhere would
   /// turn the O(n^2) overhead into O(n^2 log n) for no extra coverage —
   /// a deep flip still fails its depth-0 product's checksums.
@@ -125,133 +125,132 @@ void fan_out(tasking::ThreadPool* pool, int count, Fn&& fn) {
   trace::count_sync();
 }
 
-/// The operands of one guarded product attempt, plus the private
-/// buffers among them a compute.flip may corrupt (empty views for
-/// operands that are parent quadrants or shared with sibling products).
-struct AttemptOperands {
-  linalg::ConstMatrixView lhs, rhs;
-  linalg::MatrixView ta, tb;
-};
-
-/// Runs depth-0 product `i` into `out` under the ABFT ladder. Attempt k
-/// takes its operands from prepare(k) — which re-forms them from the
-/// pristine parent quadrants on a retry — snapshots their checksums
-/// (ABFT on), lets compute.flip hit ta/tb, then calls
-/// run(lhs, rhs, key), which computes `out` and owns its result flip
-/// site. All of the attempt's flips draw under `key`, namespaced by
-/// `site`, the frame's salt, i and k. A failed verification throws
-/// abft::AbftError in detect mode; in correct mode the product re-runs
-/// up to the frame's retry bound. `label` names the algorithm in errors.
-template <typename Prepare, typename Run>
-void guarded_product(const Frame& f, const char* label, std::uint64_t site,
-                     int i, linalg::MatrixView out, Prepare&& prepare,
-                     Run&& run) {
-  const std::uint64_t product_key =
-      fault::key(site, f.flip_salt, static_cast<std::uint64_t>(i));
-  for (int attempt = 0;; ++attempt) {
-    const AttemptOperands ops = prepare(attempt);
-    std::optional<abft::AbftGuard> guard;
-    if (f.abft_mode != abft::AbftMode::kOff) {
-      guard.emplace(ops.lhs, ops.rhs, *f.arena, f.abft_tolerance);
-    }
-    const std::uint64_t key =
-        fault::key(product_key, static_cast<std::uint64_t>(attempt));
-    abft::inject_flip(fault::Site::kComputeFlip, fault::key(key, 1), ops.ta);
-    abft::inject_flip(fault::Site::kComputeFlip, fault::key(key, 2), ops.tb);
-    run(ops.lhs, ops.rhs, key);
-    if (!guard || guard->verify(out).ok) return;
-    f.failed_verification(
-        std::string(label) + " product " + std::to_string(i + 1), attempt);
-    abft::record_recomputed();
-  }
-}
-
-/// Product i's operands in the classic scheme: quadrant views where the
-/// scheme uses a quadrant directly, else sums in arena temporaries —
-/// after the first level warms the pool, recursion levels reuse the same
-/// L2/LLC-resident buffers instead of touching the allocator.
-struct Operands {
-  /// Forms product i's operands, releasing any earlier ones first.
-  AttemptOperands form(int i,
-                       const linalg::Quadrants<linalg::ConstMatrixView>& qa,
-                       const linalg::Quadrants<linalg::ConstMatrixView>& qb,
-                       blas::WorkspaceArena& arena, std::size_t h) {
-    tb.reset();
-    ta.reset();
-    const scheme::Product& p = scheme::kProducts[i];
-    lhs = scheme::operand(
-        p.a, qa, [&] { return ta.emplace(arena, h, h).view(); },
-        CountedOps{});
-    rhs = scheme::operand(
-        p.b, qb, [&] { return tb.emplace(arena, h, h).view(); },
-        CountedOps{});
-    return {lhs, rhs, ta ? ta->view() : linalg::MatrixView{},
-            tb ? tb->view() : linalg::MatrixView{}};
-  }
-
-  std::optional<blas::ArenaMatrix> ta, tb;
-  linalg::ConstMatrixView lhs, rhs;
-};
-
-/// The classic step over A's and B's quadrants qa, qb of size h into
-/// C's quadrants qc, at `depth`: the one node Strassen and CAPS run.
-/// recurse(lhs, rhs, out) computes one product into out. `workers` is
-/// the pool the seven products fan out on: Strassen nodes and CAPS BFS
-/// steps pass Frame::product_workers(depth), a CAPS DFS step passes
-/// null. Without workers the step runs scheme::kSchedule serially with
-/// one product temporary, so three h x h buffers are live per level —
-/// the temporary and the operand sums of the product in flight. On a
-/// pool the seven products run as tasks in kSchedule's store order, each
-/// one the schedule passes through the temporary into a buffer of its
-/// own, then the schedule's additions run in order; so a failing fan-out
-/// throws for the product the serial schedule meets first. Either way C
-/// receives the bits of evaluating kCombine left to right over the seven
-/// products. At a guarded depth each product runs under
-/// guarded_product(): a retry re-forms its operands from the pristine
-/// parent quadrants and re-runs just that product — the finest
-/// bit-identical recovery unit the recursion offers. `label` names the
-/// algorithm in errors and `site` keys its flips.
+/// One node of the fast recursion, over A's and B's quadrants qa, qb of
+/// size h into C's quadrants qc at `depth`: the node Strassen, Winograd
+/// and every CAPS step run, evaluating program `p` (scheme.hpp).
+/// recurse(lhs, rhs, out) computes one product. `workers` is the pool
+/// the seven products fan out on (Frame::product_workers(depth) for
+/// Strassen nodes and CAPS BFS steps, null for a CAPS DFS step). Without
+/// workers the program runs in order, in place, in its temporaries: three
+/// h x h buffers per level for the classic scheme, two for Winograd. On
+/// a pool the operand steps several products read run first; the seven
+/// products then run as tasks in the program's store order, each forming
+/// its own operand sums, and each the program stores into a reused
+/// buffer, or that several products read, gets a buffer of its own; then
+/// the combine steps run in order. So a failing fan-out throws for the
+/// product the serial program meets first, and C receives the bits of
+/// the program's textbook evaluation either way.
+///
+/// At a guarded depth attempt a of each product snapshots its operands'
+/// checksums (ABFT on) and lets compute.flip strike the operands `p`
+/// marks reformable and mem.flip the result, keyed by (`site`, the
+/// frame's salt, product, a). A failed verification throws
+/// abft::AbftError in detect mode; in correct mode the product re-runs,
+/// re-forming those operands from the pristine parent quadrants, up to
+/// the frame's retry bound. `label` names the algorithm in errors.
 template <typename Recurse>
-void classic_step(const Frame& f, const char* label, std::uint64_t site,
-                  const linalg::Quadrants<linalg::ConstMatrixView>& qa,
-                  const linalg::Quadrants<linalg::ConstMatrixView>& qb,
-                  const linalg::Quadrants<linalg::MatrixView>& qc,
-                  std::size_t h, std::size_t depth,
-                  tasking::ThreadPool* workers, Recurse&& recurse) {
-  const auto product = [&](int i, linalg::MatrixView out) {
-    Operands ops;
+void node_step(const Frame& f, const scheme::Program& p, const char* label,
+               std::uint64_t site,
+               const linalg::Quadrants<linalg::ConstMatrixView>& qa,
+               const linalg::Quadrants<linalg::ConstMatrixView>& qb,
+               const linalg::Quadrants<linalg::MatrixView>& qc,
+               std::size_t h, std::size_t depth,
+               tasking::ThreadPool* workers, Recurse&& recurse) {
+  // at[k]: the buffer holding the value step k writes.
+  std::array<linalg::MatrixView, scheme::kMaxSteps> at;
+  const auto in = [&](int v) -> linalg::ConstMatrixView {
+    return v >= 0 ? at[v]
+                  : scheme::quadrant(v >= scheme::entry(scheme::kA22) ? qa : qb,
+                                     static_cast<std::size_t>((-1 - v) % 4));
+  };
+  const auto c_quadrant = [&](int b) {
+    return scheme::quadrant(qc, static_cast<std::size_t>(b - scheme::kC11));
+  };
+  const auto add = [&](std::size_t k) {
+    const int x = p.src[k][0];
+    const bool subtract = p.steps[k].op == scheme::Step::kSub;
+    if (x >= 0 && at[x].data() == at[k].data()) {
+      CountedOps{}.accumulate(at[k], in(p.src[k][1]), subtract);
+    } else {
+      CountedOps{}.binary(in(x), in(p.src[k][1]), at[k], subtract);
+    }
+  };
+  const auto product = [&](std::size_t k) {
+    const int i = p.steps[k].product;
+    const std::array<int, 2> src = p.src[k];
+    const linalg::MatrixView out = at[k];
     if (!f.guards(depth)) {
-      ops.form(i, qa, qb, *f.arena, h);
-      recurse(ops.lhs, ops.rhs, out);
+      recurse(in(src[0]), in(src[1]), out);
       return;
     }
-    guarded_product(
-        f, label, site, i, out,
-        [&](int) { return ops.form(i, qa, qb, *f.arena, h); },
-        [&](linalg::ConstMatrixView lhs, linalg::ConstMatrixView rhs,
-            std::uint64_t key) {
-          recurse(lhs, rhs, out);
-          abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
-        });
+    const std::uint64_t product_key =
+        fault::key(site, f.flip_salt, static_cast<std::uint64_t>(i));
+    for (int attempt = 0;; ++attempt) {
+      for (std::size_t q = 0; attempt > 0 && q < k; ++q) {
+        if (p.reformable[q] && p.private_to(q, i)) add(q);
+      }
+      std::optional<abft::AbftGuard> guard;
+      if (f.abft_mode != abft::AbftMode::kOff) {
+        guard.emplace(in(src[0]), in(src[1]), *f.arena, f.abft_tolerance);
+      }
+      const std::uint64_t key =
+          fault::key(product_key, static_cast<std::uint64_t>(attempt));
+      for (std::uint64_t j = 0; j < 2; ++j) {
+        if (src[j] >= 0 && p.reformable[src[j]]) {
+          abft::inject_flip(fault::Site::kComputeFlip, fault::key(key, j + 1),
+                            at[src[j]]);
+        }
+      }
+      recurse(in(src[0]), in(src[1]), out);
+      abft::inject_flip(fault::Site::kMemFlip, fault::key(key, 3), out);
+      if (!guard || guard->verify(out).ok) return;
+      f.failed_verification(
+          std::string(label) + " product " + std::to_string(i + 1), attempt);
+      abft::record_recomputed();
+    }
   };
 
   if (workers == nullptr) {
-    blas::ArenaMatrix t(*f.arena, h, h);
-    scheme::run_schedule(
-        qc, [&](int) { return t.view(); }, product, CountedOps{});
+    std::array<std::optional<blas::ArenaMatrix>, 3> temps;
+    for (std::size_t k = 0; k < p.size; ++k) {
+      const int d = p.steps[k].dst;
+      if (d < scheme::kX) {
+        at[k] = c_quadrant(d);
+      } else {
+        auto& t = temps[static_cast<std::size_t>(d - scheme::kX)];
+        at[k] = (t ? *t : t.emplace(*f.arena, h, h)).view();
+      }
+      p.steps[k].op == scheme::Step::kMul ? product(k) : add(k);
+    }
     return;
   }
-  std::array<std::optional<blas::ArenaMatrix>, 7> t;
-  fan_out(workers, 7, [&](int k) {
-    const int i = scheme::stored_product(k);
-    const int dst = scheme::destination(i);
-    product(i, dst == scheme::kT
-                   ? t[i].emplace(*f.arena, h, h).view()
-                   : scheme::quadrant(qc, static_cast<std::size_t>(dst)));
+  std::array<std::optional<blas::ArenaMatrix>, scheme::kMaxSteps> own;
+  for (std::size_t k = 0; k < p.size; ++k) {
+    if (p.shared(k)) {
+      at[k] = own[k].emplace(*f.arena, h, h).view();
+      add(k);
+    }
+  }
+  fan_out(workers, 7, [&](int j) {
+    const auto k = static_cast<std::size_t>(p.products[j]);
+    const int i = p.steps[k].product;
+    std::array<std::optional<blas::ArenaMatrix>, scheme::kMaxSteps> mine;
+    for (std::size_t q = 0; q < k; ++q) {
+      if (p.private_to(q, i)) {
+        at[q] = mine[q].emplace(*f.arena, h, h).view();
+        add(q);
+      }
+    }
+    at[k] = p.first_write[k] ? c_quadrant(p.steps[k].dst)
+                             : own[k].emplace(*f.arena, h, h).view();
+    product(k);
   });
-  scheme::run_schedule(
-      qc, [&](int i) { return t[i]->view(); },
-      [](int, linalg::MatrixView) {}, CountedOps{});
+  for (std::size_t k = 0; k < p.size; ++k) {
+    if (p.combines(k)) {
+      at[k] = c_quadrant(p.steps[k].dst);
+      add(k);
+    }
+  }
 }
 
 /// Runs root(a', b', c', salt) end to end on the leading m x m blocks

@@ -10,11 +10,14 @@
 // corrected algebra; tests verify both variants against the reference
 // multiplier.)
 //
-// Parallelization follows the BOTS structure: each recursion level above
-// kTaskSpawnDepth spawns seven tasks, one per product Q_i; each task
-// forms its own operand sums and recurses. Recursion reverts to the
-// dense base kernel when the sub-matrix dimension drops to `base_cutoff`
-// (the paper's empirically chosen 64).
+// Both variants run their scheme's node program (scheme.hpp) through one
+// node (frame.hpp). Parallelization follows the BOTS structure: each
+// recursion level above kTaskSpawnDepth spawns seven tasks, one per
+// product; an operand sum only one product reads is formed in that
+// product's task (all of the classic scheme's), one several products
+// read (Winograd's S1, S2, T1, T2) before the fan-out. Recursion reverts
+// to the dense base kernel when the sub-matrix dimension drops to
+// `base_cutoff` (the paper's empirically chosen 64).
 #pragma once
 
 #include <cstddef>

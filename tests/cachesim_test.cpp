@@ -214,9 +214,9 @@ void expect_levels(const LocalityReport& r,
 
 TEST(LocalityTrace, ReplayAccessOrderIsPinned) {
   expect_levels(strassen_locality(256, 64, kHaswell),
-                {{872176u, 1065232u}, {821744u, 243488u}, {195872u, 47616u}});
+                {{877392u, 1043120u}, {833576u, 209544u}, {177288u, 32256u}});
   expect_levels(caps_locality(256, 64, 1, kHaswell),
-                {{875672u, 1067368u}, {834920u, 232448u}, {163328u, 69120u}});
+                {{875672u, 1067368u}, {831336u, 236032u}, {166912u, 69120u}});
   expect_levels(caps_locality(256, 64, 2, kHaswell),
                 {{1185408u, 797056u}, {484736u, 312320u}, {233984u, 78336u}});
 }

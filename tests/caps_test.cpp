@@ -16,6 +16,7 @@
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/cost_model.hpp"
+#include "capow/strassen/scheme.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
@@ -221,7 +222,9 @@ TEST(CapsStats, SerialBfsFootprintIsThreeQuadrantsPerLevel) {
     ASSERT_EQ(stats.dfs_nodes, 0u) << "every level should run BFS, n=" << n;
 
     EXPECT_LE(arena.stats().peak_outstanding_bytes,
-              footprint::three_quadrants_per_level(n, opts.base_cutoff))
+              footprint::quadrants_per_level(
+                  n, opts.base_cutoff,
+                  strassen::scheme::kClassic.temporaries()))
         << "n=" << n;
     CapsCostOptions cost;
     cost.base_cutoff = opts.base_cutoff;
@@ -378,11 +381,48 @@ TEST(GuardedFanOut, PureDfsRecomputesAFlippedProduct) {
             0);
 }
 
+// A guarded Winograd node lets compute.flip strike the operands a retry
+// can re-form from the parent quadrants (P7's S3 and T3), serially and on
+// a pool: the flipped product is recomputed alone, and C comes out
+// bit-identical to the fault-free run. n = 128 is one guarded level at
+// the default cutoff.
+TEST(GuardedFanOut, WinogradRecomputesAFlippedOperand) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 41), b = random_matrix(n, n, 42);
+  strassen::StrassenOptions opts;
+  opts.winograd = true;
+  opts.abft.mode = abft::AbftMode::kCorrect;
+  Matrix expect(n, n);
+  strassen::multiply(a.view(), b.view(), expect.view(), opts);
+
+  tasking::ThreadPool pool(3);
+  for (tasking::ThreadPool* p : {static_cast<tasking::ThreadPool*>(nullptr),
+                                 &pool}) {
+    fault::FaultPlan plan;
+    plan.mem_flip = plan.compute_flip = 1e-5;
+    plan.seed = 1;
+    fault::FaultInjector inj(plan);
+    const abft::AbftCounters before = abft::counters();
+    Matrix got(n, n);
+    {
+      fault::FaultScope scope(inj);
+      strassen::multiply(a.view(), b.view(), got.view(), opts, p);
+    }
+    const abft::AbftCounters after = abft::counters();
+    const char* where = p == nullptr ? "serial" : "pool=3";
+    ASSERT_GT(inj.count(fault::Event::kComputeFlip), 0u) << where;
+    EXPECT_GT(after.recomputed, before.recomputed) << where;
+    EXPECT_EQ(
+        std::memcmp(got.data(), expect.data(), n * n * sizeof(double)), 0)
+        << where;
+  }
+}
+
 // On a pool, a guarded fan-out whose products exhaust their retries
 // throws for the product its serial run meets first, not for whichever
 // failed first in wall time. Every flip is keyed by (site, salt, product,
 // attempt), so which products fail is a function of the plan, and a
-// node on a pool spawns its products in kSchedule's store order, the
+// node on a pool spawns its products in its program's store order, the
 // order its serial node runs them in. So each algorithm's serial run is
 // the reference for its pool runs. n = 128 is one guarded level at the
 // default cutoff.
@@ -390,8 +430,9 @@ TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
   const std::size_t n = 128;
   const Matrix a = random_matrix(n, n, 31), b = random_matrix(n, n, 32);
   tasking::ThreadPool pool(3);
+  enum Algorithm { kCaps, kStrassen, kWinograd };
   // The AbftError text of one run, or "" if it succeeded.
-  const auto failure = [&](bool caps, tasking::ThreadPool* p,
+  const auto failure = [&](Algorithm algorithm, tasking::ThreadPool* p,
                            std::uint64_t seed) -> std::string {
     fault::FaultPlan plan;
     plan.mem_flip = plan.compute_flip = 1e-3;
@@ -402,13 +443,14 @@ TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
     abft.mode = abft::AbftMode::kCorrect;
     Matrix c(n, n);
     try {
-      if (caps) {
+      if (algorithm == kCaps) {
         CapsOptions opts;
         opts.abft = abft;
         multiply(a.view(), b.view(), c.view(), opts, p);
       } else {
         strassen::StrassenOptions opts;
         opts.abft = abft;
+        opts.winograd = algorithm == kWinograd;
         strassen::multiply(a.view(), b.view(), c.view(), opts, p);
       }
     } catch (const abft::AbftError& e) {
@@ -417,13 +459,13 @@ TEST(GuardedFanOut, PoolFailureNamesTheSameProductOnEveryRun) {
     return "";
   };
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const std::string caps = failure(true, nullptr, seed);
-    const std::string strassen = failure(false, nullptr, seed);
-    ASSERT_FALSE(caps.empty()) << "seed " << seed;
-    ASSERT_FALSE(strassen.empty()) << "seed " << seed;
-    for (int rep = 0; rep < 10; ++rep) {
-      EXPECT_EQ(failure(true, &pool, seed), caps) << "seed " << seed;
-      EXPECT_EQ(failure(false, &pool, seed), strassen) << "seed " << seed;
+    for (const Algorithm algorithm : {kCaps, kStrassen, kWinograd}) {
+      const std::string serial = failure(algorithm, nullptr, seed);
+      ASSERT_FALSE(serial.empty()) << "seed " << seed << " " << algorithm;
+      for (int rep = 0; rep < 10; ++rep) {
+        EXPECT_EQ(failure(algorithm, &pool, seed), serial)
+            << "seed " << seed << " " << algorithm;
+      }
     }
   }
 }

@@ -1,5 +1,7 @@
 // Tests for the Strassen and CAPS simulator profiles: conservation of
 // totals, DRAM classification behaviour, and the live-window mechanism.
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "capow/capsalg/cost_model.hpp"
@@ -48,6 +50,26 @@ TEST(StrassenProfile, BorderAddsBorderPhase) {
   EXPECT_EQ(wp.phases[0].label, "border");
   EXPECT_EQ(wp.phases[0].flops, 2.0 * (500.0 * 500 * 500 - 496.0 * 496 * 496));
   EXPECT_EQ(wp.phases[0].parallelism, 1u);
+}
+
+// On four threads the profile charges the task spawns and joins the
+// runtime records (recursion_pin_test's pooled totals): seven spawns and
+// one join per node above kTaskSpawnDepth, plus the border fan-out's
+// three and one at n = 520 = 512 + 8.
+TEST(StrassenProfile, TaskEventsMatchTheRuntime) {
+  struct Case {
+    std::size_t n;
+    std::uint64_t spawns, syncs;
+  };
+  for (const Case& cse : {Case{520, 402, 58}, Case{1024, 399, 57}}) {
+    std::uint64_t spawns = 0, syncs = 0;
+    for (const sim::PhaseCost& ph : strassen_profile(cse.n, kHaswell, 4).phases) {
+      spawns += ph.spawn_events;
+      syncs += ph.sync_events;
+    }
+    EXPECT_EQ(spawns, cse.spawns) << "n=" << cse.n;
+    EXPECT_EQ(syncs, cse.syncs) << "n=" << cse.n;
+  }
 }
 
 TEST(StrassenProfile, BaseCaseOnlyBelowCutoff) {

@@ -14,6 +14,7 @@
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/base_kernel.hpp"
 #include "capow/strassen/cost_model.hpp"
+#include "capow/strassen/scheme.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/trace/counters.hpp"
 #include "footprint.hpp"
@@ -496,28 +497,34 @@ TEST(Strassen, SpawnsSevenTasksPerNode) {
   EXPECT_EQ(rec.total().syncs, 1u + 7u);
 }
 
-// A serial classic node runs scheme::kSchedule: one product temporary
-// plus at most two operand sums live per level, where evaluating
-// kCombine over seven product buffers kept nine. Sizes that do not halve
-// evenly (769 = 768 + 1, 520 = 512 + 8) recurse on their leading block
-// in place and lease nothing for the border.
+// A serial node runs its scheme's program in place, leasing only the
+// program's temporaries per level: three for the classic scheme, two
+// for Winograd, where evaluating the textbook over seven product buffers
+// kept nine (Winograd: fifteen). Sizes that do not halve evenly
+// (769 = 768 + 1, 520 = 512 + 8) recurse on their leading block in place
+// and lease nothing for the border.
 TEST(Strassen, SerialFootprintIsThreeQuadrantsPerLevel) {
   if (resolve_base_kernel(std::nullopt) != nullptr) {
     GTEST_SKIP() << "a packed base kernel leases its own packing buffers";
   }
-  for (const std::size_t n : {1024u, 769u, 520u}) {
-    Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
-    Matrix c(n, n);
-    blas::WorkspaceArena arena;
-    arena.reset_stats();
-    StrassenOptions opts;
-    opts.arena = &arena;
-    opts.abft.mode = abft::AbftMode::kOff;
-    multiply(a.view(), b.view(), c.view(), opts);
+  for (const bool winograd : {false, true}) {
+    for (const std::size_t n : {1024u, 769u, 520u}) {
+      Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+      Matrix c(n, n);
+      blas::WorkspaceArena arena;
+      arena.reset_stats();
+      StrassenOptions opts;
+      opts.arena = &arena;
+      opts.winograd = winograd;
+      opts.abft.mode = abft::AbftMode::kOff;
+      multiply(a.view(), b.view(), c.view(), opts);
 
-    EXPECT_LE(arena.stats().peak_outstanding_bytes,
-              footprint::three_quadrants_per_level(n, opts.base_cutoff))
-        << "n=" << n;
+      EXPECT_LE(arena.stats().peak_outstanding_bytes,
+                footprint::quadrants_per_level(
+                    n, opts.base_cutoff,
+                    scheme::program(winograd).temporaries()))
+          << "n=" << n << " winograd=" << winograd;
+    }
   }
 }
 
