@@ -18,7 +18,8 @@ using namespace capow;
 void print_reproduction() {
   bench::banner("ABL 3", "blocked DGEMM blocking-parameter sweep");
   const auto m = machine::haswell_e3_1225();
-  const auto selected = blas::select_blocking(m);
+  const auto selected = blas::select_blocking(
+      m, *blas::find_kernel(blas::MicroKernelId::kGeneric));
   std::printf(
       "\nmachine-selected blocking for '%s':\n"
       "  mc=%zu kc=%zu nc=%zu (mr=%zu x nr=%zu microkernel)\n",
@@ -139,7 +140,9 @@ void BM_RealGemmBlocking(benchmark::State& state) {
   blas::BlockingParams bp;
   switch (state.range(0)) {
     case 0:
-      bp = blas::select_blocking(machine::haswell_e3_1225());
+      bp = blas::select_blocking(
+          machine::haswell_e3_1225(),
+          *blas::find_kernel(blas::MicroKernelId::kGeneric));
       break;
     case 1:
       bp = blas::BlockingParams{.mc = 32, .kc = 32, .nc = 64, .mr = 4,

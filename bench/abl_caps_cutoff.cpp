@@ -22,7 +22,7 @@ void print_reproduction() {
     harness::TextTable table({"cutoff depth", "sim time (s)", "pkg W",
                               "EP (W/s)", "peak buffers"});
     for (std::size_t depth : {0u, 1u, 2u, 3u, 4u, 5u, 6u}) {
-      capsalg::CapsCostOptions opts;
+      capsalg::CapsOptions opts;
       opts.bfs_cutoff_depth = depth;
       const auto run = sim::simulate(m, capsalg::caps_profile(n, m, 4, opts), 4);
       const double w = run.avg_power_w(machine::PowerPlane::kPackage);

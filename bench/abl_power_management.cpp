@@ -77,7 +77,7 @@ void print_reproduction() {
     // Axis 3: algorithm choice at full frequency.
     for (AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
       const auto run =
-          sim::simulate(m, bench::profile_for(a, kN, m, 4), 4);
+          sim::simulate(m, matmul_profile(kN, m, 4, {.algorithm = a}), 4);
       const bool fits =
           run.avg_power_w(machine::PowerPlane::kPackage) <= cap;
       add_row(std::string("axis 3: ") + core::algorithm_name(a) +

@@ -21,7 +21,7 @@ void print_reproduction() {
   harness::TextTable table({"cutoff", "levels", "total GF", "sim time (s)",
                             "pkg W", "EP (W/s)"});
   for (std::size_t cutoff : {16u, 32u, 64u, 128u, 256u, 512u}) {
-    strassen::StrassenCostOptions opts;
+    strassen::StrassenOptions opts;
     opts.base_cutoff = cutoff;
     const auto run =
         sim::simulate(m, strassen::strassen_profile(4096, m, 4, opts), 4);

@@ -66,11 +66,8 @@ void print_reproduction() {
       harness::fmt_si(static_cast<double>(stats.peak_buffer_bytes), 2)
           .c_str());
 
-  capsalg::CapsCostOptions cost;
-  cost.base_cutoff = 16;
-  cost.bfs_cutoff_depth = 2;
   std::printf("  model's predicted peak: %s\n",
-              harness::fmt_si(capsalg::caps_peak_buffer_bytes(256, cost), 2)
+              harness::fmt_si(capsalg::caps_peak_buffer_bytes(256, opts), 2)
                   .c_str());
 }
 

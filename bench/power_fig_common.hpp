@@ -5,26 +5,10 @@
 #pragma once
 
 #include "bench_common.hpp"
-#include "capow/blas/cost_model.hpp"
-#include "capow/capsalg/cost_model.hpp"
+#include "capow/api/matmul.hpp"
 #include "capow/sim/executor.hpp"
-#include "capow/strassen/cost_model.hpp"
 
 namespace capow::bench {
-
-inline sim::WorkProfile profile_for(core::AlgorithmId a, std::size_t n,
-                                    const machine::MachineSpec& m,
-                                    unsigned threads) {
-  switch (a) {
-    case core::AlgorithmId::kOpenBlas:
-      return blas::blocked_gemm_profile(n, m, threads);
-    case core::AlgorithmId::kStrassen:
-      return strassen::strassen_profile(n, m, threads);
-    case core::AlgorithmId::kCaps:
-      return capsalg::caps_profile(n, m, threads);
-  }
-  throw std::invalid_argument("profile_for: bad algorithm");
-}
 
 /// Prints the power-vs-threads table and ASCII figure for one algorithm,
 /// comparing the average row against the paper's Table III column.
@@ -66,7 +50,7 @@ inline void print_power_figure(core::AlgorithmId a,
   const auto& m = runner.config().machine;
   sim::RunResult agg;
   const auto samples = sim::simulate_with_sampling(
-      m, profile_for(a, 4096, m, 4), 4, /*dt=*/0.05, &agg);
+      m, matmul_profile(4096, m, 4, {.algorithm = a}), 4, /*dt=*/0.05, &agg);
   std::printf("\nsampled RAPL trace (n = 4096, 4 threads, 50 ms poll):\n");
   const std::size_t stride = std::max<std::size_t>(1, samples.size() / 8);
   for (std::size_t i = 0; i < samples.size(); i += stride) {

@@ -97,8 +97,8 @@ BENCHMARK(BM_RaplPoll);
 void BM_SimulateFullMatrixConfig(benchmark::State& state) {
   const auto m = machine::haswell_e3_1225();
   for (auto _ : state) {
-    const auto wp = capow::bench::profile_for(
-        core::AlgorithmId::kStrassen, 4096, m, 4);
+    const auto wp = matmul_profile(
+        4096, m, 4, {.algorithm = core::AlgorithmId::kStrassen});
     benchmark::DoNotOptimize(sim::simulate(m, wp, 4).seconds);
   }
 }

@@ -9,13 +9,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "capow/api/matmul.hpp"
 #include "capow/blas/cost_model.hpp"
-#include "capow/capsalg/cost_model.hpp"
 #include "capow/core/comm_bounds.hpp"
 #include "capow/core/crossover.hpp"
 #include "capow/harness/table.hpp"
 #include "capow/sim/executor.hpp"
-#include "capow/strassen/cost_model.hpp"
 
 namespace {
 
@@ -73,14 +72,11 @@ int main(int argc, char** argv) {
       m.memory.bandwidth_bytes_per_s / 1e9, m.flops_per_byte());
   std::printf("problem: %zu x %zu, %u thread(s)\n", n, n, threads);
 
-  print_phase_breakdown("blocked DGEMM",
-                        blas::blocked_gemm_profile(n, m, threads), m,
-                        threads);
-  print_phase_breakdown("Strassen",
-                        strassen::strassen_profile(n, m, threads), m,
-                        threads);
-  print_phase_breakdown("CAPS", capsalg::caps_profile(n, m, threads), m,
-                        threads);
+  for (const core::AlgorithmId a : core::kAllAlgorithms) {
+    print_phase_breakdown(core::algorithm_name(a),
+                          matmul_profile(n, m, threads, {.algorithm = a}), m,
+                          threads);
+  }
 
   const double crossover =
       core::strassen_crossover_dimension(m, blas::kTunedGemmEfficiency);

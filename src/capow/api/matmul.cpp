@@ -4,6 +4,9 @@
 #include <string>
 
 #include "capow/blas/blocked_gemm.hpp"
+#include "capow/blas/cost_model.hpp"
+#include "capow/capsalg/cost_model.hpp"
+#include "capow/strassen/cost_model.hpp"
 #include "capow/telemetry/telemetry.hpp"
 
 namespace capow {
@@ -48,6 +51,20 @@ void validate_options(const MatmulOptions& opts) {
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts) {
   validate_options(opts);
   return selected_kernel(opts);
+}
+
+sim::WorkProfile matmul_profile(std::size_t n,
+                                const machine::MachineSpec& spec,
+                                unsigned threads, const MatmulOptions& opts) {
+  switch (opts.algorithm) {
+    case core::AlgorithmId::kOpenBlas:
+      return blas::blocked_gemm_profile(n, spec, threads);
+    case core::AlgorithmId::kStrassen:
+      return strassen::strassen_profile(n, spec, threads, opts.strassen);
+    case core::AlgorithmId::kCaps:
+      return capsalg::caps_profile(n, spec, threads, opts.caps);
+  }
+  return {};
 }
 
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,

@@ -12,6 +12,10 @@
 // tile, or a Strassen/CAPS base_kernel, else CAPOW_KERNEL), and the
 // thread pool.
 //
+// Beside the call sits its model: matmul_profile() is the cost model of
+// the multiply matmul() runs for the same options, so the algorithm
+// switch exists once for running and once for predicting, both here.
+//
 // The facade also owns the per-call observability: a "matmul" telemetry
 // span tagged with the resolved algorithm/kernel/backend, plus arena
 // hit/miss counter samples, so JSONL exports can attribute every
@@ -30,6 +34,7 @@
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/matrix.hpp"
 #include "capow/machine/machine.hpp"
+#include "capow/sim/cost_profile.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 
@@ -46,7 +51,7 @@ struct MatmulOptions {
   /// counted by capow_backend_fallbacks_total — never an error). The
   /// backend supplies the kernel registry, the device memory pool and
   /// the machine model in one handle.
-  std::optional<backend::BackendId> backend;
+  std::optional<backend::BackendId> backend{};
 
   /// Worker pool; null runs serially.
   tasking::ThreadPool* pool = nullptr;
@@ -54,7 +59,7 @@ struct MatmulOptions {
   /// Blocked-GEMM path: explicit blocking parameters. The (mr, nr) tile
   /// must match a registered kernel, which it then pins. Unset, the
   /// kernel is CAPOW_KERNEL's, else the fastest this CPU supports.
-  std::optional<blas::BlockingParams> blocking;
+  std::optional<blas::BlockingParams> blocking{};
 
   /// Strassen path tuning (cutoff, winograd, arena, base kernel). An unset
   /// base_kernel, here or in `caps`, falls back to CAPOW_KERNEL, then
@@ -96,5 +101,17 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 /// Strassen/CAPS base case would use the BOTS kernel. Throws exactly
 /// when matmul() would reject the blocking tile.
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts);
+
+/// The simulator work profile of the n x n multiply matmul() runs for
+/// `opts` with `threads` workers on `spec`: the selected algorithm's
+/// closed-form cost model, fed `opts.strassen` or `opts.caps`. The models
+/// charge the paper's kernels (OpenBLAS-class GEMM blocked for `spec`, the
+/// BOTS base case) whatever `blocking`, `base_kernel` or the backend
+/// select, and do not model the pool, arenas or ABFT: `threads` and
+/// `spec` stand for the pool and the device.
+sim::WorkProfile matmul_profile(std::size_t n,
+                                const machine::MachineSpec& spec,
+                                unsigned threads,
+                                const MatmulOptions& opts = {});
 
 }  // namespace capow

@@ -12,11 +12,6 @@ std::size_t round_down_multiple(std::size_t v, std::size_t m) {
 
 }  // namespace
 
-BlockingParams select_blocking(const machine::MachineSpec& spec) {
-  // Legacy entry: the seed's 4x4 scalar tile.
-  return select_blocking(spec, *find_kernel(MicroKernelId::kGeneric));
-}
-
 BlockingParams select_blocking(const machine::MachineSpec& spec,
                                const MicroKernel& kernel) {
   BlockingParams p{};

@@ -26,17 +26,14 @@ struct BlockingParams {
   std::size_t nr;  ///< microkernel columns
 };
 
-/// Chooses blocking for `spec`'s cache hierarchy:
+/// Chooses blocking for `spec`'s cache hierarchy around `kernel`'s
+/// register tile (mr, nr):
 ///  - kc * mr * 8 and kc * nr * 8 stripes stay L1-friendly,
 ///  - mc * kc * 8 fills about half of L2 (leaving room for B stripes),
 ///  - kc * nc * 8 fills about half of the LLC.
 /// All values are multiples of the microkernel tile and at least one
-/// tile. Falls back to conservative defaults when the spec has no caches.
-BlockingParams select_blocking(const machine::MachineSpec& spec);
-
-/// Kernel-aware variant: the register tile (mr, nr) is taken from
-/// `kernel`, and mc/kc/nc are sized around that tile. The single-arg
-/// overload above keeps the seed's 4x4 tile for legacy callers.
+/// tile. Falls back to default_blocking_for(kernel) when the spec has no
+/// caches.
 BlockingParams select_blocking(const machine::MachineSpec& spec,
                                const MicroKernel& kernel);
 

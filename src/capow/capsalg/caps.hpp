@@ -56,7 +56,7 @@ struct CapsOptions {
   blas::WorkspaceArena* arena = nullptr;
   /// When set, the dense base case runs through the packed registry
   /// microkernel (blas::small_gemm) instead of the BOTS-style kernel.
-  std::optional<blas::MicroKernelId> base_kernel;
+  std::optional<blas::MicroKernelId> base_kernel{};
   /// ABFT protection (abft::resolve_mode semantics). Detect/correct add
   /// per-product checksum verification at the top level, whether it runs
   /// BFS or DFS — a damaged sub-product's operands are re-formed from the

@@ -29,15 +29,15 @@ constexpr std::uint64_t kProductTasks = scheme::kProducts.size();
 // Every CAPS node runs the classic step a Strassen node runs, so CAPS
 // counts Strassen's flops and bytes. A BFS node also books the copies of
 // its single-quadrant operands: 2 words per element and no flops.
-double caps_total_flops(std::size_t n, const CapsCostOptions& opts) {
+double caps_total_flops(std::size_t n, const CapsOptions& opts) {
   return strassen::strassen_total_flops(
-      n, strassen::StrassenCostOptions{.base_cutoff = opts.base_cutoff});
+      n, strassen::StrassenOptions{.base_cutoff = opts.base_cutoff});
 }
 
-double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts) {
+double caps_total_traffic_bytes(std::size_t n, const CapsOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   double bytes = strassen::strassen_total_traffic_bytes(
-      n, strassen::StrassenCostOptions{.base_cutoff = opts.base_cutoff});
+      n, strassen::StrassenOptions{.base_cutoff = opts.base_cutoff});
   for (std::size_t l = 0; l < std::min(g.levels, opts.bfs_cutoff_depth); ++l) {
     const double h = static_cast<double>(g.m >> (l + 1));
     bytes += pow7(l) * kCopies * 2.0 * h * h * kWord;
@@ -45,7 +45,7 @@ double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts) {
   return bytes;
 }
 
-double caps_peak_buffer_bytes(std::size_t n, const CapsCostOptions& opts) {
+double caps_peak_buffer_bytes(std::size_t n, const CapsOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   double bytes = 0.0;
   for (std::size_t l = 0; l < g.levels; ++l) {
@@ -63,7 +63,7 @@ double caps_peak_buffer_bytes(std::size_t n, const CapsCostOptions& opts) {
 sim::WorkProfile caps_profile(std::size_t n,
                               const machine::MachineSpec& spec,
                               unsigned threads,
-                              const CapsCostOptions& opts) {
+                              const CapsOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   const double llc = static_cast<double>(spec.llc_capacity_bytes());
   const unsigned p_cap = std::min(threads, spec.core_count);

@@ -8,9 +8,13 @@
 // match the instrumentation byte-for-byte.
 //
 // The communication-avoidance property appears here as the *absence* of
-// the untied-task interleave factor the classic Strassen model pays:
-// BFS levels own disjoint operand buffers per worker, so above-LLC
-// addition traffic streams once.
+// the untied-task interleave factor the classic Strassen model pays
+// (strassen::kUntiedLiveWindow): BFS levels own disjoint operand buffers
+// per worker, so above-LLC addition traffic streams once.
+//
+// The models read the options capsalg::multiply() reads: base_cutoff and
+// bfs_cutoff_depth. They do not model base_kernel (they always charge the
+// BOTS base case the paper measures), arena or abft.
 #pragma once
 
 #include <cstddef>
@@ -21,28 +25,22 @@
 
 namespace capow::capsalg {
 
-/// Cost-model configuration (mirror of CapsOptions).
-struct CapsCostOptions {
-  std::size_t base_cutoff = 64;
-  std::size_t bfs_cutoff_depth = 4;
-};
-
 /// Total flops capsalg::multiply() executes for dimension n.
-double caps_total_flops(std::size_t n, const CapsCostOptions& opts);
+double caps_total_flops(std::size_t n, const CapsOptions& opts);
 
 /// Total logical traffic (bytes) the instrumentation counts.
-double caps_total_traffic_bytes(std::size_t n, const CapsCostOptions& opts);
+double caps_total_traffic_bytes(std::size_t n, const CapsOptions& opts);
 
 /// Peak tracked buffer bytes capsalg::multiply() allocates (the BFS
 /// memory-for-communication trade), assuming serial buffer lifetime
 /// along one BFS spine: 21 quadrant buffers per live BFS level plus the
 /// DFS transient set.
-double caps_peak_buffer_bytes(std::size_t n, const CapsCostOptions& opts);
+double caps_peak_buffer_bytes(std::size_t n, const CapsOptions& opts);
 
 /// Simulator work profile for an n x n CAPS multiply.
 sim::WorkProfile caps_profile(std::size_t n,
                               const machine::MachineSpec& spec,
                               unsigned threads,
-                              const CapsCostOptions& opts = {});
+                              const CapsOptions& opts = {});
 
 }  // namespace capow::capsalg

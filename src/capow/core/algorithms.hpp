@@ -2,9 +2,11 @@
 //
 // Every layer that enumerates or names algorithms — the capow::matmul
 // facade, the harness's ExperimentConfig matrix, the capow-report tables,
-// the bench figure drivers, checkpoint parsing — pulls from this table,
-// so adding an algorithm is a one-file change: append an AlgorithmInfo
-// row here and give the facade a dispatch case.
+// the bench figure drivers, checkpoint parsing — pulls from this table.
+// Adding an algorithm is a registry row here plus the two switches in
+// api/matmul.cpp: the dispatch case that runs it (matmul) and the one
+// that models it (matmul_profile). Nothing outside api switches on an
+// AlgorithmId.
 #pragma once
 
 #include <cstddef>

@@ -1,16 +1,12 @@
 // Shared numeric parsing for environment variables and CLI flags.
 //
-// Every CAPOW_* numeric knob (CAPOW_POWER_PERIOD_US, the capowd
-// CAPOW_SERVE_* family) and every numeric tool flag used to hand-roll
-// its own strtol call, each with a different idea of what "12abc" or an
-// out-of-range value means. This header is the one implementation they
-// all share: parsing is strict (the whole token must be consumed — no
-// trailing junk, no empty strings), range violations produce an error
-// that names the variable and the accepted range, and callers choose
-// between the throwing interface (config knobs, where a typo must stop
-// the run) and the lenient one (default-only overrides documented to be
-// ignored when malformed, e.g. PowerSampler's noexcept period
-// resolution).
+// Every CAPOW_* numeric knob (the capowd CAPOW_SERVE_* family) and every
+// numeric tool flag used to hand-roll its own strtol call, each with a
+// different idea of what "12abc" or an out-of-range value means. This
+// header is the one implementation they all share: parsing is strict
+// (the whole token must be consumed — no trailing junk, no empty
+// strings), and range violations throw an error that names the variable
+// and the accepted range, so a typo stops the run.
 //
 // Header-only and dependency-free so any module — telemetry sits below
 // core in the build graph — can include it without link-order changes.
@@ -101,22 +97,6 @@ inline std::optional<double> env_double_in(const char* name, double lo,
   const auto text = env_string(name);
   if (!text) return std::nullopt;
   return parse_double_in(name, *text, lo, hi);
-}
-
-/// Lenient env knob for noexcept default-only overrides: same strict
-/// grammar, but a malformed or out-of-range value yields nullopt (the
-/// documented ignore-and-use-default behaviour) instead of throwing.
-inline std::optional<long long> env_integer_lenient(const char* name,
-                                                    long long lo,
-                                                    long long hi) noexcept {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE) return std::nullopt;
-  if (parsed < lo || parsed > hi) return std::nullopt;
-  return parsed;
 }
 
 }  // namespace capow::core

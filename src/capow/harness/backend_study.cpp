@@ -4,33 +4,13 @@
 #include <string>
 #include <tuple>
 
-#include "capow/blas/cost_model.hpp"
-#include "capow/capsalg/cost_model.hpp"
+#include "capow/api/matmul.hpp"
 #include "capow/core/crossover.hpp"
 #include "capow/core/ep_model.hpp"
 #include "capow/machine/machine.hpp"
 #include "capow/sim/executor.hpp"
-#include "capow/strassen/cost_model.hpp"
 
 namespace capow::harness {
-
-namespace {
-
-sim::WorkProfile profile_for(core::AlgorithmId alg, std::size_t n,
-                             const machine::MachineSpec& spec,
-                             unsigned threads) {
-  switch (alg) {
-    case core::AlgorithmId::kOpenBlas:
-      return blas::blocked_gemm_profile(n, spec, threads);
-    case core::AlgorithmId::kStrassen:
-      return strassen::strassen_profile(n, spec, threads);
-    case core::AlgorithmId::kCaps:
-      return capsalg::caps_profile(n, spec, threads);
-  }
-  return blas::blocked_gemm_profile(n, spec, threads);
-}
-
-}  // namespace
 
 std::vector<BackendStudyRow> run_backend_study(
     const BackendStudyConfig& cfg) {
@@ -59,7 +39,9 @@ std::vector<BackendStudyRow> run_backend_study(
           const unsigned threads =
               p <= spec.core_count ? p : spec.core_count;
           const sim::RunResult run =
-              sim::simulate(spec, profile_for(alg, n, spec, threads),
+              sim::simulate(spec,
+                            matmul_profile(n, spec, threads,
+                                           {.algorithm = alg}),
                             threads);
           BackendStudyRow row;
           row.requested = b->id();

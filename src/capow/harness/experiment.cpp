@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "capow/abft/abft.hpp"
+#include "capow/api/matmul.hpp"
 #include "capow/fault/fault.hpp"
 #include "capow/harness/checkpoint.hpp"
 #include "capow/harness/telemetry_export.hpp"
@@ -121,7 +122,8 @@ struct AttemptSlot {
 ResultRecord measure_one(const ExperimentConfig& config, core::AlgorithmId a,
                          std::size_t n, unsigned threads,
                          double quiesce_seconds, bool& degraded) {
-  const sim::WorkProfile profile = work_profile_for(config, a, n, threads);
+  const sim::WorkProfile profile =
+      matmul_profile(n, config.machine, threads, {.algorithm = a});
 
   rapl::SimulatedMsrDevice msr;
   if (quiesce_seconds > 0.0) {

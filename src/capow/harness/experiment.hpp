@@ -17,11 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "capow/capsalg/cost_model.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/core/ep_model.hpp"
 #include "capow/machine/machine.hpp"
-#include "capow/strassen/cost_model.hpp"
 
 namespace capow::harness {
 
@@ -52,8 +50,6 @@ struct ExperimentConfig {
   /// Quiesce sleep between tests (the paper uses 60 s); modeled as
   /// static-power idle time deposited into the MSR device.
   double quiesce_seconds = 60.0;
-  strassen::StrassenCostOptions strassen_options{};
-  capsalg::CapsCostOptions caps_options{};
 
   // --- fault-tolerance policy -------------------------------------
   /// Attempts per configuration before it is recorded as kFailed.

@@ -6,11 +6,9 @@
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/cost_model.hpp"
 #include "capow/blas/gemm_ref.hpp"
-#include "capow/capsalg/caps.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/cost_model.hpp"
-#include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/telemetry/telemetry.hpp"
 #include "capow/trace/counters.hpp"
@@ -28,18 +26,18 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
 
   trace::Recorder rec;
   tasking::ThreadPool pool(threads > 1 ? threads : 0);
+  MatmulOptions opts;
+  opts.algorithm = a;
+  opts.pool = threads > 1 ? &pool : nullptr;
+  // Blocked GEMM blocks for the measured machine's caches.
+  blas::GemmOptions blocking_for;
+  blocking_for.machine = machine_spec;
+  opts.blocking = blas::resolve_blocking(blocking_for);
   double efficiency = 0.0;
   {
     trace::RecordingScope scope(rec);
     CAPOW_TSPAN_ARGS2(core::algorithm_name(a), "harness", "n", n, "threads",
                       threads);
-    MatmulOptions opts;
-    opts.algorithm = a;
-    opts.pool = threads > 1 ? &pool : nullptr;
-    // Blocked GEMM blocks for the measured machine's caches.
-    blas::GemmOptions blocking_for;
-    blocking_for.machine = machine_spec;
-    opts.blocking = blas::resolve_blocking(blocking_for);
     matmul(ma.view(), mb.view(), mc.view(), opts);
     efficiency = a == core::AlgorithmId::kOpenBlas
                      ? blas::kTunedGemmEfficiency
@@ -61,29 +59,12 @@ MeasuredRecord run_measured(core::AlgorithmId a, std::size_t n,
   out.numerically_verified =
       linalg::allclose(mc.view(), expect.view(), 1e-9, 1e-9);
 
+  const unsigned workers = threads == 0 ? 1 : threads;
   const auto measured_profile = sim::profile_from_recorder(
       rec, std::string(core::algorithm_name(a)) + "-measured", efficiency);
-  out.projected =
-      sim::simulate(machine_spec, measured_profile,
-                    threads == 0 ? 1 : threads);
-
-  sim::WorkProfile analytic;
-  switch (a) {
-    case core::AlgorithmId::kOpenBlas:
-      analytic = blas::blocked_gemm_profile(n, machine_spec,
-                                            threads == 0 ? 1 : threads);
-      break;
-    case core::AlgorithmId::kStrassen:
-      analytic = strassen::strassen_profile(n, machine_spec,
-                                            threads == 0 ? 1 : threads);
-      break;
-    case core::AlgorithmId::kCaps:
-      analytic = capsalg::caps_profile(n, machine_spec,
-                                       threads == 0 ? 1 : threads);
-      break;
-  }
-  out.analytic = sim::simulate(machine_spec, analytic,
-                               threads == 0 ? 1 : threads);
+  out.projected = sim::simulate(machine_spec, measured_profile, workers);
+  out.analytic = sim::simulate(
+      machine_spec, matmul_profile(n, machine_spec, workers, opts), workers);
   return out;
 }
 

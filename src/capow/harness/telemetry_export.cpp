@@ -8,7 +8,6 @@
 #include "capow/abft/abft.hpp"
 #include "capow/api/matmul.hpp"
 #include "capow/backend/backend.hpp"
-#include "capow/blas/cost_model.hpp"
 #include "capow/blas/microkernel.hpp"
 #include "capow/blas/workspace.hpp"
 #include "capow/dist/recovery.hpp"
@@ -62,22 +61,6 @@ std::vector<profile::PhaseScaling> sweep_scaling(
 
 }  // namespace
 
-sim::WorkProfile work_profile_for(const ExperimentConfig& config,
-                                  core::AlgorithmId a, std::size_t n,
-                                  unsigned threads) {
-  switch (a) {
-    case core::AlgorithmId::kOpenBlas:
-      return blas::blocked_gemm_profile(n, config.machine, threads);
-    case core::AlgorithmId::kStrassen:
-      return strassen::strassen_profile(n, config.machine, threads,
-                                        config.strassen_options);
-    case core::AlgorithmId::kCaps:
-      return capsalg::caps_profile(n, config.machine, threads,
-                                   config.caps_options);
-  }
-  return {};
-}
-
 void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
                          const TraceExportOptions& opts) {
   runner.run();
@@ -93,7 +76,7 @@ void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
         writer.set_thread_name(pid, 0, "phases");
 
         const sim::WorkProfile profile =
-            work_profile_for(cfg, a, n, threads);
+            matmul_profile(n, cfg.machine, threads, {.algorithm = a});
         // Probe run to size the sampling step, then replay with
         // sampling on the same virtual timeline.
         const sim::RunResult probe =
@@ -136,8 +119,8 @@ void export_jsonl(ExperimentRunner& runner, std::ostream& os) {
   const auto& records = runner.run();
   const ExperimentConfig& cfg = runner.config();
   for (const auto& r : records) {
-    const sim::WorkProfile profile =
-        work_profile_for(cfg, r.algorithm, r.n, r.threads);
+    const sim::WorkProfile profile = matmul_profile(
+        r.n, cfg.machine, r.threads, {.algorithm = r.algorithm});
     telemetry::JsonObject obj;
     obj.field("algorithm", core::algorithm_name(r.algorithm))
         .field("n", static_cast<std::uint64_t>(r.n))
@@ -209,8 +192,8 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
       } else if (name == "capow_ep_watts_per_second") {
         value = r.ep;
       } else {
-        const sim::WorkProfile profile =
-            work_profile_for(cfg, r.algorithm, r.n, r.threads);
+        const sim::WorkProfile profile = matmul_profile(
+            r.n, cfg.machine, r.threads, {.algorithm = r.algorithm});
         if (name == "capow_flops_total") {
           value = profile.total_flops();
         } else if (name == "capow_dram_bytes_total") {
@@ -435,7 +418,8 @@ profile::Profile run_attribution_profile(const ExperimentConfig& config,
                                          core::AlgorithmId a, std::size_t n,
                                          unsigned threads,
                                          std::size_t samples_per_run) {
-  const sim::WorkProfile wp = work_profile_for(config, a, n, threads);
+  const sim::WorkProfile wp =
+      matmul_profile(n, config.machine, threads, {.algorithm = a});
   // Probe run to size the sampling step, then replay with sampling —
   // the same reconstruction export_chrome_trace() renders.
   const sim::RunResult probe = sim::simulate(config.machine, wp, threads);

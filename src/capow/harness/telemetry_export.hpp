@@ -23,12 +23,6 @@
 
 namespace capow::harness {
 
-/// The cost-model work profile the runner executes for one
-/// configuration (the switch formerly private to run_one()).
-sim::WorkProfile work_profile_for(const ExperimentConfig& config,
-                                  core::AlgorithmId a, std::size_t n,
-                                  unsigned threads);
-
 struct TraceExportOptions {
   /// Power samples per run; the sampling step is run_seconds / count.
   std::size_t samples_per_run = 64;

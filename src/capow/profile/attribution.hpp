@@ -1,10 +1,10 @@
 // Offline energy attribution: joules per span, from a trace plus a
 // power timeline.
 //
-// PR 1 produced the two raw signals — the span tracer ("what was each
-// thread doing, when") and the PowerSampler ("what was each power plane
-// drawing, when") — on the same monotonic clock, but never joined them.
-// This module is the join: Eq (4) of the paper discretized per power
+// Two raw signals share one clock: the span tracer ("what was each
+// thread doing, when") and a sampled power timeline ("what was each
+// power plane drawing, when"), such as the simulator's
+// simulate_with_sampling() output. This module is the join: Eq (4) of the paper discretized per power
 // plane. Each plane's piecewise-constant power timeline is integrated
 // over the span intervals of the trace, producing a hierarchical
 // self/total profile in joules as well as nanoseconds.
@@ -66,8 +66,7 @@ struct PowerSlice {
 };
 
 /// A sampler-style timeline point: average watts over the interval
-/// ending at t_seconds (the shape PowerSampler::Sample and
-/// sim::PowerSample share).
+/// ending at t_seconds (the shape of sim::PowerSample).
 struct TimelinePoint {
   double t_seconds = 0.0;
   double package_w = 0.0;
@@ -76,7 +75,8 @@ struct TimelinePoint {
 
 /// Converts a monotone sample series into contiguous slices on the
 /// tracer clock: sample i becomes the slice (t_{i-1}, t_i] (t_{-1} = 0),
-/// shifted by `base_ns` (pass the Tracer/PowerSampler start timestamp).
+/// shifted by `base_ns` (pass the timeline's start timestamp on the
+/// tracer clock).
 /// Non-increasing timestamps are skipped.
 std::vector<PowerSlice> slices_from_samples(
     std::span<const TimelinePoint> samples, std::uint64_t base_ns = 0);

@@ -2,11 +2,10 @@
 
 #include <stdexcept>
 
+#include "capow/api/matmul.hpp"
 #include "capow/blas/cost_model.hpp"
-#include "capow/capsalg/cost_model.hpp"
 #include "capow/core/crossover.hpp"
 #include "capow/sim/executor.hpp"
-#include "capow/strassen/cost_model.hpp"
 
 namespace capow::serve {
 
@@ -29,19 +28,9 @@ const Prediction& CostPredictor::predict(core::AlgorithmId algorithm,
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return it->second;
   }
-  sim::WorkProfile profile;
-  switch (algorithm) {
-    case core::AlgorithmId::kOpenBlas:
-      profile = blas::blocked_gemm_profile(n, spec_, threads_);
-      break;
-    case core::AlgorithmId::kStrassen:
-      profile = strassen::strassen_profile(n, spec_, threads_);
-      break;
-    case core::AlgorithmId::kCaps:
-      profile = capsalg::caps_profile(n, spec_, threads_);
-      break;
-  }
-  const sim::RunResult run = sim::simulate(spec_, profile, threads_);
+  const sim::RunResult run = sim::simulate(
+      spec_, matmul_profile(n, spec_, threads_, {.algorithm = algorithm}),
+      threads_);
   Prediction p;
   p.seconds = run.seconds;
   p.package_j = run.energy(machine::PowerPlane::kPackage);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "capow/strassen/scheme.hpp"
-#include "capow/strassen/strassen.hpp"
 
 namespace capow::strassen {
 
@@ -83,7 +82,7 @@ bool add_entry_phases(sim::WorkProfile& wp, const Geometry& g,
 
 using namespace model;
 
-double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
+double strassen_total_flops(std::size_t n, const StrassenOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   const scheme::Program& p = scheme::program(opts.winograd);
   const std::size_t ops = p.operand_additions() + p.combine_additions();
@@ -98,7 +97,7 @@ double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts) {
 }
 
 double strassen_total_traffic_bytes(std::size_t n,
-                                    const StrassenCostOptions& opts) {
+                                    const StrassenOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   const scheme::Program& p = scheme::program(opts.winograd);
   const std::size_t ops = p.operand_additions() + p.combine_additions();
@@ -115,7 +114,7 @@ double strassen_total_traffic_bytes(std::size_t n,
 sim::WorkProfile strassen_profile(std::size_t n,
                                   const machine::MachineSpec& spec,
                                   unsigned threads,
-                                  const StrassenCostOptions& opts) {
+                                  const StrassenOptions& opts) {
   const Geometry g = geometry(n, opts.base_cutoff);
   const scheme::Program& program = scheme::program(opts.winograd);
   const double llc = static_cast<double>(spec.llc_capacity_bytes());
@@ -125,13 +124,10 @@ sim::WorkProfile strassen_profile(std::size_t n,
   wp.name = opts.winograd ? "strassen-winograd" : "strassen";
 
   // Number of quadrant working sets competing for the LLC at once:
-  // one per worker when execution is pinned, kUntiedLiveWindow per
-  // worker under untied-task interleaving. Serial runs traverse
-  // depth-first with perfect producer-consumer locality (window 1).
-  const unsigned window =
-      (threads > 1 && opts.untied_task_interleaving)
-          ? kUntiedLiveWindow * p_cap
-          : (threads > 1 ? p_cap : 1u);
+  // kUntiedLiveWindow per worker under untied-task interleaving. Serial
+  // runs traverse depth-first with perfect producer-consumer locality
+  // (window 1).
+  const unsigned window = threads > 1 ? kUntiedLiveWindow * p_cap : 1u;
 
   const auto add_phase = [&](const std::string& label, double op_count,
                              double h, unsigned concurrency,
@@ -161,18 +157,27 @@ sim::WorkProfile strassen_profile(std::size_t n,
 
   if (add_entry_phases(wp, g, opts.base_cutoff, threads)) return wp;
 
-  // Operand-sum phases, outermost level first. Classic Strassen computes
-  // each product's operands inside the spawned child task (concurrency =
-  // children of this level); Winograd forms its shared S/T in the parent.
+  // Operand-sum phases, outermost level first. A node forms the operand
+  // sums several products read (Winograd's S1, S2, T1, T2) before its
+  // products fan out (concurrency = nodes of this level), and each
+  // product's private sums inside its spawned task (concurrency =
+  // children of this level). The classic program has no shared sums.
+  const std::size_t shared_sums = program.count(
+      [&](std::size_t k) { return program.shared(k); });
+  const std::size_t private_sums = program.operand_additions() - shared_sums;
+  const auto concurrency = [&](double units) {
+    return std::max(
+        static_cast<unsigned>(std::min<double>(units, spec.core_count)), 1u);
+  };
   for (std::size_t l = 0; l < g.levels; ++l) {
     const double nodes = pow7(l);
     const double h = static_cast<double>(g.m >> (l + 1));
-    const double conc_d = opts.winograd ? nodes : nodes * 7.0;
-    const unsigned conc = static_cast<unsigned>(
-        std::min<double>(conc_d, spec.core_count));
+    add_phase("shared-operands@L" + std::to_string(l),
+              nodes * static_cast<double>(shared_sums), h,
+              concurrency(nodes), l == 0);
     add_phase("operands@L" + std::to_string(l),
-              nodes * static_cast<double>(program.operand_additions()), h,
-              std::max(conc, 1u), l == 0);
+              nodes * static_cast<double>(private_sums), h,
+              concurrency(nodes * 7.0), l == 0);
   }
 
   // Base products: 7^L multiplies of base_dim^3. Their operands were

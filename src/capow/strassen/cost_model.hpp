@@ -8,12 +8,17 @@
 // Raw flop and traffic totals match the instrumentation byte-for-byte
 // (tests assert equality); the DRAM-vs-cache split and the phase list
 // feed the simulator.
+//
+// The models read the options strassen::multiply() reads: base_cutoff
+// and winograd. They do not model base_kernel (they always charge the
+// BOTS base case the paper measures), arena or abft.
 #pragma once
 
 #include <cstddef>
 
 #include "capow/machine/machine.hpp"
 #include "capow/sim/cost_profile.hpp"
+#include "capow/strassen/strassen.hpp"
 
 namespace capow::strassen {
 
@@ -33,38 +38,29 @@ inline constexpr double kAddKernelEfficiency = 0.06;
 /// stealing, each worker interleaves roughly this many generations of
 /// sibling subtrees, so the set of quadrant buffers competing for the
 /// shared LLC at once is ~kUntiedLiveWindow x threads rather than 1 per
-/// worker. Addition traffic whose windowed working set overflows the LLC
-/// is re-streamed from DRAM. CAPS's BFS levels pin one subtree per
-/// worker (window = threads) — the shared-memory analogue of its
-/// communication avoidance.
+/// worker in multi-thread runs. Addition traffic whose windowed working
+/// set overflows the LLC is re-streamed from DRAM. The CAPS model's BFS
+/// levels pin one subtree per worker instead (window = threads) — the
+/// shared-memory analogue of its communication avoidance.
 inline constexpr unsigned kUntiedLiveWindow = 3;
-
-/// Cost-model configuration (mirror of StrassenOptions plus scheduling
-/// behaviour flags).
-struct StrassenCostOptions {
-  std::size_t base_cutoff = 64;
-  bool winograd = false;
-  /// Classic BOTS scheduling: untied tasks interleave subtrees, widening
-  /// the LLC live window by kUntiedLiveWindow per worker in multi-thread
-  /// runs. The CAPS cost model reuses this machinery with the flag off.
-  bool untied_task_interleaving = true;
-};
 
 /// Total flops strassen::multiply() executes for dimension n: the
 /// recursion on the peeled dimension plus the border products.
-double strassen_total_flops(std::size_t n, const StrassenCostOptions& opts);
+double strassen_total_flops(std::size_t n, const StrassenOptions& opts);
 
 /// Total logical traffic (bytes) the instrumentation counts for
 /// strassen::multiply() at dimension n, border products included.
 double strassen_total_traffic_bytes(std::size_t n,
-                                    const StrassenCostOptions& opts);
+                                    const StrassenOptions& opts);
 
 /// Simulator work profile for an n x n Strassen multiply with `threads`
-/// workers on `spec`.
+/// workers on `spec`. Operand steps the node program shares between
+/// products (scheme::Program::shared) run before the products fan out,
+/// at node concurrency; the rest run inside the seven product tasks.
 sim::WorkProfile strassen_profile(std::size_t n,
                                   const machine::MachineSpec& spec,
                                   unsigned threads,
-                                  const StrassenCostOptions& opts = {});
+                                  const StrassenOptions& opts = {});
 
 /// Recursion geometry and helpers the Strassen and CAPS cost models
 /// share.

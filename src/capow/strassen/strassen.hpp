@@ -54,7 +54,7 @@ struct StrassenOptions {
   /// microkernel (blas::small_gemm) instead of the BOTS-style unrolled
   /// kernel. Default keeps the paper's BOTS base case — the Strassen /
   /// OpenBLAS efficiency gap is part of what the paper measures.
-  std::optional<blas::MicroKernelId> base_kernel;
+  std::optional<blas::MicroKernelId> base_kernel{};
   /// ABFT protection (abft::resolve_mode semantics: explicit mode, else
   /// CAPOW_ABFT, else off). Detect/correct add per-product checksum
   /// verification at the top recursion level — a flip is caught in the

@@ -56,7 +56,8 @@ TEST(GemmRef, ShapeMismatchThrows) {
 }
 
 TEST(Blocking, HaswellSelection) {
-  const BlockingParams bp = select_blocking(machine::haswell_e3_1225());
+  const BlockingParams bp = select_blocking(
+      machine::haswell_e3_1225(), *find_kernel(MicroKernelId::kGeneric));
   // mr x kc + kc x nr stripes fit half of L1.
   EXPECT_LE(bp.kc * (bp.mr + bp.nr) * 8, 32u * 1024 / 2);
   // Packed A fits half of L2.
@@ -70,7 +71,8 @@ TEST(Blocking, HaswellSelection) {
 TEST(Blocking, CachelessMachineFallsBack) {
   machine::MachineSpec m = machine::haswell_e3_1225();
   m.caches.clear();
-  const BlockingParams bp = select_blocking(m);
+  const BlockingParams bp =
+      select_blocking(m, *find_kernel(MicroKernelId::kGeneric));
   const BlockingParams def = default_blocking();
   EXPECT_EQ(bp.mc, def.mc);
   EXPECT_EQ(bp.kc, def.kc);

@@ -136,16 +136,14 @@ TEST(LocalityTrace, LogicalBytesMatchCostModelExactly) {
   // The replay counts with the instrumentation's conventions, so its
   // logical bytes equal the closed-form raw traffic to the byte.
   for (std::size_t n : {128u, 256u, 512u}) {
-    strassen::StrassenCostOptions sopts;
-    sopts.base_cutoff = 64;
     const auto s = strassen_locality(n, 64, kHaswell);
     EXPECT_EQ(static_cast<double>(s.logical_bytes),
-              strassen::strassen_total_traffic_bytes(n, sopts))
+              strassen::strassen_total_traffic_bytes(
+                  n, strassen::StrassenOptions{.base_cutoff = 64}))
         << n;
 
-    capsalg::CapsCostOptions copts;
-    copts.base_cutoff = 64;
-    copts.bfs_cutoff_depth = 1;
+    const capsalg::CapsOptions copts{.base_cutoff = 64,
+                                     .bfs_cutoff_depth = 1};
     const auto c = caps_locality(n, 64, 1, kHaswell);
     EXPECT_EQ(static_cast<double>(c.logical_bytes),
               capsalg::caps_total_traffic_bytes(n, copts))
@@ -184,8 +182,7 @@ TEST(LocalityTrace, OutOfCacheProblemStreamsFromDram) {
 
   // ...and the serial cost model's DRAM estimate lands within a factor
   // of three of the simulated ground truth.
-  strassen::StrassenCostOptions opts;
-  const auto wp = strassen::strassen_profile(1024, kHaswell, 1, opts);
+  const auto wp = strassen::strassen_profile(1024, kHaswell, 1);
   const double model_dram = wp.total_dram_bytes();
   EXPECT_GT(model_dram, static_cast<double>(big.dram_bytes) / 3.0);
   EXPECT_LT(model_dram, static_cast<double>(big.dram_bytes) * 3.0);

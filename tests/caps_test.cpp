@@ -152,11 +152,8 @@ TEST(CapsStats, SerialPeakBufferMatchesModelExactly) {
     opts.bfs_cutoff_depth = cse.bfs_depth;
     CapsStats stats;
     multiply(a.view(), b.view(), c.view(), opts, nullptr, &stats);
-    CapsCostOptions cost;
-    cost.base_cutoff = cse.cutoff;
-    cost.bfs_cutoff_depth = cse.bfs_depth;
     EXPECT_EQ(static_cast<double>(stats.peak_buffer_bytes),
-              caps_peak_buffer_bytes(cse.n, cost))
+              caps_peak_buffer_bytes(cse.n, opts))
         << "n=" << cse.n << " bfs=" << cse.bfs_depth;
   }
 }
@@ -226,11 +223,8 @@ TEST(CapsStats, SerialBfsFootprintIsThreeQuadrantsPerLevel) {
                   n, opts.base_cutoff,
                   strassen::scheme::kClassic.temporaries()))
         << "n=" << n;
-    CapsCostOptions cost;
-    cost.base_cutoff = opts.base_cutoff;
-    cost.bfs_cutoff_depth = opts.bfs_cutoff_depth;
     EXPECT_EQ(static_cast<double>(stats.peak_buffer_bytes),
-              caps_peak_buffer_bytes(n, cost))
+              caps_peak_buffer_bytes(n, opts))
         << "n=" << n;
   }
 }
@@ -281,13 +275,10 @@ TEST_P(CapsCountTest, InstrumentedCountsMatchClosedForm) {
     trace::RecordingScope scope(rec);
     multiply(a.view(), b.view(), c.view(), opts);
   }
-  CapsCostOptions cost;
-  cost.base_cutoff = p.cutoff;
-  cost.bfs_cutoff_depth = p.bfs_depth;
   EXPECT_EQ(static_cast<double>(rec.total().flops),
-            caps_total_flops(p.n, cost));
+            caps_total_flops(p.n, opts));
   EXPECT_EQ(static_cast<double>(rec.total().dram_bytes()),
-            caps_total_traffic_bytes(p.n, cost));
+            caps_total_traffic_bytes(p.n, opts));
 }
 
 constexpr CapsCase kCountCases[] = {
@@ -325,11 +316,9 @@ TEST(Caps, PureDfsCountsWhatStrassenCounts) {
     EXPECT_EQ(caps.flops, strassen.flops) << "n=" << cse.n;
     EXPECT_EQ(caps.dram_bytes(), strassen.dram_bytes()) << "n=" << cse.n;
 
-    CapsCostOptions cost;
-    cost.base_cutoff = cse.cutoff;
-    cost.bfs_cutoff_depth = cse.bfs_depth;
-    strassen::StrassenCostOptions scost;
-    scost.base_cutoff = cse.cutoff;
+    const CapsOptions cost{.base_cutoff = cse.cutoff,
+                           .bfs_cutoff_depth = cse.bfs_depth};
+    const strassen::StrassenOptions scost{.base_cutoff = cse.cutoff};
     EXPECT_EQ(caps_total_flops(cse.n, cost),
               strassen::strassen_total_flops(cse.n, scost))
         << "n=" << cse.n;
@@ -343,10 +332,8 @@ TEST(Caps, MoreFlopsThanStrassenButSameProducts) {
   // CAPS pays extra O(n^2) work (operand copies / DFS accumulation) for
   // its communication structure; the 7^L multiplication count is
   // identical.
-  CapsCostOptions cost;
-  cost.base_cutoff = 32;
-  cost.bfs_cutoff_depth = 4;
-  const double caps = caps_total_flops(256, cost);
+  const double caps = caps_total_flops(
+      256, CapsOptions{.base_cutoff = 32, .bfs_cutoff_depth = 4});
   const double classical_products = 2.0 * 32 * 32 * 32 * 343;  // 7^3 bases
   EXPECT_GT(caps, classical_products);
 }

@@ -88,10 +88,8 @@ TEST(Integration, MeasuredFlopsTrackAnalyticModelAcrossAlgorithms) {
   const auto str_rec = instrumented([&] {
     matmul(a.view(), b.view(), c.view(), sopts);
   });
-  strassen::StrassenCostOptions scost;
-  scost.base_cutoff = 32;
   EXPECT_EQ(static_cast<double>(str_rec->total().flops),
-            strassen::strassen_total_flops(n, scost));
+            strassen::strassen_total_flops(n, sopts.strassen));
 
   MatmulOptions copts;
   copts.algorithm = core::AlgorithmId::kCaps;
@@ -100,11 +98,8 @@ TEST(Integration, MeasuredFlopsTrackAnalyticModelAcrossAlgorithms) {
   const auto caps_rec = instrumented([&] {
     matmul(a.view(), b.view(), c.view(), copts);
   });
-  capsalg::CapsCostOptions ccost;
-  ccost.base_cutoff = 32;
-  ccost.bfs_cutoff_depth = 2;
   EXPECT_EQ(static_cast<double>(caps_rec->total().flops),
-            capsalg::caps_total_flops(n, ccost));
+            capsalg::caps_total_flops(n, copts.caps));
 }
 
 TEST(Integration, StrassenMovesMoreAdditionTrafficThanBlas) {

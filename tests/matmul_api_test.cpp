@@ -10,11 +10,14 @@
 
 #include "capow/api/matmul.hpp"
 #include "capow/blas/blocked_gemm.hpp"
+#include "capow/blas/cost_model.hpp"
 #include "capow/blas/gemm_ref.hpp"
 #include "capow/capsalg/caps.hpp"
+#include "capow/capsalg/cost_model.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
 
 namespace capow {
@@ -49,6 +52,186 @@ TEST(AlgorithmRegistry, NamesMatchLegacySpelling) {
   EXPECT_STREQ(core::algorithm_name(AlgorithmId::kOpenBlas), "OpenBLAS");
   EXPECT_STREQ(core::algorithm_name(AlgorithmId::kStrassen), "Strassen");
   EXPECT_STREQ(core::algorithm_name(AlgorithmId::kCaps), "CAPS");
+}
+
+void expect_same_profile(const sim::WorkProfile& got,
+                         const sim::WorkProfile& want) {
+  EXPECT_EQ(got.name, want.name);
+  ASSERT_EQ(got.phases.size(), want.phases.size()) << want.name;
+  for (std::size_t i = 0; i < want.phases.size(); ++i) {
+    const sim::PhaseCost& g = got.phases[i];
+    const sim::PhaseCost& w = want.phases[i];
+    EXPECT_EQ(g.label, w.label) << want.name << " phase " << i;
+    EXPECT_EQ(g.flops, w.flops) << w.label;
+    EXPECT_EQ(g.dram_bytes, w.dram_bytes) << w.label;
+    EXPECT_EQ(g.cache_bytes, w.cache_bytes) << w.label;
+    EXPECT_EQ(g.parallelism, w.parallelism) << w.label;
+    EXPECT_EQ(g.efficiency, w.efficiency) << w.label;
+    EXPECT_EQ(g.imbalance, w.imbalance) << w.label;
+    EXPECT_EQ(g.sync_events, w.sync_events) << w.label;
+    EXPECT_EQ(g.spawn_events, w.spawn_events) << w.label;
+  }
+}
+
+std::vector<std::string> labels(const sim::WorkProfile& wp) {
+  std::vector<std::string> out;
+  for (const sim::PhaseCost& ph : wp.phases) out.push_back(ph.label);
+  return out;
+}
+
+// matmul_profile() is the selected algorithm's own cost model, fed the
+// options the multiply reads: equal phase for phase at the defaults, and
+// non-default cutoffs, Winograd and BFS depth reach the model.
+TEST(MatmulApi, ProfileIsTheAlgorithmsModel) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  for (const AlgorithmId a : core::kAllAlgorithms) {
+    for (const unsigned t : {1u, 4u}) {
+      for (const std::size_t n : {520u, 1024u}) {
+        MatmulOptions opts;
+        opts.algorithm = a;
+        const sim::WorkProfile own =
+            a == AlgorithmId::kOpenBlas ? blas::blocked_gemm_profile(n, spec, t)
+            : a == AlgorithmId::kStrassen
+                ? strassen::strassen_profile(n, spec, t)
+                : capsalg::caps_profile(n, spec, t);
+        expect_same_profile(matmul_profile(n, spec, t, opts), own);
+      }
+    }
+  }
+
+  for (const unsigned t : {1u, 4u}) {
+    MatmulOptions s;
+    s.algorithm = AlgorithmId::kStrassen;
+    s.strassen.base_cutoff = 32;
+    s.strassen.winograd = true;
+    const sim::WorkProfile tuned = matmul_profile(1024, spec, t, s);
+    expect_same_profile(
+        tuned, strassen::strassen_profile(
+                   1024, spec, t, {.base_cutoff = 32, .winograd = true}));
+    EXPECT_EQ(tuned.name, "strassen-winograd");
+    EXPECT_NE(labels(tuned),
+              labels(matmul_profile(1024, spec, t,
+                                    {.algorithm = AlgorithmId::kStrassen})));
+
+    MatmulOptions c;
+    c.algorithm = AlgorithmId::kCaps;
+    c.caps.bfs_cutoff_depth = 1;
+    const sim::WorkProfile shallow = matmul_profile(1024, spec, t, c);
+    expect_same_profile(shallow, capsalg::caps_profile(
+                                     1024, spec, t, {.bfs_cutoff_depth = 1}));
+    EXPECT_NE(labels(shallow),
+              labels(matmul_profile(1024, spec, t,
+                                    {.algorithm = AlgorithmId::kCaps})));
+  }
+}
+
+// Default options model the default multiply: the blocked GEMM.
+TEST(MatmulApi, ProfileDefaultsToBlockedGemm) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  for (const unsigned t : {1u, 4u}) {
+    expect_same_profile(matmul_profile(768, spec, t),
+                        blas::blocked_gemm_profile(768, spec, t));
+  }
+}
+
+// The Strassen cutoff the multiply reads is the one the model charges:
+// halving it adds a recursion level, so the model does 7/8 of the base
+// flops again, and the totals follow the same options.
+TEST(MatmulApi, ProfileReadsTheStrassenCutoff) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  for (const std::size_t cutoff : {32u, 64u, 128u}) {
+    MatmulOptions opts;
+    opts.algorithm = AlgorithmId::kStrassen;
+    opts.strassen.base_cutoff = cutoff;
+    const sim::WorkProfile wp = matmul_profile(1024, spec, 4, opts);
+    EXPECT_DOUBLE_EQ(wp.total_flops(),
+                     strassen::strassen_total_flops(1024, opts.strassen))
+        << "cutoff " << cutoff;
+  }
+  MatmulOptions deep;
+  deep.algorithm = AlgorithmId::kStrassen;
+  deep.strassen.base_cutoff = 32;
+  EXPECT_GT(labels(matmul_profile(1024, spec, 4, deep)).size(),
+            labels(matmul_profile(1024, spec, 4,
+                                  {.algorithm = AlgorithmId::kStrassen}))
+                .size());
+}
+
+// CAPS reads both of its cutoffs: the base cutoff sets the recursion
+// depth, the BFS depth how many of those levels fan out breadth-first.
+TEST(MatmulApi, ProfileReadsTheCapsCutoffs) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  for (const std::size_t cutoff : {32u, 64u, 128u}) {
+    for (const std::size_t depth : {0u, 2u, 4u}) {
+      MatmulOptions opts;
+      opts.algorithm = AlgorithmId::kCaps;
+      opts.caps.base_cutoff = cutoff;
+      opts.caps.bfs_cutoff_depth = depth;
+      const sim::WorkProfile wp = matmul_profile(1024, spec, 4, opts);
+      expect_same_profile(wp, capsalg::caps_profile(1024, spec, 4, opts.caps));
+      EXPECT_DOUBLE_EQ(wp.total_flops(),
+                       capsalg::caps_total_flops(1024, opts.caps))
+          << cutoff << "/" << depth;
+    }
+  }
+}
+
+// What the models leave out (the kernel, arena, ABFT, backend and pool
+// the multiply runs with) leaves the profile as it is.
+TEST(MatmulApi, ProfileIgnoresWhatTheModelsDoNotModel) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  const blas::MicroKernel* generic =
+      blas::find_kernel(blas::MicroKernelId::kGeneric);
+  ASSERT_NE(generic, nullptr);
+  blas::WorkspaceArena arena;
+  tasking::ThreadPool pool(1);
+  capsalg::CapsStats stats;
+  for (const AlgorithmId a : core::kAllAlgorithms) {
+    MatmulOptions plain;
+    plain.algorithm = a;
+    MatmulOptions dressed = plain;
+    dressed.blocking = blas::default_blocking_for(*generic);
+    dressed.pool = &pool;
+    dressed.strassen.arena = &arena;
+    dressed.strassen.base_kernel = blas::MicroKernelId::kGeneric;
+    dressed.strassen.abft.mode = abft::AbftMode::kCorrect;
+    dressed.caps.arena = &arena;
+    dressed.caps.base_kernel = blas::MicroKernelId::kGeneric;
+    dressed.caps.abft.mode = abft::AbftMode::kDetect;
+    dressed.caps_stats = &stats;
+    dressed.abft.mode = abft::AbftMode::kCorrect;
+    expect_same_profile(matmul_profile(1024, spec, 4, dressed),
+                        matmul_profile(1024, spec, 4, plain));
+  }
+}
+
+// Each algorithm's model reads only its own options: CAPS tuning leaves
+// the Strassen profile alone and Strassen tuning the CAPS one.
+TEST(MatmulApi, ProfileIgnoresTheOtherAlgorithmsOptions) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  MatmulOptions tuned;
+  tuned.strassen.base_cutoff = 32;
+  tuned.strassen.winograd = true;
+  tuned.caps.base_cutoff = 128;
+  tuned.caps.bfs_cutoff_depth = 1;
+
+  MatmulOptions s = tuned;
+  s.algorithm = AlgorithmId::kStrassen;
+  s.caps = {};
+  tuned.algorithm = AlgorithmId::kStrassen;
+  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
+                      matmul_profile(1024, spec, 4, s));
+
+  MatmulOptions c = tuned;
+  c.algorithm = AlgorithmId::kCaps;
+  c.strassen = {};
+  tuned.algorithm = AlgorithmId::kCaps;
+  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
+                      matmul_profile(1024, spec, 4, c));
+
+  tuned.algorithm = AlgorithmId::kOpenBlas;
+  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
+                      blas::blocked_gemm_profile(1024, spec, 4));
 }
 
 TEST(MatmulFacade, DefaultsToBlockedGemm) {

@@ -2,6 +2,7 @@
 // machine model vs the analytic cost models.
 #include <gtest/gtest.h>
 
+#include "capow/api/matmul.hpp"
 #include "capow/blas/cost_model.hpp"
 #include "capow/harness/measured.hpp"
 
@@ -62,6 +63,26 @@ TEST(Measured, OrderingMatchesThePaperAtRealScale) {
   const auto caps_r = run_measured(AlgorithmId::kCaps, n, 2, kHaswell);
   EXPECT_LT(blas_r.projected.seconds, str_r.projected.seconds);
   EXPECT_LT(blas_r.projected.seconds, caps_r.projected.seconds);
+}
+
+// The analytic side of a measured record is the model matmul() publishes
+// for the run: the matmul_profile of the same algorithm on the same
+// machine, at the worker count the run used (serial counts as one).
+TEST(Measured, AnalyticIsTheSimulatedMatmulProfile) {
+  const std::size_t n = 128;
+  for (const AlgorithmId a : core::kAllAlgorithms) {
+    for (const unsigned threads : {0u, 2u}) {
+      const MeasuredRecord r = run_measured(a, n, threads, kHaswell);
+      const unsigned workers = threads == 0 ? 1 : threads;
+      const sim::RunResult want = sim::simulate(
+          kHaswell, matmul_profile(n, kHaswell, workers, {.algorithm = a}),
+          workers);
+      EXPECT_EQ(r.analytic.seconds, want.seconds) << core::algorithm_name(a);
+      EXPECT_EQ(r.analytic.energy(machine::PowerPlane::kPackage),
+                want.energy(machine::PowerPlane::kPackage))
+          << core::algorithm_name(a);
+    }
+  }
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(AlgorithmAlgebra, IdentityIsNeutralForAllCutoffs) {
 TEST(CostConservation, StrassenFlopsDecreaseWithDepth) {
   // More recursion levels always trade multiplications for additions:
   // total flops strictly decrease with smaller cutoffs at large n.
-  strassen::StrassenCostOptions opts;
+  strassen::StrassenOptions opts;
   double prev = std::numeric_limits<double>::infinity();
   for (std::size_t cutoff : {1024u, 512u, 256u, 128u, 64u}) {
     opts.base_cutoff = cutoff;
@@ -193,7 +193,7 @@ TEST(CostConservation, StrassenFlopsDecreaseWithDepth) {
 }
 
 TEST(CostConservation, CapsTrafficMonotoneInProblemSize) {
-  capsalg::CapsCostOptions opts;
+  const capsalg::CapsOptions opts;
   double prev = 0.0;
   for (std::size_t n : {256u, 512u, 1024u, 2048u, 4096u}) {
     const double t = capsalg::caps_total_traffic_bytes(n, opts);

@@ -17,6 +17,7 @@
 #include "capow/linalg/matrix.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/serve/server.hpp"
+#include "capow/sim/executor.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/telemetry/export.hpp"
 
@@ -184,6 +185,27 @@ TEST(CostPredictor, PredictionsAreMemoizedAndValidated) {
   EXPECT_EQ(&a, &p.predict(core::AlgorithmId::kStrassen, 224));
   EXPECT_THROW(p.predict(core::AlgorithmId::kOpenBlas, 0),
                std::invalid_argument);
+}
+
+// A prediction is the simulator run on the model matmul() publishes for
+// the same algorithm, threads and machine: the serve path has no cost
+// model of its own.
+TEST(CostPredictor, PredictsTheSimulatedMatmulProfile) {
+  const machine::MachineSpec spec = machine::haswell_e3_1225();
+  for (const unsigned threads : {1u, 4u}) {
+    CostPredictor p(spec, threads);
+    for (const auto& info : core::algorithm_registry()) {
+      for (const std::size_t n : {96u, 224u, 1024u}) {
+        const sim::RunResult run = sim::simulate(
+            spec, matmul_profile(n, spec, threads, {.algorithm = info.id}),
+            threads);
+        const Prediction& got = p.predict(info.id, n);
+        EXPECT_EQ(got.seconds, run.seconds) << info.name << " n=" << n;
+        EXPECT_EQ(got.package_j, run.energy(machine::PowerPlane::kPackage))
+            << info.name << " n=" << n;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // Tests for the Strassen and CAPS simulator profiles: conservation of
 // totals, DRAM classification behaviour, and the live-window mechanism.
+#include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/sim/executor.hpp"
 #include "capow/strassen/cost_model.hpp"
+#include "capow/strassen/scheme.hpp"
 
 namespace capow::strassen {
 namespace {
@@ -23,13 +26,56 @@ TEST(StrassenProfile, ConservesFlopsAndTraffic) {
   for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
     for (unsigned t : {1u, 4u}) {
       const auto wp = strassen_profile(n, kHaswell, t);
-      StrassenCostOptions cost;
-      EXPECT_DOUBLE_EQ(wp.total_flops(), strassen_total_flops(n, cost))
+      EXPECT_DOUBLE_EQ(wp.total_flops(), strassen_total_flops(n, {}))
           << n << "/" << t;
       EXPECT_DOUBLE_EQ(profile_traffic(wp),
-                       strassen_total_traffic_bytes(n, cost))
+                       strassen_total_traffic_bytes(n, {}))
           << n << "/" << t;
     }
+  }
+}
+
+// The totals and the profile read the same runtime options, so they
+// agree away from the defaults too: Winograd's programme, other cutoffs
+// and odd n, whose border the recursion peels.
+TEST(StrassenProfile, ConservesTotalsUnderRuntimeOptions) {
+  for (const bool winograd : {false, true}) {
+    for (const std::size_t cutoff : {32u, 64u, 128u}) {
+      const StrassenOptions opts{.base_cutoff = cutoff, .winograd = winograd};
+      for (const std::size_t n : {520u, 1024u, 1031u}) {
+        for (const unsigned t : {1u, 4u}) {
+          const auto wp = strassen_profile(n, kHaswell, t, opts);
+          EXPECT_DOUBLE_EQ(wp.total_flops(), strassen_total_flops(n, opts))
+              << winograd << "/" << cutoff << "/" << n << "/" << t;
+          EXPECT_DOUBLE_EQ(profile_traffic(wp),
+                           strassen_total_traffic_bytes(n, opts))
+              << winograd << "/" << cutoff << "/" << n << "/" << t;
+        }
+      }
+    }
+  }
+}
+
+// Winograd's programme and the classic one run the same base products
+// and differ only in block additions per level (15 against 18), so the
+// addition flops of the two totals stand in that ratio.
+TEST(StrassenProfile, WinogradTotalsScaleWithItsAdditionCount) {
+  const auto additions = [](const scheme::Program& p) {
+    return static_cast<double>(p.operand_additions() + p.combine_additions());
+  };
+  ASSERT_EQ(additions(scheme::kClassic), 18.0);
+  ASSERT_EQ(additions(scheme::kWinograd), 15.0);
+  for (const std::size_t n : {512u, 1024u, 2048u}) {
+    const model::Geometry g = model::geometry(n, 64);
+    ASSERT_EQ(g.p, 0u) << n;
+    const double b = static_cast<double>(g.base_dim);
+    const double base = model::pow7(g.levels) * 2.0 * b * b * b;
+    const double classic = strassen_total_flops(n, {}) - base;
+    const double wino = strassen_total_flops(n, {.winograd = true}) - base;
+    EXPECT_DOUBLE_EQ(wino / classic,
+                     additions(scheme::kWinograd) /
+                         additions(scheme::kClassic))
+        << n;
   }
 }
 
@@ -87,15 +133,6 @@ TEST(StrassenProfile, UntiedWindowMovesTrafficToDramUnderThreads) {
   EXPECT_GT(parallel.total_dram_bytes(), 1.5 * serial.total_dram_bytes());
 }
 
-TEST(StrassenProfile, PinnedSchedulingMovesLessTraffic) {
-  StrassenCostOptions untied;
-  StrassenCostOptions pinned;
-  pinned.untied_task_interleaving = false;
-  const auto u = strassen_profile(4096, kHaswell, 4, untied);
-  const auto p = strassen_profile(4096, kHaswell, 4, pinned);
-  EXPECT_GT(u.total_dram_bytes(), p.total_dram_bytes());
-}
-
 TEST(StrassenProfile, SimulatedTimeShrinksWithThreadsSublinearly) {
   const auto t1 =
       sim::simulate(kHaswell, strassen_profile(2048, kHaswell, 1), 1);
@@ -107,12 +144,48 @@ TEST(StrassenProfile, SimulatedTimeShrinksWithThreadsSublinearly) {
 }
 
 TEST(StrassenProfile, WinogradProfileCheaper) {
-  StrassenCostOptions classic;
-  StrassenCostOptions wino;
-  wino.winograd = true;
-  const auto c = strassen_profile(1024, kHaswell, 4, classic);
-  const auto w = strassen_profile(1024, kHaswell, 4, wino);
+  const auto c = strassen_profile(1024, kHaswell, 4);
+  const auto w = strassen_profile(1024, kHaswell, 4, {.winograd = true});
   EXPECT_LT(profile_traffic(w), profile_traffic(c));
+}
+
+// A Winograd node forms S1, S2, T1 and T2, which several products read,
+// before its products fan out, and S3, S4, T3 and T4 inside the product
+// task that reads each: per level, the shared sums run at node
+// concurrency and the private ones at seven times that. The classic
+// program shares no operand sum, so it has no shared phase.
+TEST(StrassenProfile, WinogradChargesSharedAndPrivateOperandsApart) {
+  const scheme::Program& p = scheme::kWinograd;
+  const std::size_t shared =
+      p.count([&](std::size_t k) { return p.shared(k); });
+  const std::size_t private_sums = p.operand_additions() - shared;
+  ASSERT_EQ(shared, 4u);
+  ASSERT_EQ(private_sums, 4u);
+
+  const auto find = [](const sim::WorkProfile& wp, const std::string& label) {
+    const auto it = std::find_if(
+        wp.phases.begin(), wp.phases.end(),
+        [&](const sim::PhaseCost& ph) { return ph.label == label; });
+    return it == wp.phases.end() ? nullptr : &*it;
+  };
+  // n = 1024 at cutoff 64: four levels.
+  const auto wp = strassen_profile(1024, kHaswell, 4, {.winograd = true});
+  double nodes = 1.0;
+  for (std::size_t l = 0; l < 4; ++l, nodes *= 7.0) {
+    const double h = static_cast<double>(1024 >> (l + 1));
+    const sim::PhaseCost* s =
+        find(wp, "shared-operands@L" + std::to_string(l));
+    const sim::PhaseCost* q = find(wp, "operands@L" + std::to_string(l));
+    ASSERT_NE(s, nullptr) << "L" << l;
+    ASSERT_NE(q, nullptr) << "L" << l;
+    EXPECT_EQ(s->flops, nodes * static_cast<double>(shared) * h * h);
+    EXPECT_EQ(q->flops, nodes * static_cast<double>(private_sums) * h * h);
+    EXPECT_EQ(s->parallelism, std::min(nodes, 4.0)) << "L" << l;
+    EXPECT_EQ(q->parallelism, std::min(nodes * 7.0, 4.0)) << "L" << l;
+  }
+  for (const sim::PhaseCost& ph : strassen_profile(1024, kHaswell, 4).phases) {
+    EXPECT_EQ(ph.label.rfind("shared-", 0), std::string::npos) << ph.label;
+  }
 }
 
 }  // namespace
@@ -133,12 +206,31 @@ TEST(CapsProfile, ConservesFlopsAndTraffic) {
   for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
     for (unsigned t : {1u, 4u}) {
       const auto wp = caps_profile(n, kHaswell, t);
-      CapsCostOptions cost;
-      EXPECT_DOUBLE_EQ(wp.total_flops(), caps_total_flops(n, cost))
+      EXPECT_DOUBLE_EQ(wp.total_flops(), caps_total_flops(n, {}))
           << n << "/" << t;
       EXPECT_DOUBLE_EQ(profile_traffic(wp),
-                       caps_total_traffic_bytes(n, cost))
+                       caps_total_traffic_bytes(n, {}))
           << n << "/" << t;
+    }
+  }
+}
+
+// Away from the defaults the CAPS profile still sums to its totals:
+// every base cutoff and BFS depth, including depths past the recursion.
+TEST(CapsProfile, ConservesTotalsUnderRuntimeOptions) {
+  for (const std::size_t cutoff : {32u, 64u, 128u}) {
+    for (const std::size_t depth : {0u, 1u, 2u, 4u, 9u}) {
+      const CapsOptions opts{.base_cutoff = cutoff, .bfs_cutoff_depth = depth};
+      for (const std::size_t n : {520u, 1024u}) {
+        for (const unsigned t : {1u, 4u}) {
+          const auto wp = caps_profile(n, kHaswell, t, opts);
+          EXPECT_DOUBLE_EQ(wp.total_flops(), caps_total_flops(n, opts))
+              << cutoff << "/" << depth << "/" << n << "/" << t;
+          EXPECT_DOUBLE_EQ(profile_traffic(wp),
+                           caps_total_traffic_bytes(n, opts))
+              << cutoff << "/" << depth << "/" << n << "/" << t;
+        }
+      }
     }
   }
 }
@@ -174,7 +266,7 @@ TEST(CapsProfile, MixedBfsDfsPhaseLabels) {
 }
 
 TEST(CapsProfile, PureDfsWhenCutoffZero) {
-  CapsCostOptions opts;
+  CapsOptions opts;
   opts.bfs_cutoff_depth = 0;
   const auto wp = caps_profile(1024, kHaswell, 4, opts);
   for (const auto& ph : wp.phases) {
@@ -183,7 +275,7 @@ TEST(CapsProfile, PureDfsWhenCutoffZero) {
 }
 
 TEST(CapsProfile, PeakBufferGrowsWithBfsDepth) {
-  CapsCostOptions opts;
+  CapsOptions opts;
   double prev = 0.0;
   for (std::size_t d : {0u, 1u, 2u, 4u}) {
     opts.bfs_cutoff_depth = d;

@@ -407,13 +407,10 @@ TEST_P(StrassenCountTest, InstrumentedCountsMatchClosedForm) {
     trace::RecordingScope scope(rec);
     multiply(a.view(), b.view(), c.view(), opts);
   }
-  StrassenCostOptions cost;
-  cost.base_cutoff = p.cutoff;
-  cost.winograd = p.winograd;
   EXPECT_EQ(static_cast<double>(rec.total().flops),
-            strassen_total_flops(p.n, cost));
+            strassen_total_flops(p.n, opts));
   EXPECT_EQ(static_cast<double>(rec.total().dram_bytes()),
-            strassen_total_traffic_bytes(p.n, cost));
+            strassen_total_traffic_bytes(p.n, opts));
 }
 
 constexpr StrassenCase kCountCases[] = {
@@ -431,7 +428,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StrassenCountTest,
 
 TEST(Strassen, ReducesMultiplicationFlops) {
   // One recursion level: 7/8 of the classical products plus O(n^2) adds.
-  StrassenCostOptions cost;
+  StrassenOptions cost;
   cost.base_cutoff = 64;
   const double classical = 2.0 * 128 * 128 * 128;
   const double strassen = strassen_total_flops(128, cost);
@@ -440,8 +437,8 @@ TEST(Strassen, ReducesMultiplicationFlops) {
 }
 
 TEST(Strassen, WinogradUsesFewerAddFlops) {
-  StrassenCostOptions classic{.base_cutoff = 32, .winograd = false};
-  StrassenCostOptions wino{.base_cutoff = 32, .winograd = true};
+  const StrassenOptions classic{.base_cutoff = 32, .winograd = false};
+  const StrassenOptions wino{.base_cutoff = 32, .winograd = true};
   EXPECT_LT(strassen_total_flops(256, wino),
             strassen_total_flops(256, classic));
   EXPECT_LT(strassen_total_traffic_bytes(256, wino),

@@ -6,13 +6,12 @@
 #include <sstream>
 #include <thread>
 
+#include "capow/api/matmul.hpp"
 #include "capow/harness/telemetry_export.hpp"
 #include "capow/machine/machine.hpp"
-#include "capow/rapl/msr.hpp"
 #include "capow/tasking/parallel_for.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/telemetry/export.hpp"
-#include "capow/telemetry/power_sampler.hpp"
 #include "capow/telemetry/ring.hpp"
 #include "capow/telemetry/telemetry.hpp"
 #include "capow/telemetry/tracer.hpp"
@@ -324,67 +323,6 @@ TEST(MetricsRegistry, LaterSampleOverwrites) {
   EXPECT_EQ(reg.to_text().find("m{k=\"v\"} 1"), std::string::npos);
 }
 
-TEST(PowerSampler, SamplesDepositedEnergyAsWatts) {
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(200);
-  telemetry::PowerSampler sampler(msr, opts);
-  sampler.start();
-  EXPECT_TRUE(sampler.running());
-  EXPECT_THROW(sampler.start(), std::logic_error);
-  // Deposit energy while the monitor polls; it should see nonzero
-  // average power on both planes.
-  for (int i = 0; i < 25; ++i) {
-    msr.deposit(machine::PowerPlane::kPackage, 0.02);
-    msr.deposit(machine::PowerPlane::kPP0, 0.01);
-    std::this_thread::sleep_for(std::chrono::microseconds(400));
-  }
-  sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  const auto samples = sampler.samples();
-  ASSERT_GE(samples.size(), 3u);
-  double peak_pkg = 0.0, peak_pp0 = 0.0, last_t = -1.0;
-  for (const auto& s : samples) {
-    EXPECT_GT(s.t_seconds, last_t);  // strictly increasing timeline
-    last_t = s.t_seconds;
-    peak_pkg = std::max(peak_pkg, s.package_w);
-    peak_pp0 = std::max(peak_pp0, s.pp0_w);
-  }
-  EXPECT_GT(peak_pkg, 0.0);
-  EXPECT_GT(peak_pp0, 0.0);
-}
-
-TEST(PowerSampler, EmitsCounterEventsIntoActiveTracer) {
-  Tracer tracer;
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(200);
-  telemetry::PowerSampler sampler(msr, opts);
-  {
-    TracingScope scope(tracer);
-    sampler.start();
-    // Deposit until the sampler has taken a sample, however late its
-    // thread gets scheduled; the deadline only bounds a hung sampler.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    do {
-      msr.deposit(machine::PowerPlane::kPackage, 0.02);
-      std::this_thread::sleep_for(std::chrono::microseconds(400));
-    } while (sampler.samples().empty() &&
-             std::chrono::steady_clock::now() < deadline);
-    sampler.stop();
-  }
-  std::size_t pkg = 0, pp0 = 0;
-  for (const auto& e : tracer.collect()) {
-    if (e.rec.kind != EventKind::kCounter) continue;
-    const std::string name = e.rec.name;
-    if (name == "package_w") ++pkg;
-    if (name == "pp0_w") ++pp0;
-  }
-  EXPECT_GE(pkg, 1u);
-  EXPECT_GE(pp0, 1u);
-}
-
 harness::ExperimentConfig small_config() {
   harness::ExperimentConfig cfg;
   cfg.sizes = {64, 128};
@@ -396,7 +334,8 @@ harness::ExperimentConfig small_config() {
 TEST(HarnessExport, WorkProfileMatchesRunOneSwitch) {
   const auto cfg = small_config();
   for (auto a : core::kAllAlgorithms) {
-    const auto profile = harness::work_profile_for(cfg, a, 128, 2);
+    const auto profile =
+        matmul_profile(128, cfg.machine, 2, {.algorithm = a});
     EXPECT_FALSE(profile.phases.empty());
     EXPECT_GT(profile.total_flops(), 0.0);
   }
@@ -457,110 +396,7 @@ TEST(HarnessExport, MetricsLabelEveryConfiguration) {
 }
 
 // ---------------------------------------------------------------------------
-// CAPOW_POWER_PERIOD_US / sampling jitter / dropped-event accounting
-
-/// Scoped setenv so a failing assertion can't leak the variable into
-/// later tests.
-class EnvVar {
- public:
-  EnvVar(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvVar() { ::unsetenv(name_); }
-  EnvVar(const EnvVar&) = delete;
-  EnvVar& operator=(const EnvVar&) = delete;
-
- private:
-  const char* name_;
-};
-
-TEST(PowerSamplerPeriod, EnvOverridesDefaultPeriod) {
-  EnvVar env("CAPOW_POWER_PERIOD_US", "2000");
-  EXPECT_EQ(telemetry::PowerSampler::resolve_period(
-                telemetry::PowerSampler::kDefaultPeriod),
-            std::chrono::microseconds(2000));
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler sampler(msr);
-  EXPECT_EQ(sampler.period(), std::chrono::microseconds(2000));
-}
-
-TEST(PowerSamplerPeriod, ExplicitIntervalBeatsEnv) {
-  EnvVar env("CAPOW_POWER_PERIOD_US", "2000");
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(300);
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler sampler(msr, opts);
-  EXPECT_EQ(sampler.period(), std::chrono::microseconds(300));
-}
-
-TEST(PowerSamplerPeriod, EnvValuesAreClampedToValidRange) {
-  {
-    EnvVar env("CAPOW_POWER_PERIOD_US", "10");  // below 50 us floor
-    EXPECT_EQ(telemetry::PowerSampler::resolve_period(
-                  telemetry::PowerSampler::kDefaultPeriod),
-              telemetry::PowerSampler::kMinPeriod);
-  }
-  {
-    EnvVar env("CAPOW_POWER_PERIOD_US", "5000000");  // above 1 s cap
-    EXPECT_EQ(telemetry::PowerSampler::resolve_period(
-                  telemetry::PowerSampler::kDefaultPeriod),
-              telemetry::PowerSampler::kMaxPeriod);
-  }
-}
-
-TEST(PowerSamplerPeriod, InvalidEnvValuesFallBackToDefault) {
-  for (const char* bad : {"abc", "12x", "-5", "0", ""}) {
-    EnvVar env("CAPOW_POWER_PERIOD_US", bad);
-    EXPECT_EQ(telemetry::PowerSampler::resolve_period(
-                  telemetry::PowerSampler::kDefaultPeriod),
-              telemetry::PowerSampler::kDefaultPeriod)
-        << "value: '" << bad << "'";
-  }
-}
-
-TEST(PowerSamplerPeriod, ExplicitIntervalIsClampedToo) {
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(1);
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler sampler(msr, opts);
-  EXPECT_EQ(sampler.period(), telemetry::PowerSampler::kMinPeriod);
-}
-
-TEST(PowerSamplerJitter, ObservedGapsAreConsistent) {
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(200);
-  telemetry::PowerSampler sampler(msr, opts);
-  sampler.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  sampler.stop();
-
-  const auto samples = sampler.samples();
-  const auto jitter = sampler.jitter();
-  ASSERT_GE(samples.size(), 2u);
-  // One gap per sample: the session start is the zeroth timeline point.
-  EXPECT_EQ(jitter.intervals, samples.size());
-  EXPECT_GT(jitter.min_seconds, 0.0);
-  EXPECT_LE(jitter.min_seconds, jitter.mean_seconds);
-  EXPECT_LE(jitter.mean_seconds, jitter.max_seconds);
-  // The scheduler can only make gaps longer than the period, never
-  // (meaningfully) shorter.
-  EXPECT_GE(jitter.max_seconds, 150e-6);
-}
-
-TEST(PowerSamplerJitter, RestartResetsTheStats) {
-  rapl::SimulatedMsrDevice msr;
-  telemetry::PowerSampler::Options opts;
-  opts.interval = std::chrono::microseconds(200);
-  telemetry::PowerSampler sampler(msr, opts);
-  sampler.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  sampler.stop();
-  ASSERT_GE(sampler.jitter().intervals, 1u);
-  sampler.start();
-  sampler.stop();
-  EXPECT_LT(sampler.jitter().intervals, 5u);  // fresh session, not summed
-}
+// Dropped-event accounting
 
 TEST(DroppedEvents, TotalGrowsWhenARingWrapsAndIsMonotonic) {
   const std::uint64_t before = telemetry::total_dropped_events();
