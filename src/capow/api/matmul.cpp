@@ -1,56 +1,22 @@
 #include "capow/api/matmul.hpp"
 
+#include <optional>
 #include <stdexcept>
-#include <string>
 
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/cost_model.hpp"
+#include "capow/capsalg/caps.hpp"
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/strassen/cost_model.hpp"
+#include "capow/strassen/strassen.hpp"
 #include "capow/telemetry/telemetry.hpp"
 
 namespace capow {
 
-namespace {
-
-blas::GemmOptions gemm_options(const MatmulOptions& opts) {
-  blas::GemmOptions g;
-  g.blocking = opts.blocking;
-  g.pool = opts.pool;
-  return g;
-}
-
-/// matmul_kernel for options already validated.
-const blas::MicroKernel* selected_kernel(const MatmulOptions& opts) {
-  switch (opts.algorithm) {
-    case core::AlgorithmId::kOpenBlas:
-      return &blas::resolve_kernel(gemm_options(opts));
-    case core::AlgorithmId::kStrassen:
-      return strassen::resolve_base_kernel(opts.strassen.base_kernel);
-    case core::AlgorithmId::kCaps:
-      return strassen::resolve_base_kernel(opts.caps.base_kernel);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-void validate_options(const MatmulOptions& opts) {
-  if (!opts.blocking) return;
-  const blas::BlockingParams& bl = *opts.blocking;
-  if (blas::find_kernel_for_tile(bl.mr, bl.nr) == nullptr) {
-    throw std::invalid_argument(
-        "matmul: blocking requests a " + std::to_string(bl.mr) + "x" +
-        std::to_string(bl.nr) +
-        " register tile, which matches no registered microkernel (valid "
-        "kernel=tile combinations: " +
-        blas::kernel_tile_listing() + ")");
-  }
-}
-
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts) {
-  validate_options(opts);
-  return selected_kernel(opts);
+  return opts.algorithm == core::AlgorithmId::kOpenBlas
+             ? &blas::resolve_kernel({})
+             : strassen::resolve_base_kernel(std::nullopt);
 }
 
 sim::WorkProfile matmul_profile(std::size_t n,
@@ -60,16 +26,15 @@ sim::WorkProfile matmul_profile(std::size_t n,
     case core::AlgorithmId::kOpenBlas:
       return blas::blocked_gemm_profile(n, spec, threads);
     case core::AlgorithmId::kStrassen:
-      return strassen::strassen_profile(n, spec, threads, opts.strassen);
+      return strassen::strassen_profile(n, spec, threads);
     case core::AlgorithmId::kCaps:
-      return capsalg::caps_profile(n, spec, threads, opts.caps);
+      return capsalg::caps_profile(n, spec, threads);
   }
   return {};
 }
 
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts) {
-  validate_options(opts);
   if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
     throw std::invalid_argument("matmul: C shares storage with A or B");
   }
@@ -90,7 +55,7 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   backend::BackendScope device_guard(device);
   blas::ArenaScope arena_guard(arena);
 
-  [[maybe_unused]] const blas::MicroKernel* kern = selected_kernel(opts);
+  [[maybe_unused]] const blas::MicroKernel* kern = matmul_kernel(opts);
   // Span args: the resolved kernel id (-1 = BOTS base kernel), the
   // algorithm id and the dispatched backend id, so trace consumers can
   // attribute each multiply to the device that ran it.
@@ -104,8 +69,9 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 
   switch (opts.algorithm) {
     case core::AlgorithmId::kOpenBlas: {
-      blas::GemmOptions g = gemm_options(opts);
+      blas::GemmOptions g;
       g.arena = &arena;
+      g.pool = opts.pool;
       // abft::guarded_gemm is the checksum wrapper for the blocked path
       // (it falls straight through to blas::gemm when the mode resolves
       // to off, so the default path is untouched).
@@ -116,20 +82,14 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
       }
       break;
     }
-    case core::AlgorithmId::kStrassen: {
-      strassen::StrassenOptions s = opts.strassen;
-      if (s.arena == nullptr) s.arena = &arena;
-      if (!s.abft.mode) s.abft = opts.abft;
-      strassen::multiply(a, b, c, s, opts.pool);
+    case core::AlgorithmId::kStrassen:
+      strassen::multiply(a, b, c, {.arena = &arena, .abft = opts.abft},
+                         opts.pool);
       break;
-    }
-    case core::AlgorithmId::kCaps: {
-      capsalg::CapsOptions o = opts.caps;
-      if (o.arena == nullptr) o.arena = &arena;
-      if (!o.abft.mode) o.abft = opts.abft;
-      capsalg::multiply(a, b, c, o, opts.pool, opts.caps_stats);
+    case core::AlgorithmId::kCaps:
+      capsalg::multiply(a, b, c, {.arena = &arena, .abft = opts.abft},
+                        opts.pool);
       break;
-    }
   }
 
 #if CAPOW_TELEMETRY_ENABLED

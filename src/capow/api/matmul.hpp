@@ -1,20 +1,21 @@
 // capow::matmul() — the single entrypoint for the paper's three
 // multiplication algorithms.
 //
-// Every call site (harness, benches, examples, tools) goes through this
-// facade; the per-algorithm entrypoints are blas::gemm,
-// strassen::multiply and capsalg::multiply (the PR-3 deprecated shims
-// are gone). One options struct carries everything the paper's
-// experiments vary: the algorithm (core::AlgorithmId registry), the
-// *backend* the call dispatches onto (capow::backend seam — device
-// identity, kernel registry, device arena, power plane), blocking and
-// cutoff tuning (which also pin the register microkernel: a blocking
-// tile, or a Strassen/CAPS base_kernel, else CAPOW_KERNEL), and the
-// thread pool.
+// Every call site (harness, benches, examples, tools, capowd) goes
+// through this facade; the per-algorithm entrypoints are blas::gemm,
+// strassen::multiply and capsalg::multiply. The facade runs the paper's
+// configuration of each: OpenBLAS-class blocked GEMM with this CPU's
+// kernel (or CAPOW_KERNEL's), and Strassen and CAPS at the BOTS base
+// cutoff 64 with CAPS's BFS cutoff depth 4. Its options choose only the
+// algorithm, the *backend* the call dispatches onto (capow::backend
+// seam — device identity, device arena, power plane), the thread pool
+// and the ABFT level. Tuning a recursion or pinning a GEMM tile is done
+// at the entry points, through blas::GemmOptions,
+// strassen::StrassenOptions and capsalg::CapsOptions.
 //
 // Beside the call sits its model: matmul_profile() is the cost model of
-// the multiply matmul() runs for the same options, so the algorithm
-// switch exists once for running and once for predicting, both here.
+// the multiply matmul() runs, so the algorithm switch exists once for
+// running and once for predicting, both here.
 //
 // The facade also owns the per-call observability: a "matmul" telemetry
 // span tagged with the resolved algorithm/kernel/backend, plus arena
@@ -27,15 +28,11 @@
 
 #include "capow/abft/abft.hpp"
 #include "capow/backend/backend.hpp"
-#include "capow/blas/blocking.hpp"
 #include "capow/blas/microkernel.hpp"
-#include "capow/blas/workspace.hpp"
-#include "capow/capsalg/caps.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/matrix.hpp"
 #include "capow/machine/machine.hpp"
 #include "capow/sim/cost_profile.hpp"
-#include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 
 namespace capow {
@@ -56,20 +53,6 @@ struct MatmulOptions {
   /// Worker pool; null runs serially.
   tasking::ThreadPool* pool = nullptr;
 
-  /// Blocked-GEMM path: explicit blocking parameters. The (mr, nr) tile
-  /// must match a registered kernel, which it then pins. Unset, the
-  /// kernel is CAPOW_KERNEL's, else the fastest this CPU supports.
-  std::optional<blas::BlockingParams> blocking{};
-
-  /// Strassen path tuning (cutoff, winograd, arena, base kernel). An unset
-  /// base_kernel, here or in `caps`, falls back to CAPOW_KERNEL, then
-  /// to the BOTS base case the paper models.
-  strassen::StrassenOptions strassen{};
-  /// CAPS path tuning (cutoffs, thresholds).
-  capsalg::CapsOptions caps{};
-  /// CAPS path: receives traversal statistics when non-null.
-  capsalg::CapsStats* caps_stats = nullptr;
-
   /// ABFT protection, applied to whichever algorithm runs: off (default),
   /// detect (checksum-verify, throw abft::AbftError on silent
   /// corruption), or correct (localized recomputation, then bounded full
@@ -77,13 +60,6 @@ struct MatmulOptions {
   /// variable (abft::resolve_mode).
   abft::AbftConfig abft{};
 };
-
-/// Rejects a `blocking` tile whose (mr, nr) matches no registered
-/// kernel up front, before any dispatch work. Throws
-/// std::invalid_argument whose message lists the registered
-/// kernel/tile combinations. matmul() calls this on entry; experiment
-/// drivers can call it early to fail before allocating operands.
-void validate_options(const MatmulOptions& opts);
 
 /// C = A * B via the selected algorithm on the resolved backend.
 /// Validation, border peeling and instrumentation follow the selected
@@ -96,19 +72,19 @@ void validate_options(const MatmulOptions& opts);
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts = {});
 
-/// The microkernel matmul() would run for `opts` — the facade-level
-/// resolution including per-algorithm defaults. Returns null when the
-/// Strassen/CAPS base case would use the BOTS kernel. Throws exactly
-/// when matmul() would reject the blocking tile.
+/// The microkernel matmul() runs for `opts.algorithm`: the blocked GEMM's
+/// (CAPOW_KERNEL's, else the fastest this CPU supports), or for Strassen
+/// and CAPS their base case's — null for the BOTS kernel unless
+/// CAPOW_KERNEL names one. Throws only when CAPOW_KERNEL names an unknown
+/// kernel or one this CPU cannot run, as matmul() would.
 const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts);
 
 /// The simulator work profile of the n x n multiply matmul() runs for
-/// `opts` with `threads` workers on `spec`: the selected algorithm's
-/// closed-form cost model, fed `opts.strassen` or `opts.caps`. The models
-/// charge the paper's kernels (OpenBLAS-class GEMM blocked for `spec`, the
-/// BOTS base case) whatever `blocking`, `base_kernel` or the backend
-/// select, and do not model the pool, arenas or ABFT: `threads` and
-/// `spec` stand for the pool and the device.
+/// `opts.algorithm` with `threads` workers on `spec`: that algorithm's
+/// closed-form cost model at the paper's configuration (OpenBLAS-class
+/// GEMM blocked for `spec`, the BOTS base case at cutoff 64, CAPS BFS
+/// depth 4). The models do not model the pool, arenas, backend or ABFT:
+/// `threads` and `spec` stand for the pool and the device.
 sim::WorkProfile matmul_profile(std::size_t n,
                                 const machine::MachineSpec& spec,
                                 unsigned threads,

@@ -21,7 +21,6 @@ RunStatus status_from_name(const std::string& name, bool& ok) {
   if (name == "retried") return RunStatus::kRetried;
   if (name == "corrected") return RunStatus::kCorrected;
   if (name == "degraded") return RunStatus::kDegraded;
-  if (name == "recovered") return RunStatus::kRecovered;
   if (name == "failed") return RunStatus::kFailed;
   ok = false;
   return RunStatus::kOk;
@@ -49,21 +48,9 @@ std::string checkpoint_line(const ResultRecord& r) {
   out += ",\"status\":\"" + std::string(to_string(r.status)) + "\"";
   out += ",\"attempts\":" + std::to_string(r.attempts);
   out += ",\"error\":\"" + telemetry::json_escape(r.error) + "\"";
-  // Recovery fields appear only when set, so runs that never exercised
-  // elastic recovery emit lines byte-identical to the pre-recovery
-  // format (resume flows diff checkpoint bytes).
-  if (!r.failed_ranks.empty()) {
-    out += ",\"failed_ranks\":[";
-    for (std::size_t i = 0; i < r.failed_ranks.size(); ++i) {
-      if (i > 0) out += ",";
-      out += std::to_string(r.failed_ranks[i]);
-    }
-    out += "]";
-  }
-  if (r.recovery_ns > 0) {
-    out += ",\"recovery_ns\":" + std::to_string(r.recovery_ns);
-  }
-  // RAPL measurement-health fields follow the same only-when-set rule.
+  // RAPL measurement-health fields appear only when set, so clean runs
+  // emit lines byte-identical to the older format (resume flows diff
+  // checkpoint bytes).
   if (r.rapl_wraps > 0) {
     out += ",\"rapl_wraps\":" + std::to_string(r.rapl_wraps);
   }
@@ -122,27 +109,6 @@ std::optional<ResultRecord> parse_checkpoint_line(const std::string& line) {
 
   if (find_value(line, "error", tok)) r.error = jsonl::json_unescape(tok);
 
-  // Optional recovery fields (absent on pre-recovery lines).
-  // find_value's scalar scan stops at commas, so the rank array is
-  // extracted by bracket instead.
-  const std::string ranks_needle = "\"failed_ranks\":[";
-  const std::size_t ranks_at = line.find(ranks_needle);
-  if (ranks_at != std::string::npos) {
-    std::size_t pos = ranks_at + ranks_needle.size();
-    const std::size_t end = line.find(']', pos);
-    if (end == std::string::npos) return std::nullopt;
-    while (pos < end) {
-      std::size_t stop = line.find(',', pos);
-      if (stop == std::string::npos || stop > end) stop = end;
-      if (!parse_u64(line.substr(pos, stop - pos), u)) return std::nullopt;
-      r.failed_ranks.push_back(static_cast<int>(u));
-      pos = stop + 1;
-    }
-  }
-  if (find_value(line, "recovery_ns", tok)) {
-    if (!parse_u64(tok, u)) return std::nullopt;
-    r.recovery_ns = static_cast<std::uint64_t>(u);
-  }
   if (find_value(line, "rapl_wraps", tok)) {
     if (!parse_u64(tok, u)) return std::nullopt;
     r.rapl_wraps = static_cast<std::uint64_t>(u);

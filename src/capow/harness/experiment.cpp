@@ -32,8 +32,6 @@ const char* to_string(RunStatus s) noexcept {
       return "corrected";
     case RunStatus::kDegraded:
       return "degraded";
-    case RunStatus::kRecovered:
-      return "recovered";
     case RunStatus::kFailed:
       return "failed";
   }

@@ -32,14 +32,12 @@ enum class RunStatus {
   kCorrected,  ///< succeeded, but ABFT detected (and repaired) silent
                ///< corruption during the surviving attempt
   kDegraded,   ///< succeeded, but RAPL reads degraded (stale samples)
-  kRecovered,  ///< succeeded, but one or more dist ranks died and the
-               ///< elastic runtime recovered the run online
   kFailed,     ///< every attempt failed; metrics are zero, error is set
 };
 
-/// Status name ("ok", "retried", "corrected", "degraded", "recovered",
-/// "failed"). Checkpoints store these names, not the enum values, so
-/// inserting kRecovered mid-enum does not invalidate old checkpoints.
+/// Status name ("ok", "retried", "corrected", "degraded", "failed").
+/// Checkpoints store these names, not the enum values, so reordering the
+/// enum does not invalidate old checkpoints.
 const char* to_string(RunStatus s) noexcept;
 
 /// Full experiment-matrix configuration.
@@ -81,13 +79,6 @@ struct ResultRecord {
   RunStatus status = RunStatus::kOk;
   int attempts = 1;   ///< attempts consumed (1 = clean first try)
   std::string error;  ///< last failure message; non-empty iff kFailed
-  /// Physical dist ranks that died during the run (kRecovered only;
-  /// empty otherwise). Checkpoint lines carry these fields only when
-  /// set, keeping pre-recovery checkpoints byte-compatible.
-  std::vector<int> failed_ranks;
-  /// Wall time the elastic runtime spent in recovery transitions.
-  /// Diagnostic: excluded from deterministic run-to-run comparison.
-  std::uint64_t recovery_ns = 0;
   /// RAPL measurement health for this record's final attempt: 32-bit
   /// counter wraps the reader folded and transient-read retries it
   /// absorbed. Nonzero retries with status below kDegraded mean the

@@ -9,7 +9,7 @@
 // n, threads) configuration becomes one Chrome trace process whose rows
 // are the phase spans and whose counter track is the power timeline.
 //
-// Live instrumented runs (run_measured, tests, benches) use the span
+// Live instrumented runs (tests, benches, capowd) use the span
 // tracer in capow/telemetry directly; both paths share the writers in
 // capow/telemetry/export.hpp.
 #pragma once

@@ -136,7 +136,6 @@ TEST(BackendDispatch, FallbackGoldenBitIdenticalWithCounterOne) {
 
   MatmulOptions opts;
   opts.algorithm = AlgorithmId::kStrassen;
-  opts.strassen.base_cutoff = 32;
   opts.backend = BackendId::kCpu;
   matmul(a.view(), b.view(), on_cpu.view(), opts);
 

@@ -1,10 +1,13 @@
 // Tests for the blocked DGEMM and its cost model.
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/blocking.hpp"
 #include "capow/blas/cost_model.hpp"
 #include "capow/blas/gemm_ref.hpp"
+#include "capow/blas/microkernel.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/trace/counters.hpp"
@@ -148,6 +151,56 @@ TEST(BlockedGemm, RejectsUnsupportedMicrokernel) {
   Matrix a(8, 8), b(8, 8), c(8, 8);
   EXPECT_THROW(gemm(a.view(), b.view(), c.view(), opts),
                std::invalid_argument);
+}
+
+// A blocking tile pins the registered kernel with that (mr, nr).
+TEST(BlockedGemm, ExplicitKernelSelection) {
+  const std::size_t n = 80;
+  Matrix a = random_matrix(n, n, 3), b = random_matrix(n, n, 4);
+  Matrix expect(n, n);
+  gemm_reference(a.view(), b.view(), expect.view());
+  for (const auto& kern : kernel_registry()) {
+    if (!kern.supported()) continue;
+    Matrix got(n, n);
+    GemmOptions opts;
+    opts.blocking = default_blocking_for(kern);
+    EXPECT_EQ(&resolve_kernel(opts), &kern);
+    gemm(a.view(), b.view(), got.view(), opts);
+    EXPECT_TRUE(allclose(got.view(), expect.view(), 1e-11, 1e-11))
+        << kern.name;
+  }
+}
+
+// A tile no kernel registers fails up front, listing the valid ones.
+TEST(BlockedGemm, UnknownBlockingTileRejectedWithListing) {
+  GemmOptions opts;
+  opts.blocking = BlockingParams{};
+  opts.blocking->mr = 5;
+  opts.blocking->nr = 3;
+  try {
+    Matrix a(8, 8), b(8, 8), c(8, 8);
+    gemm(a.view(), b.view(), c.view(), opts);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("5x3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("generic=4x4"), std::string::npos) << msg;
+  }
+}
+
+TEST(BlockedGemm, ConsistentPinnedTileAccepted) {
+  const MicroKernel* generic = find_kernel(MicroKernelId::kGeneric);
+  ASSERT_NE(generic, nullptr);
+  GemmOptions opts;
+  opts.blocking = default_blocking_for(*generic);
+  EXPECT_EQ(&resolve_kernel(opts), generic);
+
+  const std::size_t n = 48;
+  Matrix a = random_matrix(n, n, 9), b = random_matrix(n, n, 10);
+  Matrix expect(n, n), got(n, n);
+  gemm_reference(a.view(), b.view(), expect.view());
+  gemm(a.view(), b.view(), got.view(), opts);
+  EXPECT_TRUE(allclose(got.view(), expect.view(), 1e-11, 1e-11));
 }
 
 TEST(BlasCostModel, FlopCount) {

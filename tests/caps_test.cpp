@@ -10,6 +10,7 @@
 
 #include "capow/abft/abft.hpp"
 #include "capow/blas/gemm_ref.hpp"
+#include "capow/blas/microkernel.hpp"
 #include "capow/capsalg/caps.hpp"
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/fault/fault.hpp"
@@ -104,6 +105,37 @@ TEST(Caps, EmptyIsNoop) {
   EXPECT_NO_THROW(multiply(a.view(), b.view(), c.view(), {}, nullptr,
                                 &stats));
   EXPECT_EQ(stats.base_products, 0u);
+}
+
+// CAPS resolves base_kernel through Strassen's rule (the option, else
+// CAPOW_KERNEL, else the BOTS loop): with any supported microkernel
+// pinned, pure-DFS CAPS, whose steps are Strassen's classic step, runs
+// Strassen's arithmetic bit for bit.
+TEST(Caps, BaseKernelFollowsTheStrassenRule) {
+  const std::size_t n = 256;
+  const Matrix a = random_matrix(n, n, 3), b = random_matrix(n, n, 4);
+  for (const auto& kern : blas::kernel_registry()) {
+    if (!kern.supported()) continue;
+    EXPECT_EQ(strassen::resolve_base_kernel(kern.id), &kern) << kern.name;
+    Matrix caps(n, n), str(n, n);
+    multiply(a.view(), b.view(), caps.view(),
+             {.base_cutoff = 32, .bfs_cutoff_depth = 0, .base_kernel = kern.id});
+    strassen::multiply(a.view(), b.view(), str.view(),
+                       {.base_cutoff = 32, .base_kernel = kern.id});
+    EXPECT_EQ(std::memcmp(caps.data(), str.data(), n * n * sizeof(double)), 0)
+        << kern.name;
+  }
+}
+
+TEST(CapsStats, FlowThrough) {
+  const std::size_t n = 64;
+  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
+  Matrix c(n, n);
+  CapsStats stats;
+  multiply(a.view(), b.view(), c.view(),
+           {.base_cutoff = 8, .bfs_cutoff_depth = 2}, nullptr, &stats);
+  EXPECT_GT(stats.base_products, 0u);
+  EXPECT_GT(stats.peak_buffer_bytes, 0u);
 }
 
 TEST(CapsStats, NodeCountsFollowAlgorithm2) {

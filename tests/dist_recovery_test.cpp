@@ -1,7 +1,6 @@
 // Tests for elastic recovery: rank.kill scheduling, the three
 // RecoveryPolicy modes, failed-set agreement, conservation with
-// discard accounting, determinism of the recovered surface, and the
-// harness-facing kRecovered plumbing.
+// discard accounting, and determinism of the recovered surface.
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -15,8 +14,6 @@
 #include "capow/dist/recovery.hpp"
 #include "capow/dist/summa.hpp"
 #include "capow/fault/fault.hpp"
-#include "capow/harness/checkpoint.hpp"
-#include "capow/harness/experiment.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
 
@@ -382,40 +379,6 @@ TEST(RecoveryPolicy, NamesRoundTrip) {
     EXPECT_EQ(parse_recovery_policy(recovery_policy_name(p)), p);
   }
   EXPECT_THROW(parse_recovery_policy("bogus"), std::invalid_argument);
-}
-
-// --- harness plumbing: kRecovered and checkpoint fields --------------
-
-TEST(RecoveryHarness, RunStatusNameAndCheckpointRoundTrip) {
-  EXPECT_STREQ(harness::to_string(harness::RunStatus::kRecovered),
-               "recovered");
-
-  harness::ResultRecord r;
-  r.algorithm = core::AlgorithmId::kCaps;
-  r.n = 512;
-  r.threads = 2;
-  r.seconds = 1.5;
-  r.status = harness::RunStatus::kRecovered;
-  r.attempts = 1;
-  r.failed_ranks = {1, 3};
-  r.recovery_ns = 123456789;
-  const std::string line = harness::checkpoint_line(r);
-  const auto parsed = harness::parse_checkpoint_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->status, harness::RunStatus::kRecovered);
-  EXPECT_EQ(parsed->failed_ranks, (std::vector<int>{1, 3}));
-  EXPECT_EQ(parsed->recovery_ns, 123456789u);
-
-  // Records that never recovered serialize without the new fields, so
-  // pre-recovery checkpoints stay byte-compatible.
-  harness::ResultRecord plain;
-  plain.algorithm = core::AlgorithmId::kOpenBlas;
-  plain.n = 512;
-  plain.threads = 1;
-  const std::string plain_line = harness::checkpoint_line(plain);
-  EXPECT_EQ(plain_line.find("failed_ranks"), std::string::npos);
-  EXPECT_EQ(plain_line.find("recovery_ns"), std::string::npos);
-  ASSERT_TRUE(harness::parse_checkpoint_line(plain_line).has_value());
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Tests for the capow::matmul() facade, the shared algorithm registry,
 // and the backend-pinned equivalence the redesign guarantees.
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "capow/abft/abft.hpp"
 #include "capow/api/matmul.hpp"
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/cost_model.hpp"
@@ -73,15 +76,8 @@ void expect_same_profile(const sim::WorkProfile& got,
   }
 }
 
-std::vector<std::string> labels(const sim::WorkProfile& wp) {
-  std::vector<std::string> out;
-  for (const sim::PhaseCost& ph : wp.phases) out.push_back(ph.label);
-  return out;
-}
-
-// matmul_profile() is the selected algorithm's own cost model, fed the
-// options the multiply reads: equal phase for phase at the defaults, and
-// non-default cutoffs, Winograd and BFS depth reach the model.
+// matmul_profile() is the selected algorithm's own cost model at the
+// paper's configuration, equal phase for phase.
 TEST(MatmulApi, ProfileIsTheAlgorithmsModel) {
   const machine::MachineSpec spec = machine::haswell_e3_1225();
   for (const AlgorithmId a : core::kAllAlgorithms) {
@@ -98,31 +94,6 @@ TEST(MatmulApi, ProfileIsTheAlgorithmsModel) {
       }
     }
   }
-
-  for (const unsigned t : {1u, 4u}) {
-    MatmulOptions s;
-    s.algorithm = AlgorithmId::kStrassen;
-    s.strassen.base_cutoff = 32;
-    s.strassen.winograd = true;
-    const sim::WorkProfile tuned = matmul_profile(1024, spec, t, s);
-    expect_same_profile(
-        tuned, strassen::strassen_profile(
-                   1024, spec, t, {.base_cutoff = 32, .winograd = true}));
-    EXPECT_EQ(tuned.name, "strassen-winograd");
-    EXPECT_NE(labels(tuned),
-              labels(matmul_profile(1024, spec, t,
-                                    {.algorithm = AlgorithmId::kStrassen})));
-
-    MatmulOptions c;
-    c.algorithm = AlgorithmId::kCaps;
-    c.caps.bfs_cutoff_depth = 1;
-    const sim::WorkProfile shallow = matmul_profile(1024, spec, t, c);
-    expect_same_profile(shallow, capsalg::caps_profile(
-                                     1024, spec, t, {.bfs_cutoff_depth = 1}));
-    EXPECT_NE(labels(shallow),
-              labels(matmul_profile(1024, spec, t,
-                                    {.algorithm = AlgorithmId::kCaps})));
-  }
 }
 
 // Default options model the default multiply: the blocked GEMM.
@@ -134,104 +105,21 @@ TEST(MatmulApi, ProfileDefaultsToBlockedGemm) {
   }
 }
 
-// The Strassen cutoff the multiply reads is the one the model charges:
-// halving it adds a recursion level, so the model does 7/8 of the base
-// flops again, and the totals follow the same options.
-TEST(MatmulApi, ProfileReadsTheStrassenCutoff) {
-  const machine::MachineSpec spec = machine::haswell_e3_1225();
-  for (const std::size_t cutoff : {32u, 64u, 128u}) {
-    MatmulOptions opts;
-    opts.algorithm = AlgorithmId::kStrassen;
-    opts.strassen.base_cutoff = cutoff;
-    const sim::WorkProfile wp = matmul_profile(1024, spec, 4, opts);
-    EXPECT_DOUBLE_EQ(wp.total_flops(),
-                     strassen::strassen_total_flops(1024, opts.strassen))
-        << "cutoff " << cutoff;
-  }
-  MatmulOptions deep;
-  deep.algorithm = AlgorithmId::kStrassen;
-  deep.strassen.base_cutoff = 32;
-  EXPECT_GT(labels(matmul_profile(1024, spec, 4, deep)).size(),
-            labels(matmul_profile(1024, spec, 4,
-                                  {.algorithm = AlgorithmId::kStrassen}))
-                .size());
-}
-
-// CAPS reads both of its cutoffs: the base cutoff sets the recursion
-// depth, the BFS depth how many of those levels fan out breadth-first.
-TEST(MatmulApi, ProfileReadsTheCapsCutoffs) {
-  const machine::MachineSpec spec = machine::haswell_e3_1225();
-  for (const std::size_t cutoff : {32u, 64u, 128u}) {
-    for (const std::size_t depth : {0u, 2u, 4u}) {
-      MatmulOptions opts;
-      opts.algorithm = AlgorithmId::kCaps;
-      opts.caps.base_cutoff = cutoff;
-      opts.caps.bfs_cutoff_depth = depth;
-      const sim::WorkProfile wp = matmul_profile(1024, spec, 4, opts);
-      expect_same_profile(wp, capsalg::caps_profile(1024, spec, 4, opts.caps));
-      EXPECT_DOUBLE_EQ(wp.total_flops(),
-                       capsalg::caps_total_flops(1024, opts.caps))
-          << cutoff << "/" << depth;
-    }
-  }
-}
-
-// What the models leave out (the kernel, arena, ABFT, backend and pool
-// the multiply runs with) leaves the profile as it is.
+// What the models leave out (the pool, backend and ABFT the multiply
+// runs with) leaves the profile as it is.
 TEST(MatmulApi, ProfileIgnoresWhatTheModelsDoNotModel) {
   const machine::MachineSpec spec = machine::haswell_e3_1225();
-  const blas::MicroKernel* generic =
-      blas::find_kernel(blas::MicroKernelId::kGeneric);
-  ASSERT_NE(generic, nullptr);
-  blas::WorkspaceArena arena;
   tasking::ThreadPool pool(1);
-  capsalg::CapsStats stats;
   for (const AlgorithmId a : core::kAllAlgorithms) {
     MatmulOptions plain;
     plain.algorithm = a;
     MatmulOptions dressed = plain;
-    dressed.blocking = blas::default_blocking_for(*generic);
+    dressed.backend = backend::BackendId::kSimAccel;
     dressed.pool = &pool;
-    dressed.strassen.arena = &arena;
-    dressed.strassen.base_kernel = blas::MicroKernelId::kGeneric;
-    dressed.strassen.abft.mode = abft::AbftMode::kCorrect;
-    dressed.caps.arena = &arena;
-    dressed.caps.base_kernel = blas::MicroKernelId::kGeneric;
-    dressed.caps.abft.mode = abft::AbftMode::kDetect;
-    dressed.caps_stats = &stats;
     dressed.abft.mode = abft::AbftMode::kCorrect;
     expect_same_profile(matmul_profile(1024, spec, 4, dressed),
                         matmul_profile(1024, spec, 4, plain));
   }
-}
-
-// Each algorithm's model reads only its own options: CAPS tuning leaves
-// the Strassen profile alone and Strassen tuning the CAPS one.
-TEST(MatmulApi, ProfileIgnoresTheOtherAlgorithmsOptions) {
-  const machine::MachineSpec spec = machine::haswell_e3_1225();
-  MatmulOptions tuned;
-  tuned.strassen.base_cutoff = 32;
-  tuned.strassen.winograd = true;
-  tuned.caps.base_cutoff = 128;
-  tuned.caps.bfs_cutoff_depth = 1;
-
-  MatmulOptions s = tuned;
-  s.algorithm = AlgorithmId::kStrassen;
-  s.caps = {};
-  tuned.algorithm = AlgorithmId::kStrassen;
-  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
-                      matmul_profile(1024, spec, 4, s));
-
-  MatmulOptions c = tuned;
-  c.algorithm = AlgorithmId::kCaps;
-  c.strassen = {};
-  tuned.algorithm = AlgorithmId::kCaps;
-  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
-                      matmul_profile(1024, spec, 4, c));
-
-  tuned.algorithm = AlgorithmId::kOpenBlas;
-  expect_same_profile(matmul_profile(1024, spec, 4, tuned),
-                      blas::blocked_gemm_profile(1024, spec, 4));
 }
 
 TEST(MatmulFacade, DefaultsToBlockedGemm) {
@@ -248,78 +136,27 @@ TEST(MatmulFacade, ShapeErrorsPropagate) {
   EXPECT_THROW(matmul(a.view(), b.view(), c.view()), std::invalid_argument);
 }
 
-TEST(MatmulFacade, ExplicitKernelSelection) {
-  const std::size_t n = 80;
-  Matrix a = random_matrix(n, n, 3), b = random_matrix(n, n, 4);
-  Matrix expect(n, n);
-  blas::gemm_reference(a.view(), b.view(), expect.view());
-  for (const auto& kern : blas::kernel_registry()) {
-    if (!kern.supported()) continue;
-    Matrix got(n, n);
-    MatmulOptions opts;
-    opts.blocking = blas::default_blocking_for(kern);
-    EXPECT_EQ(matmul_kernel(opts), &kern);
-    matmul(a.view(), b.view(), got.view(), opts);
-    EXPECT_TRUE(allclose(got.view(), expect.view(), 1e-11, 1e-11))
-        << kern.name;
-  }
-}
-
 TEST(MatmulFacade, MatmulKernelReportsResolution) {
   MatmulOptions opts;
   const blas::MicroKernel* k = matmul_kernel(opts);
   ASSERT_NE(k, nullptr);  // blocked GEMM always runs a microkernel
   EXPECT_TRUE(k->supported());
+  EXPECT_EQ(k, &blas::resolve_kernel({}));
 
-  opts.algorithm = AlgorithmId::kStrassen;
-  // Default Strassen base case is the BOTS-style loop kernel (null),
-  // unless the CAPOW_KERNEL environment pins one for the whole stack...
+  // The Strassen and CAPS base case is the BOTS-style loop kernel (null),
+  // unless the CAPOW_KERNEL environment pins one for the whole stack.
   const auto env = blas::env_kernel_override();
-  const blas::MicroKernel* def = matmul_kernel(opts);
-  if (env) {
-    ASSERT_NE(def, nullptr);
-    EXPECT_EQ(def->id, *env);
-  } else {
-    EXPECT_EQ(def, nullptr);
+  for (const AlgorithmId a : {AlgorithmId::kStrassen, AlgorithmId::kCaps}) {
+    opts.algorithm = a;
+    const blas::MicroKernel* base = matmul_kernel(opts);
+    EXPECT_EQ(base, strassen::resolve_base_kernel(std::nullopt));
+    if (env) {
+      ASSERT_NE(base, nullptr);
+      EXPECT_EQ(base->id, *env);
+    } else {
+      EXPECT_EQ(base, nullptr);
+    }
   }
-  // ...until the algorithm option requests one.
-  opts.strassen.base_kernel = blas::MicroKernelId::kGeneric;
-  const blas::MicroKernel* sk = matmul_kernel(opts);
-  ASSERT_NE(sk, nullptr);
-  EXPECT_EQ(sk->id, blas::MicroKernelId::kGeneric);
-}
-
-TEST(MatmulFacade, CapsBaseKernelFollowsTheStrassenRule) {
-  // CAPS resolves caps.base_kernel through the same rule as Strassen
-  // (option, else CAPOW_KERNEL, else the BOTS loop) and ignores the
-  // Strassen option.
-  MatmulOptions opts;
-  opts.algorithm = AlgorithmId::kCaps;
-  EXPECT_EQ(matmul_kernel(opts), strassen::resolve_base_kernel(std::nullopt));
-  for (const auto& kern : blas::kernel_registry()) {
-    if (!kern.supported()) continue;
-    opts.caps.base_kernel = kern.id;
-    opts.strassen.base_kernel = blas::MicroKernelId::kGeneric;
-    const blas::MicroKernel* k = matmul_kernel(opts);
-    ASSERT_NE(k, nullptr) << kern.name;
-    EXPECT_EQ(k, &kern);
-    EXPECT_EQ(k, strassen::resolve_base_kernel(kern.id));
-  }
-}
-
-TEST(MatmulFacade, CapsStatsFlowThrough) {
-  const std::size_t n = 64;
-  Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
-  Matrix c(n, n);
-  capsalg::CapsStats stats;
-  MatmulOptions opts;
-  opts.algorithm = AlgorithmId::kCaps;
-  opts.caps.base_cutoff = 8;
-  opts.caps.bfs_cutoff_depth = 2;
-  opts.caps_stats = &stats;
-  matmul(a.view(), b.view(), c.view(), opts);
-  EXPECT_GT(stats.base_products, 0u);
-  EXPECT_GT(stats.peak_buffer_bytes, 0u);
 }
 
 TEST(MatmulFacade, ParallelPoolThreadsThrough) {
@@ -328,7 +165,6 @@ TEST(MatmulFacade, ParallelPoolThreadsThrough) {
   Matrix serial(n, n), parallel(n, n);
   MatmulOptions opts;
   opts.algorithm = AlgorithmId::kStrassen;
-  opts.strassen.base_cutoff = 32;
   matmul(a.view(), b.view(), serial.view(), opts);
   tasking::ThreadPool pool(3);
   opts.pool = &pool;
@@ -360,12 +196,9 @@ TEST(BackendEquivalence, CpuBackendMatchesStrassenBitwise) {
   const std::size_t n = 256;
   Matrix a = random_matrix(n, n, 31), b = random_matrix(n, n, 32);
   Matrix direct(n, n), facade(n, n);
-  strassen::StrassenOptions sopts;
-  sopts.base_cutoff = 32;
-  strassen::multiply(a.view(), b.view(), direct.view(), sopts);
+  strassen::multiply(a.view(), b.view(), direct.view());
   MatmulOptions opts;
   opts.algorithm = AlgorithmId::kStrassen;
-  opts.strassen = sopts;
   opts.backend = backend::BackendId::kCpu;
   matmul(a.view(), b.view(), facade.view(), opts);
   EXPECT_TRUE(allclose(facade.view(), direct.view(), 0.0, 0.0));
@@ -375,13 +208,9 @@ TEST(BackendEquivalence, CpuBackendMatchesCapsBitwise) {
   const std::size_t n = 128;
   Matrix a = random_matrix(n, n, 41), b = random_matrix(n, n, 42);
   Matrix direct(n, n), facade(n, n);
-  capsalg::CapsOptions copts;
-  copts.base_cutoff = 16;
-  copts.bfs_cutoff_depth = 1;
-  capsalg::multiply(a.view(), b.view(), direct.view(), copts);
+  capsalg::multiply(a.view(), b.view(), direct.view());
   MatmulOptions opts;
   opts.algorithm = AlgorithmId::kCaps;
-  opts.caps = copts;
   opts.backend = backend::BackendId::kCpu;
   matmul(a.view(), b.view(), facade.view(), opts);
   EXPECT_TRUE(allclose(facade.view(), direct.view(), 0.0, 0.0));
@@ -398,43 +227,61 @@ TEST(BackendEquivalence, ExplicitCpuMatchesDefaultResolutionBitwise) {
   EXPECT_TRUE(allclose(pinned.view(), by_default.view(), 0.0, 0.0));
 }
 
-// ---------------------------------------------------------------------
-// Resolve-time options validation: inconsistent kernel/blocking
-// requests fail up front with the valid combinations in the message.
-// ---------------------------------------------------------------------
+// A matmul() is its algorithm's entry point at default options, bit for
+// bit: serially and on a 4-worker pool, at the default ABFT level and in
+// correct mode, which matmul() forwards to the entry point. n = 520
+// peels an 8-wide border off the 512 recursion (strassen::run_frame), so
+// the border products are covered too.
+class MatmulFacadeEquivalence
+    : public ::testing::TestWithParam<
+          std::tuple<AlgorithmId, unsigned, std::optional<abft::AbftMode>>> {};
 
-TEST(MatmulValidation, UnknownBlockingTileRejectedWithListing) {
-  MatmulOptions opts;
-  opts.blocking = blas::BlockingParams{};
-  opts.blocking->mr = 5;
-  opts.blocking->nr = 3;
-  try {
-    Matrix a(8, 8), b(8, 8), c(8, 8);
-    matmul(a.view(), b.view(), c.view(), opts);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("5x3"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("generic=4x4"), std::string::npos) << msg;
+TEST_P(MatmulFacadeEquivalence, MatchesTheEntryPointBitwise) {
+  const auto [id, workers, mode] = GetParam();
+  const std::size_t n = 520;
+  const Matrix a = random_matrix(n, n, 61), b = random_matrix(n, n, 62);
+  tasking::ThreadPool four(workers);
+  tasking::ThreadPool* pool = workers > 0 ? &four : nullptr;
+  const abft::AbftConfig cfg{.mode = mode};
+
+  Matrix facade(n, n), direct(n, n);
+  matmul(a.view(), b.view(), facade.view(),
+         {.algorithm = id, .pool = pool, .abft = cfg});
+  switch (id) {
+    case AlgorithmId::kOpenBlas: {
+      blas::GemmOptions g;
+      g.pool = pool;
+      abft::guarded_gemm(a.view(), b.view(), direct.view(), g, cfg);
+      break;
+    }
+    case AlgorithmId::kStrassen:
+      strassen::multiply(a.view(), b.view(), direct.view(), {.abft = cfg},
+                         pool);
+      break;
+    case AlgorithmId::kCaps:
+      capsalg::multiply(a.view(), b.view(), direct.view(), {.abft = cfg},
+                        pool);
+      break;
   }
+  EXPECT_EQ(
+      std::memcmp(facade.data(), direct.data(), n * n * sizeof(double)), 0);
 }
 
-TEST(MatmulValidation, ConsistentPinnedTileAccepted) {
-  const blas::MicroKernel* generic =
-      blas::find_kernel(blas::MicroKernelId::kGeneric);
-  ASSERT_NE(generic, nullptr);
-  MatmulOptions opts;
-  opts.blocking = blas::default_blocking_for(*generic);
-  EXPECT_NO_THROW(validate_options(opts));
-  EXPECT_EQ(matmul_kernel(opts), generic);
-
-  const std::size_t n = 48;
-  Matrix a = random_matrix(n, n, 9), b = random_matrix(n, n, 10);
-  Matrix expect(n, n), got(n, n);
-  blas::gemm_reference(a.view(), b.view(), expect.view());
-  matmul(a.view(), b.view(), got.view(), opts);
-  EXPECT_TRUE(allclose(got.view(), expect.view(), 1e-11, 1e-11));
+std::string equivalence_case_name(
+    const ::testing::TestParamInfo<MatmulFacadeEquivalence::ParamType>& info) {
+  const auto& [id, workers, mode] = info.param;
+  return std::string(core::algorithm_name(id)) +
+         (workers > 0 ? "_pool4" : "_serial") +
+         (mode ? "_correct" : "_default");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, MatmulFacadeEquivalence,
+    ::testing::Combine(::testing::ValuesIn(core::kAllAlgorithms),
+                       ::testing::Values(0u, 4u),
+                       ::testing::Values(std::optional<abft::AbftMode>{},
+                                         abft::AbftMode::kCorrect)),
+    equivalence_case_name);
 
 using Multiply = std::function<void(
     linalg::ConstMatrixView, linalg::ConstMatrixView, linalg::MatrixView)>;

@@ -1,6 +1,6 @@
 // Output and cost pins for the fast recursions as capow::matmul() runs
 // them: every Strassen and CAPS class of perfbench's fast_recursion
-// workload, plus Winograd at n=520.
+// workload, plus Winograd at n=520 through strassen::multiply.
 //
 // For each class the exact bytes of C (FNV-1a, so a -0.0 or a NaN
 // payload changes the hash), the trace::Recorder totals and, for CAPS,
@@ -14,6 +14,7 @@
 // differently, so those legs skip.
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -21,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include "capow/api/matmul.hpp"
+#include "capow/capsalg/caps.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/strassen/strassen.hpp"
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/trace/counters.hpp"
 
@@ -123,14 +126,27 @@ void PrintTo(const Pin& pin, std::ostream* os) {
 
 class RecursionPinTest : public ::testing::TestWithParam<Pin> {};
 
+// Runs one pinned multiply as capow::matmul() does. Winograd and the
+// CapsStats leg run through their entry points, which matmul() reaches
+// at default options (MatmulFacadeEquivalence.MatchesTheEntryPointBitwise).
+void run(const Pin& pin, linalg::ConstMatrixView a, linalg::ConstMatrixView b,
+         linalg::MatrixView c, tasking::ThreadPool* pool,
+         abft::AbftConfig guard, capsalg::CapsStats* stats) {
+  if (pin.winograd) {
+    strassen::multiply(a, b, c, {.winograd = true, .abft = guard}, pool);
+  } else if (stats != nullptr) {
+    capsalg::multiply(a, b, c, {.abft = guard}, pool, stats);
+  } else {
+    matmul(a, b, c, {.algorithm = pin.algorithm, .pool = pool, .abft = guard});
+  }
+}
+
 TEST_P(RecursionPinTest, OutputBitsAndCountsArePinned) {
   const Pin& pin = GetParam();
-  MatmulOptions base;
-  base.algorithm = pin.algorithm;
-  base.strassen.winograd = pin.winograd;
-  if (matmul_kernel(base) != nullptr) {
+  const blas::MicroKernel* base = strassen::resolve_base_kernel(std::nullopt);
+  if (base != nullptr) {
     GTEST_SKIP() << "pins hold the BOTS base kernel; CAPOW_KERNEL selects "
-                 << matmul_kernel(base)->name;
+                 << base->name;
   }
   const Matrix a = random_matrix(pin.n, pin.n, 1000 + pin.n);
   const Matrix b = random_matrix(pin.n, pin.n, 2000 + pin.n);
@@ -139,21 +155,22 @@ TEST_P(RecursionPinTest, OutputBitsAndCountsArePinned) {
   for (int cfg = 0; cfg < kConfigs; ++cfg) {
     const std::string where = std::string(pin.name) + " n=" +
                               std::to_string(pin.n) + " " + kConfigNames[cfg];
-    MatmulOptions opts = base;
-    opts.pool = cfg == kPoolOff || cfg == kPoolCorrect ? &pool : nullptr;
-    opts.abft.mode = cfg == kSerialCorrect || cfg == kPoolCorrect
-                         ? abft::AbftMode::kCorrect
-                         : abft::AbftMode::kOff;
+    tasking::ThreadPool* workers =
+        cfg == kPoolOff || cfg == kPoolCorrect ? &pool : nullptr;
+    abft::AbftConfig guard;
+    guard.mode = cfg == kSerialCorrect || cfg == kPoolCorrect
+                     ? abft::AbftMode::kCorrect
+                     : abft::AbftMode::kOff;
     capsalg::CapsStats stats;
-    if (cfg == kSerialOff && pin.algorithm == AlgorithmId::kCaps) {
-      opts.caps_stats = &stats;
-    }
+    const bool want_stats =
+        cfg == kSerialOff && pin.algorithm == AlgorithmId::kCaps;
 
     Matrix c(pin.n, pin.n, -7.0);
     trace::Recorder rec;
     {
       const trace::RecordingScope scope(rec);
-      matmul(a.view(), b.view(), c.view(), opts);
+      run(pin, a.view(), b.view(), c.view(), workers, guard,
+          want_stats ? &stats : nullptr);
     }
     const std::uint64_t hash = fnv1a(c.view());
     EXPECT_EQ(hash, pin.c_hash)
@@ -162,7 +179,7 @@ TEST_P(RecursionPinTest, OutputBitsAndCountsArePinned) {
     const Totals got{t.flops, t.dram_read_bytes, t.dram_write_bytes,
                      t.tasks_spawned, t.syncs};
     EXPECT_EQ(got, pin.totals[cfg]) << where << " got " << str(got);
-    if (opts.caps_stats != nullptr) {
+    if (want_stats) {
       EXPECT_EQ(stats.peak_buffer_bytes, pin.caps.peak_buffer_bytes) << where;
       EXPECT_EQ(stats.bfs_nodes, pin.caps.bfs_nodes) << where;
       EXPECT_EQ(stats.dfs_nodes, pin.caps.dfs_nodes) << where;

@@ -118,6 +118,21 @@ TEST(StrassenProfile, TaskEventsMatchTheRuntime) {
   }
 }
 
+// The model reads the cutoff the multiply reads: halving it adds a
+// recursion level, so an operand and a combine phase, and the totals
+// follow the same option.
+TEST(StrassenProfile, ReadsTheCutoff) {
+  for (const unsigned t : {1u, 4u}) {
+    const auto def = strassen_profile(1024, kHaswell, t);
+    const auto deep = strassen_profile(1024, kHaswell, t, {.base_cutoff = 32});
+    EXPECT_EQ(deep.phases.size(), def.phases.size() + 2) << t;
+    EXPECT_DOUBLE_EQ(deep.total_flops(),
+                     strassen_total_flops(1024, {.base_cutoff = 32}))
+        << t;
+    EXPECT_NE(deep.total_flops(), def.total_flops()) << t;
+  }
+}
+
 TEST(StrassenProfile, BaseCaseOnlyBelowCutoff) {
   const auto wp = strassen_profile(64, kHaswell, 4);
   ASSERT_EQ(wp.phases.size(), 1u);
@@ -232,6 +247,20 @@ TEST(CapsProfile, ConservesTotalsUnderRuntimeOptions) {
         }
       }
     }
+  }
+}
+
+// CAPS reads its base cutoff as well as its BFS depth: a smaller cutoff
+// deepens the recursion, which shows in the profile and its totals.
+TEST(CapsProfile, ReadsTheBaseCutoff) {
+  for (const unsigned t : {1u, 4u}) {
+    const auto def = caps_profile(1024, kHaswell, t);
+    const auto deep = caps_profile(1024, kHaswell, t, {.base_cutoff = 32});
+    EXPECT_GT(deep.phases.size(), def.phases.size()) << t;
+    EXPECT_DOUBLE_EQ(deep.total_flops(),
+                     caps_total_flops(1024, {.base_cutoff = 32}))
+        << t;
+    EXPECT_NE(deep.total_flops(), def.total_flops()) << t;
   }
 }
 
