@@ -16,7 +16,6 @@
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/linalg/random.hpp"
 #include "capow/profile/attribution.hpp"
-#include "capow/telemetry/telemetry.hpp"
 #include "capow/telemetry/tracer.hpp"
 
 namespace {

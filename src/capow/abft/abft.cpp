@@ -7,7 +7,7 @@
 #include <limits>
 
 #include "capow/abft/checksum.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::abft {
 
@@ -119,7 +119,7 @@ AbftGuard::AbftGuard(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     throw std::invalid_argument(
         "abft: guard operands' inner dimensions disagree");
   }
-  CAPOW_TSPAN_ARGS2("abft.checksum", "abft", "m", m_, "n", n_);
+  telemetry::SpanScope span("abft.checksum", "abft", "m", m_, "n", n_);
   // Layout: the operand checksums, then the fully reduced reference
   // sums C must reproduce. Building the references here (one fused
   // pass over A, one over B) is what lets verify() touch nothing but
@@ -147,7 +147,7 @@ VerifyReport AbftGuard::verify(linalg::ConstMatrixView c) const {
   if (c.rows() != m_ || c.cols() != n_) {
     throw std::invalid_argument("abft: verified matrix shape mismatch");
   }
-  CAPOW_TSPAN_ARGS2("abft.verify", "abft", "m", m_, "n", n_);
+  telemetry::SpanScope span("abft.verify", "abft", "m", m_, "n", n_);
   VerifyReport rep;
   const double* rref = sums_.data() + 4 * k_;
   const double* rmag = rref + m_;

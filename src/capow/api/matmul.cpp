@@ -9,7 +9,7 @@
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow {
 
@@ -55,17 +55,18 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   backend::BackendScope device_guard(device);
   blas::ArenaScope arena_guard(arena);
 
-  [[maybe_unused]] const blas::MicroKernel* kern = matmul_kernel(opts);
+  const blas::MicroKernel* kern = matmul_kernel(opts);
   // Span args: the resolved kernel id (-1 = BOTS base kernel), the
   // algorithm id and the dispatched backend id, so trace consumers can
   // attribute each multiply to the device that ran it.
-  CAPOW_TSPAN_ARGS3("matmul", "api", "algorithm",
-                    static_cast<int>(opts.algorithm), "kernel",
-                    kern != nullptr ? static_cast<int>(kern->id) : -1,
-                    "backend", static_cast<int>(device.id()));
-#if CAPOW_TELEMETRY_ENABLED
-  const blas::ArenaStats before = arena.stats();
-#endif
+  telemetry::SpanScope span("matmul", "api", "algorithm",
+                            static_cast<int>(opts.algorithm), "kernel",
+                            kern != nullptr ? static_cast<int>(kern->id) : -1,
+                            "backend", static_cast<int>(device.id()));
+  // The arena hit/miss deltas go out as counters, so the two locked
+  // stats() copies are taken only under an installed tracer.
+  const bool traced = span.active();
+  const blas::ArenaStats before = traced ? arena.stats() : blas::ArenaStats{};
 
   switch (opts.algorithm) {
     case core::AlgorithmId::kOpenBlas: {
@@ -92,13 +93,13 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
       break;
   }
 
-#if CAPOW_TELEMETRY_ENABLED
-  const blas::ArenaStats after = arena.stats();
-  CAPOW_TCOUNTER("matmul.arena.hits",
-                 static_cast<double>(after.hits - before.hits));
-  CAPOW_TCOUNTER("matmul.arena.misses",
-                 static_cast<double>(after.misses - before.misses));
-#endif
+  if (traced) {
+    const blas::ArenaStats after = arena.stats();
+    telemetry::counter("matmul.arena.hits",
+                       static_cast<double>(after.hits - before.hits));
+    telemetry::counter("matmul.arena.misses",
+                       static_cast<double>(after.misses - before.misses));
+  }
 }
 
 }  // namespace capow

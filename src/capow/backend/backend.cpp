@@ -8,7 +8,7 @@
 #include "capow/backend/memory.hpp"
 #include "capow/backend/sim_accel.hpp"
 #include "capow/blas/cost_model.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::backend {
 
@@ -156,7 +156,7 @@ DispatchDecision BackendRegistry::dispatch(BackendId requested,
     d.chosen = &host();
     d.fell_back = true;
     g_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    CAPOW_TINSTANT("backend.fallback", "backend");
+    telemetry::instant("backend.fallback", "backend");
   }
   return d;
 }

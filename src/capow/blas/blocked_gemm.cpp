@@ -7,7 +7,7 @@
 #include "capow/blas/gemm_ref.hpp"
 #include "capow/fault/fault.hpp"
 #include "capow/tasking/parallel_for.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 #include "capow/trace/counters.hpp"
 
 namespace capow::blas {
@@ -97,7 +97,7 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
-  CAPOW_TSPAN_ARGS2("gemm.blocked", "blas", "m", m, "n", n);
+  telemetry::SpanScope span("gemm.blocked", "blas", "m", m, "n", n);
 
   // No zero pass over C: each tile's first kc panel (pc == 0) writes
   // 0.0 + its product, so C is touched once per panel. The logical
@@ -114,7 +114,8 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     const std::size_t nc_cur = std::min(bp.nc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += bp.kc) {
       const std::size_t kc_cur = std::min(bp.kc, k - pc);
-      CAPOW_TSPAN_ARGS2("gemm.panel", "blas", "jc", jc, "pc", pc);
+      telemetry::SpanScope panel_span("gemm.panel", "blas", "jc", jc, "pc",
+                                      pc);
       const std::size_t padded_nc = round_up_multiple(nc_cur, bp.nr);
       WorkspaceCheckout b_lease = arena.acquire(padded_nc * kc_cur);
       double* packed_b = b_lease.data();

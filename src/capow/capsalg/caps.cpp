@@ -6,7 +6,7 @@
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/frame.hpp"
 #include "capow/strassen/scheme.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::capsalg {
 
@@ -75,7 +75,7 @@ void run_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
 // the arena leases what Strassen leases.
 void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
-  CAPOW_TSPAN_ARGS2("caps.bfs", "caps", "depth", depth, "n", a.rows());
+  telemetry::SpanScope span("caps.bfs", "caps", "depth", depth, "n", a.rows());
   ctx.bfs_nodes.fetch_add(1, std::memory_order_relaxed);
   const std::size_t h = a.rows() / 2;
   strassen::count_copy(scheme::kClassic.quadrant_operands() * h * h);
@@ -90,7 +90,7 @@ void bfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
 // the step books.
 void dfs_step(ConstMatrixView a, ConstMatrixView b, MatrixView c, Ctx& ctx,
               std::size_t depth) {
-  CAPOW_TSPAN_ARGS2("caps.dfs", "caps", "depth", depth, "n", a.rows());
+  telemetry::SpanScope span("caps.dfs", "caps", "depth", depth, "n", a.rows());
   ctx.dfs_nodes.fetch_add(1, std::memory_order_relaxed);
   run_step(a, b, c, ctx, depth, scheme::kClassic.temporaries(), nullptr);
 }
@@ -120,8 +120,8 @@ void multiply(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                                opts.abft, pool),
           opts};
   const std::size_t n = a.rows();
-  CAPOW_TSPAN_ARGS2("caps.multiply", "caps", "n", n, "bfs_cutoff_depth",
-                    opts.bfs_cutoff_depth);
+  telemetry::SpanScope span("caps.multiply", "caps", "n", n, "bfs_cutoff_depth",
+                            opts.bfs_cutoff_depth);
   if (n == 0) {
     if (stats != nullptr) *stats = CapsStats{};
     return;

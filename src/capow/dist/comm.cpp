@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "capow/fault/fault.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 #include "capow/trace/counters.hpp"
 
 namespace capow::dist {
@@ -37,12 +37,8 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 /// Restores the calling thread's telemetry rank tag on scope exit, so a
 /// caller thread reused outside World::run stops stamping rank events.
 struct ThreadRankScope {
-#if CAPOW_TELEMETRY_ENABLED
   explicit ThreadRankScope(int rank) { telemetry::set_thread_rank(rank); }
   ~ThreadRankScope() { telemetry::set_thread_rank(-1); }
-#else
-  explicit ThreadRankScope(int) {}
-#endif
   ThreadRankScope(const ThreadRankScope&) = delete;
   ThreadRankScope& operator=(const ThreadRankScope&) = delete;
 };
@@ -221,7 +217,7 @@ void World::heartbeat(int phys_rank) {
       continue;
     }
     inj->record(fault::Event::kRankKill);
-    CAPOW_TINSTANT("fault.rank.kill", "fault");
+    telemetry::instant("fault.rank.kill", "fault");
     failed_[static_cast<std::size_t>(phys_rank)].store(
         true, std::memory_order_release);
     failed_count_.fetch_add(1, std::memory_order_acq_rel);
@@ -399,8 +395,8 @@ void Communicator::send(int dest, int tag, std::span<const double> data) {
   // world size as stride: stable identities that keep plain-run draws
   // byte-identical and survive membership changes.
   const std::uint64_t seq = world_->next_channel_seq(phys_, phys_dest);
-  CAPOW_TSPAN_ARGS3("comm.send", "dist", "dest", phys_dest, "bytes", bytes,
-                    "seq", seq);
+  telemetry::SpanScope span("comm.send", "dist", "dest", phys_dest, "bytes",
+                            bytes, "seq", seq);
   trace::count_message(bytes);
   RankCommBlock* block = world_->comm_block(phys_);
   EdgeStats* edge = block != nullptr
@@ -436,7 +432,7 @@ void Communicator::send(int dest, int tag, std::span<const double> data) {
 
   if (inj->fire(fault::Site::kCommDelay, fault::key(channel, seq))) {
     inj->record(fault::Event::kCommDelay);
-    CAPOW_TINSTANT("fault.comm.delay", "fault");
+    telemetry::instant("fault.comm.delay", "fault");
     const auto t0 = std::chrono::steady_clock::now();
     sleep_ms(inj->plan().comm_delay_ms);
     if (edge != nullptr) edge->send_block_ns += elapsed_ns(t0);
@@ -453,14 +449,14 @@ void Communicator::send(int dest, int tag, std::span<const double> data) {
                   fault::key(channel, seq,
                              2 * static_cast<std::uint64_t>(attempt)))) {
       inj->record(fault::Event::kCommDrop);
-      CAPOW_TINSTANT("fault.comm.drop", "fault");
+      telemetry::instant("fault.comm.drop", "fault");
       lost = true;
     } else if (inj->fire(
                    fault::Site::kCommCorrupt,
                    fault::key(channel, seq,
                               2 * static_cast<std::uint64_t>(attempt) + 1))) {
       inj->record(fault::Event::kCommCorrupt);
-      CAPOW_TINSTANT("fault.comm.corrupt", "fault");
+      telemetry::instant("fault.comm.corrupt", "fault");
       if (edge != nullptr) ++edge->corruptions;
       lost = true;
     }
@@ -474,7 +470,7 @@ void Communicator::send(int dest, int tag, std::span<const double> data) {
     }
     if (attempt + 1 < max_attempts) {
       inj->record(fault::Event::kCommRetry);
-      CAPOW_TINSTANT("fault.comm.retry", "fault");
+      telemetry::instant("fault.comm.retry", "fault");
       if (edge != nullptr) ++edge->retransmits;
       const double factor =
           static_cast<double>(1u << (attempt < 10 ? attempt : 10));
@@ -498,7 +494,7 @@ void Communicator::send(int dest, int tag, std::span<const double> data) {
     }
   }
   inj->record(fault::Event::kCommSendFailure);
-  CAPOW_TINSTANT("fault.comm.send_failure", "fault");
+  telemetry::instant("fault.comm.send_failure", "fault");
   if (block != nullptr) ++block->self.send_failures;
   throw CommError("send: message to rank " + std::to_string(phys_dest) +
                   " (tag=" + std::to_string(tag) + ") lost after " +
@@ -511,11 +507,8 @@ Message Communicator::recv(int source, int tag) {
   }
   world_->heartbeat(phys_);
   const int phys_src = phys_of(source);
-#if CAPOW_TELEMETRY_ENABLED
-  telemetry::SpanScope span("comm.recv", "dist", "source",
-                            static_cast<std::int64_t>(phys_src), "tag",
-                            static_cast<std::int64_t>(tag));
-#endif
+  telemetry::SpanScope span("comm.recv", "dist", "source", phys_src, "tag",
+                            tag);
   RankCommBlock* block = world_->comm_block(phys_);
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -526,9 +519,7 @@ Message Communicator::recv(int source, int tag) {
       ++edge.recv_messages;
       edge.recv_bytes += msg.payload.size() * sizeof(double);
     }
-#if CAPOW_TELEMETRY_ENABLED
     span.set_arg(2, "seq", static_cast<std::int64_t>(msg.seq));
-#endif
     // Callers speak virtual ranks; translate the envelope back from the
     // physical rank the wire stamped.
     msg.source = source;
@@ -541,7 +532,7 @@ Message Communicator::recv(int source, int tag) {
 }
 
 void Communicator::barrier() {
-  CAPOW_TSPAN("comm.barrier", "dist");
+  telemetry::SpanScope span("comm.barrier", "dist");
   world_->heartbeat(phys_);
   trace::count_sync();
   RankCommBlock* block = world_->comm_block(phys_);

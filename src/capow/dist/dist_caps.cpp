@@ -9,7 +9,7 @@
 #include "capow/strassen/base_kernel.hpp"
 #include "capow/strassen/counted_ops.hpp"
 #include "capow/strassen/scheme.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::dist {
 
@@ -81,8 +81,8 @@ void solve_group(Communicator& comm, const Group& group,
                  ConstMatrixView a, ConstMatrixView b, MatrixView c,
                  std::size_t n, const DistCapsOptions& opts,
                  std::size_t depth) {
-  CAPOW_TSPAN_ARGS2("dist_caps.solve_group", "dist", "depth", depth,
-                    "group_size", group.size());
+  telemetry::SpanScope span("dist_caps.solve_group", "dist", "depth", depth,
+                            "group_size", group.size());
   const int me = comm.rank();
   const bool leader = me == group.leader();
 
@@ -186,8 +186,8 @@ void dist_caps_multiply(Communicator& comm, ConstMatrixView a,
   const std::size_t n = static_cast<std::size_t>(shape.at(0));
   if (n == 0) return;
 
-  CAPOW_TSPAN_ARGS2("dist_caps.multiply", "dist", "n", n, "rank",
-                    comm.rank());
+  telemetry::SpanScope span("dist_caps.multiply", "dist", "n", n, "rank",
+                            comm.rank());
   solve_group(comm, Group{0, comm.size()}, a, b, c, n, opts, 0);
 }
 

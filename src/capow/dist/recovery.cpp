@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::dist {
 
@@ -98,11 +98,8 @@ RecoveryReport World::run_elastic(
     ctx.generation = generation();
     ctx.policy = opts.policy;
     if (ctx.generation > 0) {
-#if CAPOW_TELEMETRY_ENABLED
-      telemetry::SpanScope span(
-          "dist.recovery.agree", "dist", "generation",
-          static_cast<std::int64_t>(ctx.generation));
-#endif
+      telemetry::SpanScope span("dist.recovery.agree", "dist", "generation",
+                                ctx.generation);
       std::vector<double> bitmap(static_cast<std::size_t>(size()), 0.0);
       for (int p : failed_ranks()) {
         bitmap[static_cast<std::size_t>(p)] = 1.0;
@@ -146,12 +143,9 @@ RecoveryReport World::run_elastic(
 
     const auto t0 = std::chrono::steady_clock::now();
     {
-#if CAPOW_TELEMETRY_ENABLED
-      telemetry::SpanScope span(
-          "dist.recovery", "dist", "policy",
-          static_cast<std::int64_t>(opts.policy), "generation",
-          static_cast<std::int64_t>(generation() + 1));
-#endif
+      telemetry::SpanScope span("dist.recovery", "dist", "policy",
+                                static_cast<std::int64_t>(opts.policy),
+                                "generation", generation() + 1);
       const std::vector<int> dead = failed_ranks();
       g_rank_failures.fetch_add(
           dead.size() > report.failed_ranks.size()

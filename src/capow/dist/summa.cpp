@@ -11,7 +11,7 @@
 #include "capow/fault/fault.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/strassen/base_kernel.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::dist {
 
@@ -111,7 +111,7 @@ void scatter_blocks(Communicator& comm, const GridSpec& g,
                     const AbftState& st, ConstMatrixView m, MatrixView mine,
                     int tag) {
   const std::size_t nb = mine.rows();
-  CAPOW_TSPAN_ARGS1("summa.scatter", "dist", "nb", nb);
+  telemetry::SpanScope span("summa.scatter", "dist", "nb", nb);
   const RankCoord me = coord_of(comm.rank(), g);
   if (comm.rank() == 0) {
     for (int i = 0; i < g.rows; ++i) {
@@ -132,7 +132,7 @@ void scatter_blocks(Communicator& comm, const GridSpec& g,
 
 void gather_blocks(Communicator& comm, const GridSpec& g, const AbftState& st,
                    ConstMatrixView mine, MatrixView out, std::size_t nb) {
-  CAPOW_TSPAN_ARGS1("summa.gather", "dist", "nb", nb);
+  telemetry::SpanScope span("summa.gather", "dist", "nb", nb);
   const RankCoord me = coord_of(comm.rank(), g);
   if (comm.rank() == 0) {
     for (int i = 0; i < g.rows; ++i) {
@@ -156,7 +156,7 @@ void gather_blocks(Communicator& comm, const GridSpec& g, const AbftState& st,
 void replicate_layers(Communicator& comm, const GridSpec& g,
                       const AbftState& st, const RankCoord& me,
                       MatrixView a_own, MatrixView b_own) {
-  CAPOW_TSPAN_ARGS1("summa.replicate", "dist", "layer", me.layer);
+  telemetry::SpanScope span("summa.replicate", "dist", "layer", me.layer);
   if (me.layer == 0) {
     for (int l = 1; l < g.layers; ++l) {
       checked_send(comm, st, rank_of(me.i, me.j, l, g), kReplicateA,
@@ -175,7 +175,7 @@ void replicate_layers(Communicator& comm, const GridSpec& g,
 // Sum-reduces the layers' partial C blocks onto layer 0.
 void reduce_layers(Communicator& comm, const GridSpec& g, const AbftState& st,
                    const RankCoord& me, MatrixView c_acc) {
-  CAPOW_TSPAN_ARGS1("summa.layer_reduce", "dist", "layer", me.layer);
+  telemetry::SpanScope span("summa.layer_reduce", "dist", "layer", me.layer);
   if (me.layer == 0) {
     Matrix part(c_acc.rows(), c_acc.cols());
     for (int l = 1; l < g.layers; ++l) {
@@ -197,7 +197,8 @@ void summa_step(Communicator& comm, const GridSpec& g, const AbftState& st,
                 const RankCoord& me, int step, ConstMatrixView a_own,
                 ConstMatrixView b_own, Matrix& a_panel, Matrix& b_panel,
                 MatrixView c_acc) {
-  CAPOW_TSPAN_ARGS2("summa.step", "dist", "step", step, "layer", me.layer);
+  telemetry::SpanScope span("summa.step", "dist", "step", step, "layer",
+                            me.layer);
   // A broadcast along the row.
   if (me.j == step) {
     for (int j = 0; j < g.cols; ++j) {
@@ -421,7 +422,7 @@ PanelPlan plan_panels(const PanelCacheSet* cache, const RecoveryContext& ctx,
 void replicate_panels(Communicator& comm, PanelCacheSet& cache,
                       ConstMatrixView a_own, ConstMatrixView b_own) {
   const int r = comm.rank();
-  CAPOW_TSPAN_ARGS1("summa.replicate_panels", "dist", "rank", r);
+  telemetry::SpanScope span("summa.replicate_panels", "dist", "rank", r);
   PanelSlot mine = make_slot(a_own, b_own);
   const int buddy = (r + 1) % comm.size();
   const int owner = (r - 1 + comm.size()) % comm.size();
@@ -439,8 +440,8 @@ void restore_panels(Communicator& comm, const PanelCacheSet& cache,
                     const RecoveryContext& ctx, MatrixView a_own,
                     MatrixView b_own) {
   const int r = comm.rank();
-  CAPOW_TSPAN_ARGS2("summa.restore_panels", "dist", "rank", r, "failed",
-                    static_cast<std::int64_t>(ctx.failed_ranks.size()));
+  telemetry::SpanScope span("summa.restore_panels", "dist", "rank", r,
+                            "failed", ctx.failed_ranks.size());
   for (int v : ctx.failed_ranks) {
     if (v >= comm.size()) continue;  // dead idle spare: nothing lost
     const int holder = (v + 1) % comm.size();
@@ -551,7 +552,7 @@ void summa_multiply(Communicator& comm, const GridSpec& grid,
   if (grid.layers != 1) {
     throw std::invalid_argument("summa_multiply: layers must be 1");
   }
-  CAPOW_TSPAN_ARGS1("summa.multiply", "dist", "rank", comm.rank());
+  telemetry::SpanScope span("summa.multiply", "dist", "rank", comm.rank());
   run_grid(comm, grid, a, b, c, cfg, ctx, cache, "summa");
 }
 
@@ -559,8 +560,8 @@ void multiply_25d(Communicator& comm, const GridSpec& grid,
                   ConstMatrixView a, ConstMatrixView b, MatrixView c,
                   const abft::AbftConfig& cfg) {
   grid.validate();
-  CAPOW_TSPAN_ARGS2("summa.multiply_25d", "dist", "rank", comm.rank(),
-                    "layers", grid.layers);
+  telemetry::SpanScope span("summa.multiply_25d", "dist", "rank", comm.rank(),
+                            "layers", grid.layers);
   run_grid(comm, grid, a, b, c, cfg, RecoveryContext{}, nullptr,
            "2.5D multiply");
 }

@@ -18,7 +18,7 @@
 #include "capow/harness/telemetry_export.hpp"
 #include "capow/rapl/papi.hpp"
 #include "capow/sim/executor.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::harness {
 
@@ -188,13 +188,13 @@ void run_attempt(const ExperimentConfig& config, core::AlgorithmId a,
                      stall_ms, fail] {
     try {
       if (stall) {
-        CAPOW_TINSTANT("fault.run.stall", "harness");
+        telemetry::instant("fault.run.stall", "harness");
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(stall_ms));
       }
       if (slot->abandoned.load(std::memory_order_acquire)) return;
       if (fail) {
-        CAPOW_TINSTANT("fault.run.fail", "harness");
+        telemetry::instant("fault.run.fail", "harness");
         throw std::runtime_error("injected run failure (run.fail)");
       }
       bool degraded = false;
@@ -225,7 +225,7 @@ void run_attempt(const ExperimentConfig& config, core::AlgorithmId a,
     if (!slot->cv.wait_until(lock, deadline, [&] { return slot->done; })) {
       slot->abandoned.store(true, std::memory_order_release);
       if (inj != nullptr) inj->record(fault::Event::kRunTimeout);
-      CAPOW_TINSTANT("fault.run.timeout", "harness");
+      telemetry::instant("fault.run.timeout", "harness");
       throw std::runtime_error(
           "run watchdog: attempt exceeded " +
           std::to_string(config.run_timeout_seconds) + "s");

@@ -36,6 +36,25 @@ const char* resolved_kernel_name(core::AlgorithmId a) {
   return k != nullptr ? k->name : "bots";
 }
 
+// Power samples per run; the sampling step is the run's length / count.
+constexpr std::size_t kSamplesPerRun = 64;
+
+// Simulates one configuration and samples its package/PP0 power: a probe
+// run sizes the sampling step, then a replay samples on the same virtual
+// timeline. The replay's phases land in `run`.
+std::vector<sim::PowerSample> sampled_run(const ExperimentConfig& cfg,
+                                          core::AlgorithmId a, std::size_t n,
+                                          unsigned threads,
+                                          sim::RunResult& run) {
+  const sim::WorkProfile profile =
+      matmul_profile(n, cfg.machine, threads, {.algorithm = a});
+  const sim::RunResult probe = sim::simulate(cfg.machine, profile, threads);
+  const double dt = probe.seconds > 0.0
+                        ? probe.seconds / static_cast<double>(kSamplesPerRun)
+                        : 1e-3;
+  return sim::simulate_with_sampling(cfg.machine, profile, threads, dt, &run);
+}
+
 // Per-(algorithm, n) sweep of attribution profiles across the
 // configured thread counts, with stable addresses for phase_ep_scaling.
 std::vector<std::pair<unsigned, profile::Profile>> profile_sweep(
@@ -61,8 +80,7 @@ std::vector<profile::PhaseScaling> sweep_scaling(
 
 }  // namespace
 
-void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
-                         const TraceExportOptions& opts) {
+void export_chrome_trace(ExperimentRunner& runner, std::ostream& os) {
   runner.run();
   const ExperimentConfig& cfg = runner.config();
   telemetry::ChromeTraceWriter writer;
@@ -75,20 +93,8 @@ void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
         writer.set_process_name(pid, run_label(a, n, threads));
         writer.set_thread_name(pid, 0, "phases");
 
-        const sim::WorkProfile profile =
-            matmul_profile(n, cfg.machine, threads, {.algorithm = a});
-        // Probe run to size the sampling step, then replay with
-        // sampling on the same virtual timeline.
-        const sim::RunResult probe =
-            sim::simulate(cfg.machine, profile, threads);
-        const std::size_t count = std::max<std::size_t>(
-            opts.samples_per_run, 1);
-        const double dt = probe.seconds > 0.0
-                              ? probe.seconds / static_cast<double>(count)
-                              : 1e-3;
         sim::RunResult run;
-        const auto samples = sim::simulate_with_sampling(
-            cfg.machine, profile, threads, dt, &run);
+        const auto samples = sampled_run(cfg, a, n, threads, run);
 
         writer.add_complete(pid, 0, run_label(a, n, threads), "run", 0.0,
                             run.seconds * 1e6);
@@ -416,20 +422,11 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
 
 profile::Profile run_attribution_profile(const ExperimentConfig& config,
                                          core::AlgorithmId a, std::size_t n,
-                                         unsigned threads,
-                                         std::size_t samples_per_run) {
-  const sim::WorkProfile wp =
-      matmul_profile(n, config.machine, threads, {.algorithm = a});
-  // Probe run to size the sampling step, then replay with sampling —
-  // the same reconstruction export_chrome_trace() renders.
-  const sim::RunResult probe = sim::simulate(config.machine, wp, threads);
-  const std::size_t count = std::max<std::size_t>(samples_per_run, 1);
-  const double dt =
-      probe.seconds > 0.0 ? probe.seconds / static_cast<double>(count)
-                          : 1e-3;
+                                         unsigned threads) {
+  // The same reconstruction export_chrome_trace() renders.
   sim::RunResult run;
   const std::vector<sim::PowerSample> samples =
-      sim::simulate_with_sampling(config.machine, wp, threads, dt, &run);
+      sampled_run(config, a, n, threads, run);
 
   profile::AttributionInput in;
   std::uint64_t t = 0;

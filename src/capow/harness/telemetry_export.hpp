@@ -23,17 +23,12 @@
 
 namespace capow::harness {
 
-struct TraceExportOptions {
-  /// Power samples per run; the sampling step is run_seconds / count.
-  std::size_t samples_per_run = 64;
-};
-
 /// Writes a Chrome trace-event JSON file covering every configuration of
 /// the runner's matrix: one process per run (named e.g. "OpenBLAS n=512
 /// t=2"), phase spans on the main row, and a package/PP0 counter track
-/// sampled on the same virtual timeline. Runs the matrix if needed.
-void export_chrome_trace(ExperimentRunner& runner, std::ostream& os,
-                         const TraceExportOptions& opts = {});
+/// sampled on the same virtual timeline (64 samples per run). Runs the
+/// matrix if needed.
+void export_chrome_trace(ExperimentRunner& runner, std::ostream& os);
 
 /// Writes one JSON line per ResultRecord (machine-readable analogue of
 /// the report tables). Runs the matrix if needed.
@@ -53,8 +48,7 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os);
 /// joined by profile::attribute(). Deterministic for a fixed config.
 profile::Profile run_attribution_profile(const ExperimentConfig& config,
                                          core::AlgorithmId a, std::size_t n,
-                                         unsigned threads,
-                                         std::size_t samples_per_run = 64);
+                                         unsigned threads);
 
 /// Writes the per-configuration attribution profiles as text: one
 /// "== <run label> ==" section per run with the conservation ledger

@@ -5,7 +5,7 @@
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/frame.hpp"
 #include "capow/strassen/scheme.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::strassen {
 
@@ -25,7 +25,8 @@ void recurse(ConstMatrixView a, ConstMatrixView b, MatrixView c,
     ctx.base(a, b, c);
     return;
   }
-  CAPOW_TSPAN_ARGS2("strassen.recurse", "strassen", "depth", depth, "n", n);
+  telemetry::SpanScope span("strassen.recurse", "strassen", "depth", depth,
+                            "n", n);
   const bool winograd = ctx.opts.winograd;
   node_step(ctx, scheme::program(winograd),
             winograd ? "strassen-winograd" : "strassen",
@@ -65,8 +66,8 @@ void multiply(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                            opts.base_kernel, opts.arena, opts.abft, pool),
                 opts};
   const std::size_t n = a.rows();
-  CAPOW_TSPAN_ARGS2("strassen.multiply", "strassen", "n", n, "winograd",
-                    opts.winograd ? 1 : 0);
+  telemetry::SpanScope span("strassen.multiply", "strassen", "n", n, "winograd",
+                            opts.winograd ? 1 : 0);
   if (n == 0) return;
   run_frame(ctx, 0x57ffu, a, b, c,
             [&](ConstMatrixView pa, ConstMatrixView pb, MatrixView pc,

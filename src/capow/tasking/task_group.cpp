@@ -3,7 +3,7 @@
 #include <cassert>
 #include <thread>
 
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::tasking {
 
@@ -13,7 +13,7 @@ TaskGroup::~TaskGroup() {
 }
 
 void TaskGroup::wait() {
-  CAPOW_TSPAN("taskgroup.wait", "tasking");
+  telemetry::SpanScope span("taskgroup.wait", "tasking");
   while (pending_.load(std::memory_order_acquire) != 0) {
     if (!pool_.try_run_one()) {
       // Nothing to help with: our outstanding tasks are running on other

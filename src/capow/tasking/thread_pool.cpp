@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "capow/fault/fault.hpp"
-#include "capow/telemetry/telemetry.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow::tasking {
 
@@ -21,7 +21,7 @@ void maybe_stall_task() {
   if (inj == nullptr) return;
   if (!inj->fire_next(fault::Site::kTaskStall)) return;
   inj->record(fault::Event::kTaskStall);
-  CAPOW_TINSTANT("fault.task.stall", "tasking");
+  telemetry::instant("fault.task.stall", "tasking");
   std::this_thread::sleep_for(
       std::chrono::duration<double, std::milli>(inj->plan().task_stall_ms));
 }
@@ -45,12 +45,12 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   if (workers_ == 0) {
-    CAPOW_TSPAN("task.run.inline", "tasking");
+    telemetry::SpanScope span("task.run.inline", "tasking");
     maybe_stall_task();
     task();
     return;
   }
-  CAPOW_TINSTANT("task.enqueue", "tasking");
+  telemetry::instant("task.enqueue", "tasking");
   {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(task));
@@ -69,7 +69,7 @@ bool ThreadPool::try_run_one() {
   // A non-worker (or a worker inside wait()) stealing queued work — the
   // helping scheduler in action; distinct span name so the timeline
   // shows who helped whom.
-  CAPOW_TSPAN("task.run.help", "tasking");
+  telemetry::SpanScope span("task.run.help", "tasking");
   maybe_stall_task();
   task();
   return true;
@@ -93,7 +93,7 @@ void ThreadPool::worker_loop(unsigned index) {
       queue_.pop_front();
     }
     {
-      CAPOW_TSPAN_ARGS1("task.run", "tasking", "worker", index);
+      telemetry::SpanScope span("task.run", "tasking", "worker", index);
       maybe_stall_task();
       task();
     }

@@ -50,7 +50,7 @@ struct EventRecord {
 class EventRing {
  public:
   /// Capacity is rounded up to a power of two (minimum 8).
-  explicit EventRing(std::size_t capacity = 8192) {
+  explicit EventRing(std::size_t capacity) {
     std::size_t c = 8;
     while (c < capacity) c <<= 1;
     slots_.resize(c);

@@ -21,7 +21,6 @@ struct Registry {
   std::vector<std::unique_ptr<detail::ThreadBuffer>> buffers;
   std::deque<std::string> interned_storage;
   std::map<std::string, const char*, std::less<>> interned_index;
-  std::size_t next_ring_capacity = 8192;
 };
 
 Registry& registry() {
@@ -47,8 +46,7 @@ ThreadBuffer* this_thread_buffer() {
   if (t_buffer == nullptr) {
     Registry& reg = registry();
     std::lock_guard lock(reg.mutex);
-    reg.buffers.push_back(std::make_unique<ThreadBuffer>(
-        reg.next_ring_capacity, reg.buffers.size()));
+    reg.buffers.push_back(std::make_unique<ThreadBuffer>(reg.buffers.size()));
     t_buffer = reg.buffers.back().get();
   }
   return t_buffer;
@@ -67,10 +65,9 @@ const char* intern(std::string_view s) {
   return stable;
 }
 
-Tracer::Tracer(Options opts) : opts_(opts), start_ns_(now_ns()) {
+Tracer::Tracer() : start_ns_(now_ns()) {
   Registry& reg = registry();
   std::lock_guard lock(reg.mutex);
-  reg.next_ring_capacity = opts_.ring_capacity;
   std::uint64_t drops = 0;
   for (const auto& b : reg.buffers) drops += b->ring.dropped();
   dropped_baseline_ = drops;

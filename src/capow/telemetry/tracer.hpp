@@ -11,8 +11,9 @@
 //   2. no locks or allocation on the hot path when tracing (per-thread
 //      SPSC rings, string-literal / interned names, two clock reads per
 //      span),
-//   3. compile-time removable: call sites use the CAPOW_T* macros from
-//      telemetry.hpp, which vanish under CAPOW_TELEMETRY_ENABLED=0.
+//   3. one vocabulary: call sites construct a SpanScope or call
+//      instant()/counter() directly; a run is instrumented exactly when
+//      a Tracer is installed.
 //
 // Thread buffers live in a process-global registry that is never torn
 // down: a worker racing a Tracer uninstall can at worst write one stray
@@ -31,14 +32,16 @@
 
 namespace capow::telemetry {
 
+/// Records each thread's ring keeps before overwriting the oldest.
+inline constexpr std::size_t kRingCapacity = 8192;
+
 namespace detail {
 /// One thread's ring plus its stable small id (0 = first registered,
 /// usually the main thread). Owned by the process-global registry.
 struct ThreadBuffer {
   EventRing ring;
   std::uint64_t tid = 0;
-  explicit ThreadBuffer(std::size_t capacity, std::uint64_t id)
-      : ring(capacity), tid(id) {}
+  explicit ThreadBuffer(std::uint64_t id) : ring(kRingCapacity), tid(id) {}
 };
 
 /// The calling thread's buffer, registering it on first use.
@@ -70,14 +73,7 @@ std::int32_t thread_rank() noexcept;
 /// state (rings) is process-global and reused.
 class Tracer {
  public:
-  struct Options {
-    /// Ring capacity for thread buffers *created during this session*
-    /// (buffers registered earlier keep their size).
-    std::size_t ring_capacity = 8192;
-  };
-
-  Tracer() : Tracer(Options{}) {}
-  explicit Tracer(Options opts);
+  Tracer();
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -97,11 +93,7 @@ class Tracer {
   /// started (advisory: coarse per-buffer accounting).
   std::uint64_t dropped() const;
 
-  const Options& options() const noexcept { return opts_; }
-
  private:
-  friend class TracingScope;
-  Options opts_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t dropped_baseline_ = 0;
 };

@@ -40,23 +40,6 @@ std::size_t Recorder::slot_for_current_thread() noexcept {
   return slot < kMaxSlots ? slot : kMaxSlots - 1;
 }
 
-void Recorder::add_flops(std::uint64_t n) noexcept { mine().flops += n; }
-void Recorder::add_dram_read(std::uint64_t bytes) noexcept {
-  mine().dram_read_bytes += bytes;
-}
-void Recorder::add_dram_write(std::uint64_t bytes) noexcept {
-  mine().dram_write_bytes += bytes;
-}
-void Recorder::add_message(std::uint64_t bytes) noexcept {
-  CostCounters& c = mine();
-  c.messages += 1;
-  c.message_bytes += bytes;
-}
-void Recorder::add_task_spawn(std::uint64_t n) noexcept {
-  mine().tasks_spawned += n;
-}
-void Recorder::add_sync(std::uint64_t n) noexcept { mine().syncs += n; }
-
 CostCounters Recorder::slot(std::size_t i) const noexcept {
   return slots_[i].c;
 }
@@ -100,23 +83,32 @@ Recorder* RecordingScope::current() noexcept {
   return g_recorder.load(std::memory_order_acquire);
 }
 
+CostCounters* active_slot() noexcept {
+  Recorder* r = RecordingScope::current();
+  return r != nullptr ? &r->slots_[Recorder::slot_for_current_thread()].c
+                      : nullptr;
+}
+
 void count_flops(std::uint64_t n) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_flops(n);
+  if (CostCounters* c = active_slot()) c->flops += n;
 }
 void count_dram_read(std::uint64_t bytes) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_dram_read(bytes);
+  if (CostCounters* c = active_slot()) c->dram_read_bytes += bytes;
 }
 void count_dram_write(std::uint64_t bytes) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_dram_write(bytes);
+  if (CostCounters* c = active_slot()) c->dram_write_bytes += bytes;
 }
 void count_message(std::uint64_t bytes) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_message(bytes);
+  if (CostCounters* c = active_slot()) {
+    c->messages += 1;
+    c->message_bytes += bytes;
+  }
 }
 void count_task_spawn(std::uint64_t n) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_task_spawn(n);
+  if (CostCounters* c = active_slot()) c->tasks_spawned += n;
 }
 void count_sync(std::uint64_t n) noexcept {
-  if (Recorder* r = RecordingScope::current()) r->add_sync(n);
+  if (CostCounters* c = active_slot()) c->syncs += n;
 }
 
 }  // namespace capow::trace

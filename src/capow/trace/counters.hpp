@@ -59,15 +59,6 @@ class Recorder {
   /// Clears every slot.
   void reset() noexcept;
 
-  // Recording entry points; `slot` resolution uses the calling thread's
-  // pool worker index (see slot_for_current_thread()).
-  void add_flops(std::uint64_t n) noexcept;
-  void add_dram_read(std::uint64_t bytes) noexcept;
-  void add_dram_write(std::uint64_t bytes) noexcept;
-  void add_message(std::uint64_t bytes) noexcept;
-  void add_task_spawn(std::uint64_t n = 1) noexcept;
-  void add_sync(std::uint64_t n = 1) noexcept;
-
   /// Slot written by the calling thread (worker_index()+1, or 0).
   static std::size_t slot_for_current_thread() noexcept;
 
@@ -88,7 +79,9 @@ class Recorder {
     CostCounters c;
   };
 
-  CostCounters& mine() noexcept { return slots_[slot_for_current_thread()].c; }
+  /// The calling thread's slot in the installed recorder (nullptr when
+  /// none is): the one write path, used by the count_* functions.
+  friend CostCounters* active_slot() noexcept;
 
   std::array<Slot, kMaxSlots> slots_{};
 };
@@ -132,7 +125,7 @@ class RecordingScope {
 };
 
 // Free-function recording against the current RecordingScope (no-ops when
-// none is installed). These are what kernels call.
+// none is installed): the only way to write a Recorder.
 void count_flops(std::uint64_t n) noexcept;
 void count_dram_read(std::uint64_t bytes) noexcept;
 void count_dram_write(std::uint64_t bytes) noexcept;

@@ -774,9 +774,6 @@ TEST(CommAudit, DefaultPointsBeatTheirBoundsAndScrapeDeterministically) {
 }
 
 TEST(CommAudit, TraceHasOneLanePerRankAndFlowArrows) {
-#if !CAPOW_TELEMETRY_ENABLED
-  GTEST_SKIP() << "telemetry compiled out: no spans to trace";
-#endif
   CommAuditOptions opts;
   opts.collect_trace = true;
   std::vector<telemetry::TraceEvent> events;

@@ -261,11 +261,11 @@ TEST(Sampling, MultiPhasePowerSteps) {
 
 TEST(ProfileFromRecorder, SequentialAndParallelSplit) {
   trace::Recorder rec;
-  rec.add_flops(100);        // slot 0 (this thread)
-  rec.add_dram_read(800);
   {
     tasking::ThreadPool pool(2);
     trace::RecordingScope scope(rec);
+    trace::count_flops(100);  // slot 0 (this thread)
+    trace::count_dram_read(800);
     tasking::parallel_for_each(pool, 0, 10, [&](std::size_t) {
       trace::count_flops(50);
       trace::count_dram_write(80);

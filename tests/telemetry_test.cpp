@@ -13,7 +13,6 @@
 #include "capow/tasking/thread_pool.hpp"
 #include "capow/telemetry/export.hpp"
 #include "capow/telemetry/ring.hpp"
-#include "capow/telemetry/telemetry.hpp"
 #include "capow/telemetry/tracer.hpp"
 
 namespace {
@@ -199,18 +198,16 @@ TEST(Tracer, SessionFiltersOutEarlierEvents) {
   EXPECT_TRUE(saw_fresh);
 }
 
-#if CAPOW_TELEMETRY_ENABLED
 TEST(TelemetryMacros, EmitSpansUnderActiveTracer) {
   Tracer tracer;
   {
     TracingScope scope(tracer);
     {
-      CAPOW_TSPAN("telemetry_test.macro_span", "test");
-      CAPOW_TSPAN_ARGS2("telemetry_test.macro_args", "test", "a", 3, "b",
-                        4);
+      SpanScope span("telemetry_test.macro_span", "test");
+      SpanScope args("telemetry_test.macro_args", "test", "a", 3, "b", 4);
     }
-    CAPOW_TINSTANT("telemetry_test.macro_instant", "test");
-    CAPOW_TCOUNTER("telemetry_test.macro_counter", 7.0);
+    telemetry::instant("telemetry_test.macro_instant", "test");
+    telemetry::counter("telemetry_test.macro_counter", 7.0);
   }
   std::set<std::string> names;
   for (const auto& e : tracer.collect()) names.insert(e.rec.name);
@@ -240,7 +237,6 @@ TEST(TelemetryMacros, ThreadPoolTasksAreTraced) {
   EXPECT_GE(runs, 8u);
   EXPECT_GE(waits, 1u);
 }
-#endif  // CAPOW_TELEMETRY_ENABLED
 
 TEST(JsonObject, FieldTypesAndEscaping) {
   telemetry::JsonObject o;
@@ -401,14 +397,15 @@ TEST(HarnessExport, MetricsLabelEveryConfiguration) {
 TEST(DroppedEvents, TotalGrowsWhenARingWrapsAndIsMonotonic) {
   const std::uint64_t before = telemetry::total_dropped_events();
 
-  Tracer tracer(Tracer::Options{.ring_capacity = 8});
+  constexpr std::size_t kPushed = 2 * telemetry::kRingCapacity;
+  Tracer tracer;
   std::uint64_t session_dropped = 0;
   {
     TracingScope scope(tracer);
-    // A fresh thread registers its buffer under the session's tiny
-    // capacity; pushing far more spans than 8 slots must shed.
+    // A fresh thread registers an empty ring; pushing twice its capacity
+    // in spans must shed the older half.
     std::thread worker([] {
-      for (int i = 0; i < 100; ++i) {
+      for (std::size_t i = 0; i < kPushed; ++i) {
         telemetry::SpanScope span("drop.me", "test");
       }
     });
@@ -417,7 +414,7 @@ TEST(DroppedEvents, TotalGrowsWhenARingWrapsAndIsMonotonic) {
   }
 
   const std::uint64_t after = telemetry::total_dropped_events();
-  EXPECT_GE(session_dropped, 92u - 8u);  // at least pushed - capacity
+  EXPECT_GE(session_dropped, kPushed - telemetry::kRingCapacity);
   EXPECT_GE(after - before, session_dropped);
   EXPECT_GE(telemetry::total_dropped_events(), after);  // monotonic
 }

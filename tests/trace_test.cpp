@@ -24,12 +24,13 @@ TEST(CostCounters, Accumulate) {
 
 TEST(Recorder, MainThreadRecordsIntoSlotZero) {
   Recorder rec;
-  rec.add_flops(42);
-  rec.add_dram_read(64);
-  rec.add_dram_write(32);
-  rec.add_message(8);
-  rec.add_task_spawn(3);
-  rec.add_sync();
+  RecordingScope scope(rec);
+  count_flops(42);
+  count_dram_read(64);
+  count_dram_write(32);
+  count_message(8);
+  count_task_spawn(3);
+  count_sync();
   EXPECT_EQ(rec.slot(0).flops, 42u);
   EXPECT_EQ(rec.slot(0).dram_read_bytes, 64u);
   EXPECT_EQ(rec.slot(0).dram_write_bytes, 32u);
@@ -42,16 +43,18 @@ TEST(Recorder, MainThreadRecordsIntoSlotZero) {
 
 TEST(Recorder, ResetClears) {
   Recorder rec;
-  rec.add_flops(1);
+  RecordingScope scope(rec);
+  count_flops(1);
   rec.reset();
   EXPECT_EQ(rec.total(), CostCounters{});
 }
 
 TEST(Recorder, WorkersRecordIntoTheirSlots) {
   Recorder rec;
+  RecordingScope scope(rec);
   tasking::ThreadPool pool(2);
   tasking::parallel_for_each(pool, 0, 1000, [&](std::size_t) {
-    rec.add_flops(1);
+    count_flops(1);
   });
   EXPECT_EQ(rec.total().flops, 1000u);
   // All recorded flops live in parallel slots (workers executed the body;
@@ -105,7 +108,8 @@ TEST(RecordingScope, NestedScopesRestorePrevious) {
 
 TEST(Recorder, MaxParallelFlopsIgnoresSequentialSlot) {
   Recorder rec;
-  rec.add_flops(1000);  // slot 0
+  RecordingScope scope(rec);
+  count_flops(1000);  // slot 0
   EXPECT_EQ(rec.max_parallel_flops(), 0u);
 }
 
@@ -132,15 +136,16 @@ TEST(Recorder, EachSlotIsOneCacheLine) {
 
 TEST(Recorder, ResetClearsEverySlot) {
   Recorder rec;
-  rec.add_flops(3);
+  RecordingScope scope(rec);
+  count_flops(3);
   {
     ScopedRecorderSlot unit(0);
-    rec.add_flops(5);
-    rec.add_sync();
+    count_flops(5);
+    count_sync();
   }
   {
     ScopedRecorderSlot unit(1000);  // clamps to the last slot
-    rec.add_message(16);
+    count_message(16);
   }
   ASSERT_EQ(rec.parallel_slots().size(), 2u);
   rec.reset();
@@ -153,18 +158,19 @@ TEST(Recorder, ResetClearsEverySlot) {
 
 TEST(Recorder, ParallelSlotsListNonEmptyUnitsInSlotOrder) {
   Recorder rec;
-  rec.add_flops(100);  // sequential slot, never listed
+  RecordingScope scope(rec);
+  count_flops(100);  // sequential slot, never listed
   {
     ScopedRecorderSlot unit(3);
-    rec.add_flops(30);
+    count_flops(30);
   }
   {
     ScopedRecorderSlot unit(0);
-    rec.add_flops(10);
+    count_flops(10);
   }
   {
     ScopedRecorderSlot unit(5);
-    rec.add_sync();  // a slot with no flops still counts as non-empty
+    count_sync();  // a slot with no flops still counts as non-empty
   }
   const auto par = rec.parallel_slots();
   ASSERT_EQ(par.size(), 3u);
@@ -178,20 +184,21 @@ TEST(Recorder, ParallelSlotsListNonEmptyUnitsInSlotOrder) {
 
 TEST(ScopedRecorderSlot, RoutesNonWorkerThreadAndRestoresOnExit) {
   Recorder rec;
+  RecordingScope scope(rec);
   EXPECT_EQ(Recorder::slot_for_current_thread(), 0u);
   {
     ScopedRecorderSlot outer(2);
     EXPECT_EQ(Recorder::slot_for_current_thread(), 3u);
-    rec.add_flops(5);
+    count_flops(5);
     {
       ScopedRecorderSlot inner(0);
       EXPECT_EQ(Recorder::slot_for_current_thread(), 1u);
-      rec.add_flops(1);
+      count_flops(1);
     }
-    rec.add_flops(2);
+    count_flops(2);
   }
   EXPECT_EQ(Recorder::slot_for_current_thread(), 0u);
-  rec.add_flops(4);
+  count_flops(4);
   EXPECT_EQ(rec.slot(0).flops, 4u);
   EXPECT_EQ(rec.slot(1).flops, 1u);
   EXPECT_EQ(rec.slot(3).flops, 7u);

@@ -388,8 +388,9 @@ int run_matrix_report(const ReportOptions& o) {
       dropped > 0) {
     std::fprintf(stderr,
                  "warning: %llu trace event(s) dropped to ring "
-                 "wraparound — traces and profiles are truncated; raise "
-                 "Tracer ring_capacity\n",
+                 "wraparound — traces and profiles are truncated; trace a "
+                 "shorter run (fewer sizes, threads or ranks) to keep "
+                 "every event\n",
                  static_cast<unsigned long long>(dropped));
   }
 
