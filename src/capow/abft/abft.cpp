@@ -210,7 +210,8 @@ void guarded_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   pinned.kernel = blas::resolve_kernel(opts).id;
   pinned.blocking = blas::resolve_blocking(opts);
   blas::WorkspaceArena& arena =
-      opts.arena != nullptr ? *opts.arena : blas::active_arena();
+      opts.arena != nullptr ? *opts.arena
+                            : blas::WorkspaceArena::process_arena();
   pinned.arena = &arena;
 
   const AbftGuard guard(a, b, arena, cfg.tolerance);

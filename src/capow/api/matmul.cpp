@@ -39,30 +39,14 @@ void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     throw std::invalid_argument("matmul: C shares storage with A or B");
   }
 
-  // Fallback-aware device dispatch: explicit backend > CAPOW_BACKEND >
-  // host. An op the requested device lacks runs on the host instead
-  // (counted, never an error).
-  const backend::DispatchDecision dispatch =
-      backend::BackendRegistry::instance().dispatch(
-          backend::resolve_backend(opts.backend), opts.algorithm);
-  backend::Backend& device = *dispatch.chosen;
-
-  blas::WorkspaceArena& arena = device.arena();
-
-  // Device guard: nested null-arena callers (recursion levels, ABFT
-  // internals) lease from the dispatched device's memory, and telemetry
-  // below the seam can ask which device it is on.
-  backend::BackendScope device_guard(device);
-  blas::ArenaScope arena_guard(arena);
+  blas::WorkspaceArena& arena = blas::WorkspaceArena::process_arena();
 
   const blas::MicroKernel* kern = matmul_kernel(opts);
-  // Span args: the resolved kernel id (-1 = BOTS base kernel), the
-  // algorithm id and the dispatched backend id, so trace consumers can
-  // attribute each multiply to the device that ran it.
+  // Span args: the algorithm id and the resolved kernel id (-1 = BOTS
+  // base kernel).
   telemetry::SpanScope span("matmul", "api", "algorithm",
                             static_cast<int>(opts.algorithm), "kernel",
-                            kern != nullptr ? static_cast<int>(kern->id) : -1,
-                            "backend", static_cast<int>(device.id()));
+                            kern != nullptr ? static_cast<int>(kern->id) : -1);
   // The arena hit/miss deltas go out as counters, so the two locked
   // stats() copies are taken only under an installed tracer.
   const bool traced = span.active();

@@ -6,11 +6,11 @@
 // strassen::multiply and capsalg::multiply. The facade runs the paper's
 // configuration of each: OpenBLAS-class blocked GEMM with this CPU's
 // kernel (or CAPOW_KERNEL's), and Strassen and CAPS at the BOTS base
-// cutoff 64 with CAPS's BFS cutoff depth 4. Its options choose only the
-// algorithm, the *backend* the call dispatches onto (capow::backend
-// seam — device identity, device arena, power plane), the thread pool
-// and the ABFT level. Tuning a recursion or pinning a GEMM tile is done
-// at the entry points, through blas::GemmOptions,
+// cutoff 64 with CAPS's BFS cutoff depth 4. It runs on the host and
+// leases every buffer from blas::WorkspaceArena::process_arena(). Its
+// options choose only the algorithm, the thread pool and the ABFT
+// level. Tuning a recursion, pinning a GEMM tile or passing a private
+// arena is done at the entry points, through blas::GemmOptions,
 // strassen::StrassenOptions and capsalg::CapsOptions.
 //
 // Beside the call sits its model: matmul_profile() is the cost model of
@@ -18,16 +18,13 @@
 // running and once for predicting, both here.
 //
 // The facade also owns the per-call observability: a "matmul" telemetry
-// span tagged with the resolved algorithm/kernel/backend, plus arena
+// span tagged with the algorithm and resolved kernel, plus arena
 // hit/miss counter samples, so JSONL exports can attribute every
-// measurement to the exact kernel variant, device and buffer-reuse
-// behaviour that produced it.
+// measurement to the exact kernel variant and buffer-reuse behaviour
+// that produced it.
 #pragma once
 
-#include <optional>
-
 #include "capow/abft/abft.hpp"
-#include "capow/backend/backend.hpp"
 #include "capow/blas/microkernel.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/matrix.hpp"
@@ -42,14 +39,6 @@ struct MatmulOptions {
   /// Which of the paper's algorithms runs (registry: core/algorithms.hpp).
   core::AlgorithmId algorithm = core::AlgorithmId::kOpenBlas;
 
-  /// The device class to dispatch onto. Unset resolves through the
-  /// CAPOW_BACKEND environment variable, then the host CPU. An op the
-  /// chosen backend does not support falls back to the host (graceful,
-  /// counted by capow_backend_fallbacks_total — never an error). The
-  /// backend supplies the kernel registry, the device memory pool and
-  /// the machine model in one handle.
-  std::optional<backend::BackendId> backend{};
-
   /// Worker pool; null runs serially.
   tasking::ThreadPool* pool = nullptr;
 
@@ -61,14 +50,11 @@ struct MatmulOptions {
   abft::AbftConfig abft{};
 };
 
-/// C = A * B via the selected algorithm on the resolved backend.
-/// Validation, border peeling and instrumentation follow the selected
-/// algorithm's contract, and a C that shares storage with A or B throws
-/// std::invalid_argument; all three count logical traffic through
-/// capow::trace identically to their closed-form cost models.
-/// Arithmetic always executes with host kernels (results are
-/// bit-identical across backends); the backend decides memory placement
-/// and telemetry attribution.
+/// C = A * B via the selected algorithm. Validation, border peeling and
+/// instrumentation follow the selected algorithm's contract, and a C
+/// that shares storage with A or B throws std::invalid_argument; all
+/// three count logical traffic through capow::trace identically to
+/// their closed-form cost models.
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts = {});
 
@@ -83,8 +69,8 @@ const blas::MicroKernel* matmul_kernel(const MatmulOptions& opts);
 /// `opts.algorithm` with `threads` workers on `spec`: that algorithm's
 /// closed-form cost model at the paper's configuration (OpenBLAS-class
 /// GEMM blocked for `spec`, the BOTS base case at cutoff 64, CAPS BFS
-/// depth 4). The models do not model the pool, arenas, backend or ABFT:
-/// `threads` and `spec` stand for the pool and the device.
+/// depth 4). The models do not model the pool, arenas or ABFT: `threads`
+/// and `spec` stand for the pool and the machine.
 sim::WorkProfile matmul_profile(std::size_t n,
                                 const machine::MachineSpec& spec,
                                 unsigned threads,

@@ -1,39 +1,30 @@
-// capow::backend — the device-abstraction seam between the algorithms
-// and the execution substrate.
+// capow::backend — the device table of the model-only heterogeneous
+// study.
 //
 // The paper evaluates one homogeneous CPU; the roadmap's north star is
-// the same EP model evaluated per device class. A Backend bundles what
-// an algorithm needs to know about the device it dispatches onto:
-//   * identity and op capabilities (which AlgorithmIds run natively),
-//   * the microkernel registry visible on the device,
-//   * a per-device memory allocator (a WorkspaceArena owned by the
-//     AllocatorRegistry in memory.hpp),
-//   * a machine model (GFLOP/s roof, bandwidth, power coefficients)
-//     driving the sim/cost_profile machinery, and the RAPL-style power
-//     plane the profiler attributes the device's energy on.
+// the same EP model evaluated per device class. capow::matmul() always
+// computes on the host, so a device here is a row, not an execution
+// target: its identity, which algorithms it would run natively, and the
+// machine model and RAPL-style power plane the simulator reads for it.
+// run_backend_study (harness/backend_study.hpp) and
+// `capow-report --backends` are its readers.
 //
-// BackendRegistry holds every registered device and performs *graceful
-// fallback dispatch*: an op the requested backend does not support runs
-// on the host CPU backend instead, with a telemetry-visible
-// capow_backend_fallbacks_total counter — a run never fails because a
-// device lacks an op, and the fallback is never silent. This mirrors
-// the library_state / device_guard / fallback structure of LBANN's
-// lbannv2 backend layer (see ROADMAP.md).
+// BackendRegistry keeps the rows and the study's *fallback dispatch*
+// decision: an op a device does not run natively is modelled on the
+// host CPU row instead, counted by fallbacks_total() and marked by a
+// `backend.fallback` telemetry instant, so a fallback row is never
+// silent.
 //
-// Two device classes register today: `cpu` (the host; arena is the
-// process arena, spec is the paper's Haswell — dispatching on it is
-// bit-identical to the pre-seam code path) and `sim_accel`
-// (sim_accel.hpp): a simulated wide-vector accelerator that runs dense
-// GEMM natively and falls back for the recursive algorithms.
+// Two device classes register: `cpu` (the paper's Haswell, measured on
+// PACKAGE) and `sim_accel` (sim_accel.hpp): a simulated wide-vector
+// accelerator that runs dense GEMM natively and falls back for the
+// recursive algorithms.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 
-#include "capow/blas/microkernel.hpp"
-#include "capow/blas/workspace.hpp"
 #include "capow/core/algorithms.hpp"
 #include "capow/machine/machine.hpp"
 
@@ -43,58 +34,39 @@ namespace capow::backend {
 enum class BackendId : int { kCpu = 0, kSimAccel = 1 };
 inline constexpr std::size_t kBackendCount = 2;
 
-/// Registry key ("cpu", "sim_accel") — also the CAPOW_BACKEND value.
+/// Registry key of `id` ("cpu", "sim_accel"); "?" for an unknown id.
 const char* backend_name(BackendId id) noexcept;
 
-/// One device class: identity, capabilities, kernel registry handle,
-/// memory allocator, and the machine model + power plane the simulator
-/// and profiler use for it.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  Backend() = default;
-  Backend(const Backend&) = delete;
-  Backend& operator=(const Backend&) = delete;
-
-  virtual BackendId id() const noexcept = 0;
-  virtual const char* name() const noexcept = 0;
-  virtual const char* description() const noexcept = 0;
+/// One device class of the study.
+struct Backend {
+  BackendId id{};
+  const char* name = "";  ///< registry key
+  const char* description = "";
+  /// Whether Strassen and CAPS run natively; dense GEMM always does.
+  bool runs_recursions = false;
+  /// Machine model sim::simulate evaluates the device with: compute
+  /// roof, memory bandwidth, cache hierarchy, power coefficients.
+  machine::MachineSpec spec;
+  /// The plane that carries the device's compute power — what the EP
+  /// study reads as "the device's watts" (host: PACKAGE, the paper's
+  /// measurement; sim_accel: PP0, the compute-die rail of the card).
+  machine::PowerPlane power_plane = machine::PowerPlane::kPackage;
+  /// Fraction of peak a tuned dense GEMM attains — the `y` scaling of
+  /// the Eq (9) crossover study.
+  double gemm_efficiency = 0.0;
 
   /// Whether `op` runs natively on this device. An unsupported op is
   /// not an error: BackendRegistry::dispatch falls back to the host.
-  virtual bool supports(core::AlgorithmId op) const noexcept = 0;
-
-  /// The microkernel variants executable on this device. Both current
-  /// backends compute with host arithmetic (results stay bit-identical
-  /// across devices by construction), so this is a view of the blas
-  /// registry; a future native device would expose its own table.
-  virtual std::span<const blas::MicroKernel> kernels() const noexcept = 0;
-
-  /// The device's memory pool (AllocatorRegistry-owned). Dispatched
-  /// calls lease packing buffers and recursion temporaries here; the
-  /// host backend returns blas::WorkspaceArena::process_arena().
-  virtual blas::WorkspaceArena& arena() const noexcept = 0;
-
-  /// Machine model driving sim::simulate for this device: compute
-  /// roof, memory bandwidth, cache hierarchy, power coefficients.
-  virtual const machine::MachineSpec& device_spec() const noexcept = 0;
-
-  /// The RAPL-style plane that carries this device's compute power —
-  /// what the profiler and the EP study read as "the device's watts"
-  /// (host: PACKAGE, the paper's measurement; sim_accel: PP0, the
-  /// compute-die rail of the modeled card).
-  virtual machine::PowerPlane power_plane() const noexcept = 0;
-
-  /// Fraction of the device's peak a tuned dense GEMM attains — the
-  /// `y` scaling of the Eq (9) crossover study.
-  virtual double gemm_efficiency() const noexcept = 0;
+  bool supports(core::AlgorithmId op) const noexcept {
+    return runs_recursions || op == core::AlgorithmId::kOpenBlas;
+  }
 };
 
 /// Outcome of one fallback-aware dispatch decision.
 struct DispatchDecision {
-  Backend* requested = nullptr;  ///< the backend the caller asked for
-  Backend* chosen = nullptr;     ///< where the op actually runs
-  bool fell_back = false;        ///< chosen != requested
+  const Backend* requested = nullptr;  ///< the device the caller asked for
+  const Backend* chosen = nullptr;     ///< the device the row is modelled on
+  bool fell_back = false;              ///< chosen != requested
 };
 
 /// Process-wide table of registered device classes.
@@ -102,67 +74,29 @@ class BackendRegistry {
  public:
   static BackendRegistry& instance();
 
-  /// The host CPU backend — always registered, never falls back.
-  Backend& host() noexcept;
+  /// The host CPU row — always registered, never falls back.
+  const Backend& host() const noexcept;
 
   /// Lookup by id/name; null when not registered.
-  Backend* find(BackendId id) noexcept;
-  Backend* find(std::string_view name) noexcept;
+  const Backend* find(BackendId id) const noexcept;
+  const Backend* find(std::string_view name) const noexcept;
 
-  /// Every registered backend, ordered by id.
-  std::span<Backend* const> all() noexcept;
+  /// Every registered device, ordered by id.
+  std::span<const Backend> all() const noexcept;
 
-  /// Fallback dispatch: the requested backend when it supports `op`,
-  /// else the host backend — incrementing the process fallback counter
-  /// and emitting a `backend.fallback` telemetry instant, so degraded
-  /// placement is observable, never silent.
+  /// Fallback dispatch: the requested device when it supports `op`,
+  /// else the host — incrementing the process fallback counter and
+  /// emitting a `backend.fallback` telemetry instant.
   DispatchDecision dispatch(BackendId requested, core::AlgorithmId op);
 
-  /// Process-lifetime fallback count (capow_backend_fallbacks_total).
+  /// Process-lifetime fallback count.
   std::uint64_t fallbacks_total() const noexcept;
   /// Test support: zero the fallback counter.
   void reset_fallbacks() noexcept;
 
  private:
   BackendRegistry();
-  Backend* backends_[kBackendCount];
-};
-
-/// Parses a CAPOW_BACKEND-style value: "cpu"/"sim_accel" name the
-/// backend, "auto" (and empty) mean no override; anything else throws
-/// std::invalid_argument listing the registered names.
-std::optional<BackendId> parse_backend(std::string_view value);
-
-/// The CAPOW_BACKEND environment override, parsed once per process
-/// (same contract as blas::env_kernel_override): nullopt when unset or
-/// "auto"; throws std::invalid_argument the first time for an unknown
-/// value.
-std::optional<BackendId> env_backend_override();
-
-/// Resolves the backend to dispatch on: `requested` when provided,
-/// else the CAPOW_BACKEND override, else the host CPU.
-BackendId resolve_backend(std::optional<BackendId> requested);
-
-/// The backend the calling thread is currently dispatched on — set by
-/// BackendScope, defaulting to the host. The device_guard analogue:
-/// telemetry and nested code can ask "which device am I on?" without
-/// threading a pointer through every layer.
-Backend& current_backend() noexcept;
-
-/// RAII device guard: installs `b` as the thread's current backend and
-/// its arena as the blas ambient arena (blas::active_arena), so callers
-/// below the seam that pass no explicit arena lease from the dispatched
-/// device's pool. Restores both on destruction.
-class BackendScope {
- public:
-  explicit BackendScope(Backend& b) noexcept;
-  ~BackendScope();
-  BackendScope(const BackendScope&) = delete;
-  BackendScope& operator=(const BackendScope&) = delete;
-
- private:
-  Backend* prev_;
-  blas::ArenaScope arena_scope_;
+  Backend rows_[kBackendCount];
 };
 
 }  // namespace capow::backend

@@ -10,13 +10,10 @@
 // that trivially fits — per-device crossover rows are the study's
 // headline.
 //
-// The accelerator runs dense GEMM natively (leasing from its own
-// device arena, simulated against its own spec) and does not implement
-// the recursive task-parallel algorithms, so Strassen/CAPS requests
-// exercise the registry's fallback path. Arithmetic always executes on
-// the host (results are bit-identical across backends by construction);
-// what differs per device is memory placement, the projected
-// time/power/EP, and the telemetry attribution.
+// The accelerator is modelled, never executed on: it runs dense GEMM
+// natively (simulated against its own spec) and does not implement the
+// recursive task-parallel algorithms, so Strassen/CAPS rows take the
+// registry's fallback path onto the host row.
 #pragma once
 
 #include "capow/machine/machine.hpp"

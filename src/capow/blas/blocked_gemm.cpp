@@ -91,7 +91,8 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
   }
   const MicroKernel& kern = resolve_kernel(opts);
   const BlockingParams bp = resolve_blocking(opts);
-  WorkspaceArena& arena = opts.arena != nullptr ? *opts.arena : active_arena();
+  WorkspaceArena& arena =
+      opts.arena != nullptr ? *opts.arena : WorkspaceArena::process_arena();
   tasking::ThreadPool* pool = opts.pool;
 
   const std::size_t m = a.rows();

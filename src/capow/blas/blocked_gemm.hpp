@@ -41,9 +41,8 @@ struct GemmOptions {
   std::optional<BlockingParams> blocking;
   std::optional<MicroKernelId> kernel;
   std::optional<machine::MachineSpec> machine;
-  /// Packing-buffer pool; null leases from blas::active_arena() (the
-  /// thread's ambient arena — the dispatched backend's device pool, or
-  /// the process arena outside any backend scope).
+  /// Packing-buffer pool; null leases from
+  /// WorkspaceArena::process_arena().
   WorkspaceArena* arena = nullptr;
   /// Null runs serially.
   tasking::ThreadPool* pool = nullptr;

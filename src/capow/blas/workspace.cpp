@@ -132,22 +132,4 @@ WorkspaceArena& WorkspaceArena::process_arena() {
   return *arena;
 }
 
-namespace {
-// Null means "not overridden" so threads spawned before process_arena()
-// is first touched still resolve lazily to it.
-thread_local WorkspaceArena* t_active_arena = nullptr;
-}  // namespace
-
-WorkspaceArena& active_arena() noexcept {
-  return t_active_arena != nullptr ? *t_active_arena
-                                   : WorkspaceArena::process_arena();
-}
-
-ArenaScope::ArenaScope(WorkspaceArena& arena) noexcept
-    : prev_(t_active_arena) {
-  t_active_arena = &arena;
-}
-
-ArenaScope::~ArenaScope() { t_active_arena = prev_; }
-
 }  // namespace capow::blas

@@ -111,9 +111,10 @@ class WorkspaceArena {
   /// benches to measure the warm steady state separately from warm-up.
   void reset_stats();
 
-  /// The process-wide default arena threaded through capow::matmul when
-  /// the caller does not supply one. Never destroyed (intentionally
-  /// leaked) so checkouts on detached threads stay valid at exit.
+  /// The process-wide arena: capow::matmul() leases every buffer here,
+  /// and a null `arena` in the GEMM, Strassen and CAPS options means
+  /// this one. Never destroyed (intentionally leaked) so checkouts on
+  /// detached threads stay valid at exit.
   static WorkspaceArena& process_arena();
 
  private:
@@ -128,25 +129,6 @@ class WorkspaceArena {
   mutable std::mutex mu_;
   std::vector<Pooled> free_;
   ArenaStats stats_;
-};
-
-/// The calling thread's ambient arena: the pool a null-`arena` caller
-/// leases from. Defaults to WorkspaceArena::process_arena(); a device
-/// dispatch layer above blas installs its own pool via ArenaScope so
-/// every nested lease lands in the dispatched device's memory without
-/// threading a pointer through each recursion level.
-WorkspaceArena& active_arena() noexcept;
-
-/// RAII override of the calling thread's ambient arena.
-class ArenaScope {
- public:
-  explicit ArenaScope(WorkspaceArena& arena) noexcept;
-  ~ArenaScope();
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
- private:
-  WorkspaceArena* prev_;
 };
 
 /// Matrix-shaped lease: rows x cols over arena storage. Like

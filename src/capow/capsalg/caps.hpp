@@ -50,9 +50,8 @@ struct CapsOptions {
   /// CapsStats peak-buffer accounting still charges the logical sizes of
   /// the buffered BFS, so the cost-model cross-check stays exact, while
   /// a serial BFS level leases three h x h buffers of the 21 it charges,
-  /// guarded or not); null leases from blas::active_arena() (the
-  /// dispatched backend's device pool, or the process arena outside any
-  /// backend scope).
+  /// guarded or not); null leases from
+  /// blas::WorkspaceArena::process_arena().
   blas::WorkspaceArena* arena = nullptr;
   /// When set, the dense base case runs through the packed registry
   /// microkernel (blas::small_gemm) instead of the BOTS-style kernel.

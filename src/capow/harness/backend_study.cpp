@@ -24,15 +24,13 @@ std::vector<BackendStudyRow> run_backend_study(
   // group's 1-thread measurement (also a fallback, same device).
   std::map<std::tuple<int, int, std::size_t>, double> ep1;
 
-  for (backend::Backend* b : registry.all()) {
-    if (b == nullptr) continue;
+  for (const backend::Backend& b : registry.all()) {
     for (core::AlgorithmId alg : kAlgorithms) {
-      // Real dispatch: an accelerator without Strassen/CAPS falls back
-      // to the host here, moving capow_backend_fallbacks_total exactly
-      // as an execution would.
-      const backend::DispatchDecision dec = registry.dispatch(b->id(), alg);
-      const machine::MachineSpec& spec = dec.chosen->device_spec();
-      const machine::PowerPlane plane = dec.chosen->power_plane();
+      // An accelerator without Strassen/CAPS falls back to the host row
+      // here, moving BackendRegistry::fallbacks_total().
+      const backend::DispatchDecision dec = registry.dispatch(b.id, alg);
+      const machine::MachineSpec& spec = dec.chosen->spec;
+      const machine::PowerPlane plane = dec.chosen->power_plane;
       for (std::size_t n : cfg.sizes) {
         for (unsigned p : cfg.threads) {
           // The device exposes at most core_count-way parallelism.
@@ -44,8 +42,8 @@ std::vector<BackendStudyRow> run_backend_study(
                                            {.algorithm = alg}),
                             threads);
           BackendStudyRow row;
-          row.requested = b->id();
-          row.chosen = dec.chosen->id();
+          row.requested = b.id;
+          row.chosen = dec.chosen->id;
           row.fell_back = dec.fell_back;
           row.algorithm = alg;
           row.n = n;
@@ -53,7 +51,7 @@ std::vector<BackendStudyRow> run_backend_study(
           row.seconds = run.seconds;
           row.avg_power_w = run.avg_power_w(plane);
           row.ep = core::energy_performance(row.avg_power_w, row.seconds);
-          const auto key = std::make_tuple(static_cast<int>(b->id()),
+          const auto key = std::make_tuple(static_cast<int>(b.id),
                                            static_cast<int>(alg), n);
           if (threads == 1) ep1[key] = row.ep;
           const auto base = ep1.find(key);
@@ -70,13 +68,13 @@ std::vector<BackendStudyRow> run_backend_study(
 
 std::vector<BackendCrossoverRow> backend_crossover_rows() {
   std::vector<BackendCrossoverRow> rows;
-  for (backend::Backend* b : backend::BackendRegistry::instance().all()) {
-    if (b == nullptr) continue;
-    const machine::MachineSpec& spec = b->device_spec();
+  for (const backend::Backend& b :
+       backend::BackendRegistry::instance().all()) {
+    const machine::MachineSpec& spec = b.spec;
     BackendCrossoverRow row;
-    row.id = b->id();
+    row.id = b.id;
     row.peak_gflops = spec.peak_flops() / 1e9;
-    row.gemm_efficiency = b->gemm_efficiency();
+    row.gemm_efficiency = b.gemm_efficiency;
     row.y_mflops = spec.peak_flops() * row.gemm_efficiency / 1e6;
     row.z_mbs = spec.memory.bandwidth_bytes_per_s / 1e6;
     row.crossover_n =

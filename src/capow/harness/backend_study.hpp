@@ -2,15 +2,15 @@
 // evaluated per device class.
 //
 // The paper measures EP = EAvg/T (Eq 1) and S = EP_p/EP_1 (Eq 5) on one
-// homogeneous Haswell box. The backend seam makes the same study run
-// *across* registered device classes: for every (backend, algorithm)
-// pair the op is dispatched through BackendRegistry (so an accelerator
-// that lacks Strassen/CAPS genuinely falls back, pumping the telemetry
-// counter), the algorithm's closed-form cost profile is built against
-// the device that actually runs it, and sim::simulate derives time and
-// per-plane power from that device's machine model — with EP read on
-// the backend's own power plane (host: PACKAGE, the paper's
-// measurement; sim_accel: PP0, the modeled compute-die rail).
+// homogeneous Haswell box. The device table (backend/backend.hpp) makes
+// the same study run *across* modelled device classes: for every
+// (backend, algorithm) pair BackendRegistry decides where the op is
+// modelled (an accelerator that lacks Strassen/CAPS falls back to the
+// host row, counted), the algorithm's closed-form cost profile is built
+// against that device, and sim::simulate derives time and per-plane
+// power from its machine model — with EP read on the device's own
+// power plane (host: PACKAGE, the paper's measurement; sim_accel: PP0,
+// the modeled compute-die rail). Nothing is executed.
 //
 // Two tables come out, surfaced by `capow-report --backends`:
 //   * per-backend EP rows (time, avg W on the device plane, EP, S vs
@@ -65,8 +65,8 @@ struct BackendCrossoverRow {
 /// Runs the sweep over every registered backend x algorithm. Rows are
 /// ordered backend-major, then algorithm, size, threads — so each
 /// (backend, algorithm, n) group's 1-thread row precedes the rows whose
-/// S it bases. Dispatch goes through BackendRegistry::dispatch, so
-/// fallbacks are counted exactly as a real run's would be.
+/// S it bases. Placement goes through BackendRegistry::dispatch, so
+/// every fallback row is counted.
 std::vector<BackendStudyRow> run_backend_study(const BackendStudyConfig& cfg);
 
 /// Eq (9) rows for every registered backend.

@@ -7,7 +7,6 @@
 
 #include "capow/abft/abft.hpp"
 #include "capow/api/matmul.hpp"
-#include "capow/backend/backend.hpp"
 #include "capow/blas/microkernel.hpp"
 #include "capow/blas/workspace.hpp"
 #include "capow/dist/recovery.hpp"
@@ -143,9 +142,7 @@ void export_jsonl(ExperimentRunner& runner, std::ostream& os) {
         .field("dram_bytes", profile.total_dram_bytes())
         .field("syncs", static_cast<std::uint64_t>(profile.total_syncs()))
         .field("kernel", resolved_kernel_name(r.algorithm))
-        .field("machine", cfg.machine.name)
-        .field("backend",
-               backend::backend_name(backend::resolve_backend(std::nullopt)));
+        .field("machine", cfg.machine.name);
     os << obj.str() << '\n';
   }
 }
@@ -335,26 +332,6 @@ void export_metrics(ExperimentRunner& runner, std::ostream& os) {
                 {"kernel", resolved_kernel_name(a)}},
                1.0);
   }
-
-  // The backend this process resolves under the current CAPOW_BACKEND
-  // setting. Info-style gauge, deterministic per environment — the
-  // backend-matrix CI leg pins CAPOW_BACKEND and diffs scrapes.
-  reg.family("capow_backend_info",
-             "Resolved dispatch backend (info gauge)", "gauge");
-  reg.sample({{"backend",
-               backend::backend_name(backend::resolve_backend(std::nullopt))}},
-             1.0);
-
-  // Graceful-degradation dispatches: ops that fell back to the host
-  // because the requested backend lacks them. Always exported (0 on
-  // clean runs, deterministic for a fixed workload) — a degraded
-  // placement must be visible, not merely queryable.
-  reg.family("capow_backend_fallbacks_total",
-             "Dispatches that fell back to the host CPU backend "
-             "(process lifetime)",
-             "counter");
-  reg.sample({}, static_cast<double>(
-                     backend::BackendRegistry::instance().fallbacks_total()));
 
   // Workspace-arena pooling counters from the process arena. Hit/miss
   // splits depend on worker interleaving, so — like the fault counters

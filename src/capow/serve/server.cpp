@@ -458,11 +458,16 @@ Outcome Server::serve_one(const Request& req, linalg::ConstMatrixView a,
   // The synchronous path shares admission (oversized gate + energy
   // debit at the running serve_one clock) but executes inline: with an
   // idle service and a full bucket this is a pass-through to
-  // capow::matmul() — the unloaded bit-identity contract.
+  // capow::matmul() — the unloaded bit-identity contract. All three
+  // operands are checked before the debit, so a shape matmul() would
+  // throw on never spends budget.
   serve_one_clock_s_ += 1e-6;
   bucket_.advance(serve_one_clock_s_);
-  if (req.n == 0 || req.n > opts_.max_n ||
-      a.cols() != req.n || a.rows() != req.n) {
+  const auto n_by_n = [n = req.n](const auto& v) {
+    return v.rows() == n && v.cols() == n;
+  };
+  if (req.n == 0 || req.n > opts_.max_n || !n_by_n(a) || !n_by_n(b) ||
+      !n_by_n(c)) {
     last_reject_ = RejectReason::kOversized;
     return Outcome::kRejected;
   }

@@ -57,7 +57,7 @@ Frame open_frame(const char* who, linalg::ConstMatrixView a,
   f.who = who;
   f.base_cutoff = base_cutoff;
   f.pool = pool;
-  f.arena = arena != nullptr ? arena : &blas::active_arena();
+  f.arena = arena != nullptr ? arena : &blas::WorkspaceArena::process_arena();
   f.base_kernel = resolve_base_kernel(base_kernel);
   if (f.base_kernel != nullptr && !f.base_kernel->supported()) {
     throw std::runtime_error(std::string(who) + ": base kernel '" +

@@ -80,9 +80,9 @@ struct Frame {
 
 /// Validates a square multiply and resolves its frame. The base kernel
 /// comes from resolve_base_kernel (strassen.hpp); a null arena leases
-/// from blas::active_arena(). `who` names the caller in errors:
-/// std::invalid_argument for non-square or mismatched operands, a C
-/// that shares storage with A or B, and a zero cutoff,
+/// from blas::WorkspaceArena::process_arena(). `who` names the caller in
+/// errors: std::invalid_argument for non-square or mismatched operands,
+/// a C that shares storage with A or B, and a zero cutoff,
 /// std::runtime_error for a base kernel this CPU cannot run.
 Frame open_frame(const char* who, linalg::ConstMatrixView a,
                  linalg::ConstMatrixView b, linalg::ConstMatrixView c,

@@ -45,10 +45,9 @@ struct StrassenOptions {
   /// Use the Winograd 15-addition variant instead of classic Strassen.
   bool winograd = false;
   /// Pool backing every quadrant temporary (operand sums and product
-  /// buffers); null leases from
-  /// blas::active_arena() (the dispatched backend's device pool, or the
-  /// process arena outside any backend scope). After one warm-up
-  /// multiply the recursion performs no heap allocation.
+  /// buffers); null leases from blas::WorkspaceArena::process_arena().
+  /// After one warm-up multiply the recursion performs no heap
+  /// allocation.
   blas::WorkspaceArena* arena = nullptr;
   /// When set, the dense base case runs through the packed registry
   /// microkernel (blas::small_gemm) instead of the BOTS-style unrolled

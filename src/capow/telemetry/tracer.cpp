@@ -1,7 +1,6 @@
 #include "capow/telemetry/tracer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -27,8 +26,6 @@ Registry& registry() {
   static Registry* r = new Registry;
   return *r;
 }
-
-std::atomic<Tracer*> g_tracer{nullptr};
 
 thread_local detail::ThreadBuffer* t_buffer = nullptr;
 
@@ -77,12 +74,8 @@ Tracer::~Tracer() {
   // Defensive: if someone destroys an installed tracer without ending
   // its TracingScope first, uninstall so call sites stop referencing it.
   Tracer* self = this;
-  g_tracer.compare_exchange_strong(self, nullptr,
-                                   std::memory_order_acq_rel);
-}
-
-Tracer* Tracer::active() noexcept {
-  return g_tracer.load(std::memory_order_acquire);
+  detail::active_tracer.compare_exchange_strong(self, nullptr,
+                                                std::memory_order_acq_rel);
 }
 
 std::vector<TraceEvent> Tracer::collect() const {
@@ -114,10 +107,11 @@ std::uint64_t Tracer::dropped() const {
 }
 
 TracingScope::TracingScope(Tracer& t) noexcept
-    : previous_(g_tracer.exchange(&t, std::memory_order_acq_rel)) {}
+    : previous_(detail::active_tracer.exchange(&t,
+                                               std::memory_order_acq_rel)) {}
 
 TracingScope::~TracingScope() {
-  g_tracer.store(previous_, std::memory_order_release);
+  detail::active_tracer.store(previous_, std::memory_order_release);
 }
 
 std::uint64_t total_dropped_events() {

@@ -22,7 +22,9 @@
 // own time window.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,7 +37,13 @@ namespace capow::telemetry {
 /// Records each thread's ring keeps before overwriting the oldest.
 inline constexpr std::size_t kRingCapacity = 8192;
 
+class Tracer;
+
 namespace detail {
+/// The installed tracer; TracingScope writes it, Tracer::active() reads
+/// it.
+inline std::atomic<Tracer*> active_tracer{nullptr};
+
 /// One thread's ring plus its stable small id (0 = first registered,
 /// usually the main thread). Owned by the process-global registry.
 struct ThreadBuffer {
@@ -78,8 +86,11 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The installed tracer, or nullptr. Call sites gate on this.
-  static Tracer* active() noexcept;
+  /// The installed tracer, or nullptr. Call sites gate on this; it is
+  /// only ever compared with nullptr, so a relaxed load suffices.
+  static Tracer* active() noexcept {
+    return detail::active_tracer.load(std::memory_order_relaxed);
+  }
 
   /// Session start timestamp; collect() keeps events at or after it.
   std::uint64_t start_ns() const noexcept { return start_ns_; }
@@ -112,8 +123,9 @@ class TracingScope {
 };
 
 /// RAII span: captures t_begin at construction and pushes one closed
-/// kSpan record at destruction. Inactive (and nearly free) when no
-/// tracer is installed or `name` is nullptr.
+/// kSpan record at destruction. When no tracer is installed or `name`
+/// is nullptr the span is inactive: it builds no record, and its whole
+/// cost is the one relaxed load in Tracer::active().
 class SpanScope {
  public:
   SpanScope(const char* name, const char* category) noexcept {
@@ -122,27 +134,21 @@ class SpanScope {
   SpanScope(const char* name, const char* category, const char* k0,
             std::int64_t v0) noexcept {
     open(name, category);
-    rec_.arg_name[0] = k0;
-    rec_.arg[0] = v0;
+    set_arg(0, k0, v0);
   }
   SpanScope(const char* name, const char* category, const char* k0,
             std::int64_t v0, const char* k1, std::int64_t v1) noexcept {
     open(name, category);
-    rec_.arg_name[0] = k0;
-    rec_.arg[0] = v0;
-    rec_.arg_name[1] = k1;
-    rec_.arg[1] = v1;
+    set_arg(0, k0, v0);
+    set_arg(1, k1, v1);
   }
   SpanScope(const char* name, const char* category, const char* k0,
             std::int64_t v0, const char* k1, std::int64_t v1,
             const char* k2, std::int64_t v2) noexcept {
     open(name, category);
-    rec_.arg_name[0] = k0;
-    rec_.arg[0] = v0;
-    rec_.arg_name[1] = k1;
-    rec_.arg[1] = v1;
-    rec_.arg_name[2] = k2;
-    rec_.arg[2] = v2;
+    set_arg(0, k0, v0);
+    set_arg(1, k1, v1);
+    set_arg(2, k2, v2);
   }
   ~SpanScope() {
     if (buf_ != nullptr) {
@@ -168,6 +174,7 @@ class SpanScope {
   void open(const char* name, const char* category) noexcept {
     if (name == nullptr || Tracer::active() == nullptr) return;
     buf_ = detail::this_thread_buffer();
+    ::new (&rec_) EventRecord();
     rec_.name = name;
     rec_.category = category;
     rec_.kind = EventKind::kSpan;
@@ -175,7 +182,11 @@ class SpanScope {
     rec_.t_begin_ns = now_ns();
   }
 
-  EventRecord rec_{};
+  // Constructed by open(): live exactly while buf_ is set, so an
+  // inactive span never writes it.
+  union {
+    EventRecord rec_;
+  };
   detail::ThreadBuffer* buf_ = nullptr;
 };
 

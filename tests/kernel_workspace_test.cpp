@@ -6,6 +6,8 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -574,6 +576,52 @@ TEST(Workspace, TrimLeavesOutstandingCheckoutsUntouched) {
   EXPECT_GT(arena.stats().pooled_bytes, 0u);
   WorkspaceCheckout again = arena.acquire(9000);
   EXPECT_EQ(arena.stats().hits, 1u);
+}
+
+// Concurrent checkouts across two pools stay consistent, and a warmed
+// pool serves the steady state without a single fresh allocation.
+TEST(Workspace, ConcurrentCheckoutsAcrossTwoArenas) {
+  WorkspaceArena first;
+  WorkspaceArena second;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kIters = 200;
+  const std::size_t sizes[] = {512, 4096, 16384};
+
+  // Warm both pools with every size class each worker will request.
+  std::vector<WorkspaceCheckout> warm;
+  for (std::size_t s : sizes) {
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      warm.push_back(first.acquire(s));
+      warm.push_back(second.acquire(s));
+    }
+  }
+  warm.clear();
+  first.reset_stats();
+  second.reset_stats();
+
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (std::size_t i = 0; i < kIters; ++i) {
+        const std::size_t s = sizes[(w + i) % 3];
+        WorkspaceCheckout a = first.acquire(s);
+        WorkspaceCheckout b = second.acquire(s);
+        a.data()[0] = static_cast<double>(w);
+        b.data()[s - 1] = static_cast<double>(i);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  const ArenaStats fs = first.stats();
+  const ArenaStats ss = second.stats();
+  EXPECT_EQ(fs.acquires, kThreads * kIters);
+  EXPECT_EQ(ss.acquires, kThreads * kIters);
+  // Zero warm-path allocations: every steady-state checkout was a hit.
+  EXPECT_EQ(fs.misses, 0u);
+  EXPECT_EQ(ss.misses, 0u);
+  EXPECT_EQ(fs.outstanding_bytes, 0u);
+  EXPECT_EQ(ss.outstanding_bytes, 0u);
 }
 
 TEST(Workspace, ArenaMatrixShapesAndAliasing) {

@@ -1,5 +1,5 @@
 // Tests for the capow::matmul() facade, the shared algorithm registry,
-// and the backend-pinned equivalence the redesign guarantees.
+// and the facade's bit-identity with each algorithm's entry point.
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -15,6 +15,7 @@
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/cost_model.hpp"
 #include "capow/blas/gemm_ref.hpp"
+#include "capow/blas/workspace.hpp"
 #include "capow/capsalg/caps.hpp"
 #include "capow/capsalg/cost_model.hpp"
 #include "capow/core/algorithms.hpp"
@@ -105,8 +106,8 @@ TEST(MatmulApi, ProfileDefaultsToBlockedGemm) {
   }
 }
 
-// What the models leave out (the pool, backend and ABFT the multiply
-// runs with) leaves the profile as it is.
+// What the models leave out (the pool and ABFT the multiply runs with)
+// leaves the profile as it is.
 TEST(MatmulApi, ProfileIgnoresWhatTheModelsDoNotModel) {
   const machine::MachineSpec spec = machine::haswell_e3_1225();
   tasking::ThreadPool pool(1);
@@ -114,7 +115,6 @@ TEST(MatmulApi, ProfileIgnoresWhatTheModelsDoNotModel) {
     MatmulOptions plain;
     plain.algorithm = a;
     MatmulOptions dressed = plain;
-    dressed.backend = backend::BackendId::kSimAccel;
     dressed.pool = &pool;
     dressed.abft.mode = abft::AbftMode::kCorrect;
     expect_same_profile(matmul_profile(1024, spec, 4, dressed),
@@ -172,59 +172,36 @@ TEST(MatmulFacade, ParallelPoolThreadsThrough) {
   EXPECT_TRUE(allclose(parallel.view(), serial.view(), 0.0, 0.0));
 }
 
-// ---------------------------------------------------------------------
-// Backend-pinned equivalence. Pinning backend=cpu must be bit-identical
-// to both the direct per-algorithm entry points and the default facade
-// path, on the same shapes/seeds the PR-3 shim-equivalence tests used —
-// the device seam adds dispatch, not arithmetic.
-// ---------------------------------------------------------------------
-
-TEST(BackendEquivalence, CpuBackendMatchesDirectGemmBitwise) {
-  for (std::size_t n : {64u, 512u}) {
-    Matrix a = random_matrix(n, n, n), b = random_matrix(n, n, n + 1);
-    Matrix direct(n, n), facade(n, n);
-    blas::gemm(a.view(), b.view(), direct.view());
-    MatmulOptions opts;
-    opts.backend = backend::BackendId::kCpu;
-    matmul(a.view(), b.view(), facade.view(), opts);
-    EXPECT_TRUE(allclose(facade.view(), direct.view(), 0.0, 0.0))
-        << "n=" << n;
+// matmul() runs on the host: it leases every buffer from the process
+// arena (as many leases as its entry point takes from a private arena)
+// and returns each before it returns.
+TEST(MatmulFacade, LeasesOnlyFromTheProcessArenaAndReturnsEveryLease) {
+  const std::size_t n = 192;
+  Matrix a = random_matrix(n, n, 61), b = random_matrix(n, n, 62);
+  Matrix c(n, n);
+  blas::WorkspaceArena& process = blas::WorkspaceArena::process_arena();
+  const abft::AbftConfig off{.mode = abft::AbftMode::kOff};
+  for (const AlgorithmId id : core::kAllAlgorithms) {
+    blas::WorkspaceArena own;
+    if (id == AlgorithmId::kOpenBlas) {
+      blas::GemmOptions g;
+      g.arena = &own;
+      blas::gemm(a.view(), b.view(), c.view(), g);
+    } else if (id == AlgorithmId::kStrassen) {
+      strassen::multiply(a.view(), b.view(), c.view(),
+                         {.arena = &own, .abft = off});
+    } else {
+      capsalg::multiply(a.view(), b.view(), c.view(),
+                        {.arena = &own, .abft = off});
+    }
+    const blas::ArenaStats before = process.stats();
+    matmul(a.view(), b.view(), c.view(), {.algorithm = id, .abft = off});
+    const blas::ArenaStats after = process.stats();
+    EXPECT_GT(own.stats().acquires, 0u) << core::algorithm_name(id);
+    EXPECT_EQ(after.acquires - before.acquires, own.stats().acquires)
+        << core::algorithm_name(id);
+    EXPECT_EQ(after.outstanding_bytes, 0u) << core::algorithm_name(id);
   }
-}
-
-TEST(BackendEquivalence, CpuBackendMatchesStrassenBitwise) {
-  const std::size_t n = 256;
-  Matrix a = random_matrix(n, n, 31), b = random_matrix(n, n, 32);
-  Matrix direct(n, n), facade(n, n);
-  strassen::multiply(a.view(), b.view(), direct.view());
-  MatmulOptions opts;
-  opts.algorithm = AlgorithmId::kStrassen;
-  opts.backend = backend::BackendId::kCpu;
-  matmul(a.view(), b.view(), facade.view(), opts);
-  EXPECT_TRUE(allclose(facade.view(), direct.view(), 0.0, 0.0));
-}
-
-TEST(BackendEquivalence, CpuBackendMatchesCapsBitwise) {
-  const std::size_t n = 128;
-  Matrix a = random_matrix(n, n, 41), b = random_matrix(n, n, 42);
-  Matrix direct(n, n), facade(n, n);
-  capsalg::multiply(a.view(), b.view(), direct.view());
-  MatmulOptions opts;
-  opts.algorithm = AlgorithmId::kCaps;
-  opts.backend = backend::BackendId::kCpu;
-  matmul(a.view(), b.view(), facade.view(), opts);
-  EXPECT_TRUE(allclose(facade.view(), direct.view(), 0.0, 0.0));
-}
-
-TEST(BackendEquivalence, ExplicitCpuMatchesDefaultResolutionBitwise) {
-  const std::size_t n = 96;
-  Matrix a = random_matrix(n, n, 5), b = random_matrix(n, n, 6);
-  Matrix by_default(n, n), pinned(n, n);
-  matmul(a.view(), b.view(), by_default.view());
-  MatmulOptions opts;
-  opts.backend = backend::BackendId::kCpu;
-  matmul(a.view(), b.view(), pinned.view(), opts);
-  EXPECT_TRUE(allclose(pinned.view(), by_default.view(), 0.0, 0.0));
 }
 
 // A matmul() is its algorithm's entry point at default options, bit for

@@ -592,6 +592,45 @@ TEST(ServeOne, BudgetShortfallAndSheddingAreTypedRejections) {
   EXPECT_EQ(shedding.last_reject_reason(), RejectReason::kShedding);
 }
 
+// A B or C that does not match req.n is rejected before the energy
+// debit, so the budget a throwing matmul() would have taken stays for
+// the next valid call.
+TEST(ServeOne, MismatchedOperandsSpendNoBudget) {
+  const std::size_t n = 128;
+  CostPredictor model(machine::haswell_e3_1225(), 4);
+  const double request_j =
+      model.predict(core::AlgorithmId::kOpenBlas, n).package_j;
+  const linalg::Matrix a = linalg::random_matrix(n, n, 1);
+  const linalg::Matrix b = linalg::random_matrix(n, n, 2);
+  const linalg::Matrix wide_b = linalg::random_matrix(n + 1, n + 1, 3);
+  linalg::Matrix c(n, n);
+  linalg::Matrix wide_c(n + 1, n + 1);
+
+  // The bucket fits exactly one best-effort call above the reserve.
+  ServeOptions one_call;
+  one_call.budget.budget_w = 1e-6;
+  one_call.budget.capacity_j = request_j / 0.70;
+  Request be = one_request(n);
+  be.tier = QosTier::kBestEffort;
+  {
+    Server fresh(one_call);
+    ASSERT_EQ(fresh.serve_one(be, a.view(), b.view(), c.view()),
+              Outcome::kCompleted);
+    ASSERT_EQ(fresh.serve_one(be, a.view(), b.view(), c.view()),
+              Outcome::kRejected);
+  }
+
+  Server server(one_call);
+  EXPECT_EQ(server.serve_one(be, a.view(), wide_b.view(), c.view()),
+            Outcome::kRejected);
+  EXPECT_EQ(server.last_reject_reason(), RejectReason::kOversized);
+  EXPECT_EQ(server.serve_one(be, a.view(), b.view(), wide_c.view()),
+            Outcome::kRejected);
+  EXPECT_EQ(server.last_reject_reason(), RejectReason::kOversized);
+  EXPECT_EQ(server.serve_one(be, a.view(), b.view(), c.view()),
+            Outcome::kCompleted);
+}
+
 // ---------------------------------------------------------------------------
 // ServeOptions::from_env: the strict CAPOW_SERVE_* grammar
 

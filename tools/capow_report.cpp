@@ -203,18 +203,17 @@ int run_comm_report(const ReportOptions& o) {
 }
 
 /// Heterogeneous EP study mode (--backends): the paper's Eq (1)/(5)
-/// measurements and the Eq (9) crossover, evaluated per registered
+/// measurements and the Eq (9) crossover, modelled per registered
 /// device class through the fallback-aware BackendRegistry.
 int run_backend_report(const ReportOptions& o) {
   if (!o.csv) {
     std::printf("capow heterogeneous EP study — %zu backend(s)\n",
                 backend::BackendRegistry::instance().all().size());
-    for (backend::Backend* b : backend::BackendRegistry::instance().all()) {
-      if (b == nullptr) continue;
-      const machine::MachineSpec& spec = b->device_spec();
-      std::printf("  %-9s %s: peak %.1f GF/s, memory %.1f GB/s\n",
-                  b->name(), b->description(), spec.peak_flops() / 1e9,
-                  spec.memory.bandwidth_bytes_per_s / 1e9);
+    for (const backend::Backend& b :
+         backend::BackendRegistry::instance().all()) {
+      std::printf("  %-9s %s: peak %.1f GF/s, memory %.1f GB/s\n", b.name,
+                  b.description, b.spec.peak_flops() / 1e9,
+                  b.spec.memory.bandwidth_bytes_per_s / 1e9);
     }
   }
   const std::vector<harness::BackendStudyRow> rows =
@@ -226,10 +225,8 @@ int run_backend_report(const ReportOptions& o) {
   const std::uint64_t fallbacks =
       backend::BackendRegistry::instance().fallbacks_total();
   if (!o.csv && fallbacks > 0) {
-    std::printf(
-        "\n%llu dispatch(es) fell back to the host backend "
-        "(capow_backend_fallbacks_total)\n",
-        static_cast<unsigned long long>(fallbacks));
+    std::printf("\n%llu dispatch(es) fell back to the host backend\n",
+                static_cast<unsigned long long>(fallbacks));
   }
   return 0;
 }
@@ -635,12 +632,6 @@ int main(int argc, char** argv) {
     opts.faults = fault::FaultPlan::from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad CAPOW_FAULTS: %s\n", e.what());
-    return 2;
-  }
-  try {
-    backend::env_backend_override();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bad CAPOW_BACKEND: %s\n", e.what());
     return 2;
   }
   const cli::Mode<ReportOptions>& mode = cli::parse(argc, argv, kTool, opts);
