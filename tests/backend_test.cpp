@@ -3,9 +3,12 @@
 // study it feeds.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "capow/backend/backend.hpp"
 #include "capow/backend/sim_accel.hpp"
 #include "capow/harness/backend_study.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow {
 namespace {
@@ -33,6 +36,30 @@ TEST(BackendRegistry, FindByName) {
   EXPECT_EQ(reg.find("cpu"), reg.find(BackendId::kCpu));
   EXPECT_EQ(reg.find("sim_accel"), reg.find(BackendId::kSimAccel));
   EXPECT_EQ(reg.find("gpu"), nullptr);
+}
+
+// all() is indexed by id, and every row carries what the study reads:
+// a name backend_name() agrees with, a description, a valid machine
+// model and a GEMM efficiency in (0, 1].
+TEST(BackendRegistry, RowsAreIndexedByIdAndDescribeTheirDevice) {
+  const BackendRegistry& reg = BackendRegistry::instance();
+  for (std::size_t i = 0; i < reg.all().size(); ++i) {
+    const backend::Backend& row = reg.all()[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.id), i);
+    EXPECT_STREQ(backend::backend_name(row.id), row.name);
+    EXPECT_FALSE(std::string(row.description).empty()) << row.name;
+    EXPECT_NO_THROW(row.spec.validate()) << row.name;
+    EXPECT_GT(row.gemm_efficiency, 0.0) << row.name;
+    EXPECT_LE(row.gemm_efficiency, 1.0) << row.name;
+  }
+}
+
+TEST(BackendRegistry, UnknownIdsFindNothing) {
+  const BackendRegistry& reg = BackendRegistry::instance();
+  EXPECT_EQ(reg.find(static_cast<BackendId>(-1)), nullptr);
+  EXPECT_EQ(reg.find(static_cast<BackendId>(backend::kBackendCount)),
+            nullptr);
+  EXPECT_STREQ(backend::backend_name(static_cast<BackendId>(7)), "?");
 }
 
 TEST(BackendRegistry, CapabilitiesMatchTheDesign) {
@@ -73,6 +100,49 @@ TEST(BackendDispatch, UnsupportedOpFallsBackToHostAndCounts) {
   EXPECT_EQ(dec.requested, reg.find(BackendId::kSimAccel));
   EXPECT_EQ(dec.chosen, &reg.host());
   EXPECT_EQ(reg.fallbacks_total(), before + 1);
+}
+
+// An id that names no row is modelled on the host as asked, not as a
+// fallback: only a registered device that lacks the op counts.
+TEST(BackendDispatch, UnregisteredRequestIsModelledOnTheHost) {
+  BackendRegistry& reg = BackendRegistry::instance();
+  const std::uint64_t before = reg.fallbacks_total();
+  const auto dec = reg.dispatch(static_cast<BackendId>(7), AlgorithmId::kCaps);
+  EXPECT_FALSE(dec.fell_back);
+  EXPECT_EQ(dec.requested, &reg.host());
+  EXPECT_EQ(dec.chosen, &reg.host());
+  EXPECT_EQ(reg.fallbacks_total(), before);
+}
+
+TEST(BackendDispatch, ResetFallbacksZeroesTheCounter) {
+  BackendRegistry& reg = BackendRegistry::instance();
+  reg.dispatch(BackendId::kSimAccel, AlgorithmId::kStrassen);
+  ASSERT_GT(reg.fallbacks_total(), 0u);
+  reg.reset_fallbacks();
+  EXPECT_EQ(reg.fallbacks_total(), 0u);
+  reg.dispatch(BackendId::kSimAccel, AlgorithmId::kStrassen);
+  EXPECT_EQ(reg.fallbacks_total(), 1u);
+}
+
+// A fallback row is never silent: each one leaves a backend.fallback
+// instant under an installed tracer, and a native dispatch leaves none.
+TEST(BackendDispatch, FallbackMarksATelemetryInstant) {
+  BackendRegistry& reg = BackendRegistry::instance();
+  telemetry::Tracer tracer;
+  {
+    telemetry::TracingScope scope(tracer);
+    reg.dispatch(BackendId::kSimAccel, AlgorithmId::kOpenBlas);
+    reg.dispatch(BackendId::kCpu, AlgorithmId::kCaps);
+    reg.dispatch(BackendId::kSimAccel, AlgorithmId::kCaps);
+  }
+  int instants = 0;
+  for (const telemetry::TraceEvent& e : tracer.collect()) {
+    if (std::string(e.rec.name) == "backend.fallback") {
+      EXPECT_EQ(e.rec.kind, telemetry::EventKind::kInstant);
+      ++instants;
+    }
+  }
+  EXPECT_EQ(instants, 1);
 }
 
 TEST(SimAccel, SpecValidatesAndInvertsTheMachineBalance) {

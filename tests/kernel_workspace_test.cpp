@@ -2,6 +2,7 @@
 // pooled packing workspace arena behind the matmul hot paths.
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <ostream>
@@ -747,6 +748,74 @@ TEST(Workspace, CapsTraversalAllocatesNothingWhenWarm) {
   EXPECT_EQ(warm.misses, cold.misses)
       << "CAPS traversal allocated on the warm rerun";
   EXPECT_EQ(warm.allocated_bytes, cold.allocated_bytes);
+}
+
+// A null arena in an entry point's options means the process arena: a
+// serial call leases from it as many times as it would from a private
+// arena, and returns every lease; a private arena in the same options
+// leaves the process arena untouched.
+void expect_null_arena_is_the_process_arena(
+    const std::function<void(WorkspaceArena*)>& run) {
+  WorkspaceArena& process = WorkspaceArena::process_arena();
+  const ArenaStats before = process.stats();
+  run(nullptr);
+  const ArenaStats after = process.stats();
+  EXPECT_GT(after.acquires, before.acquires);
+  EXPECT_EQ(after.outstanding_bytes, 0u);
+
+  WorkspaceArena own;
+  run(&own);
+  EXPECT_EQ(own.stats().acquires, after.acquires - before.acquires);
+  EXPECT_EQ(own.stats().outstanding_bytes, 0u);
+  EXPECT_EQ(process.stats().acquires, after.acquires);
+}
+
+TEST(Workspace, NullArenaGemmLeasesFromTheProcessArena) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 21), b = random_matrix(n, n, 22);
+  Matrix c(n, n);
+  expect_null_arena_is_the_process_arena([&](WorkspaceArena* arena) {
+    GemmOptions opts;
+    opts.arena = arena;
+    gemm(a.view(), b.view(), c.view(), opts);
+  });
+}
+
+TEST(Workspace, NullArenaGuardedGemmLeasesFromTheProcessArena) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 23), b = random_matrix(n, n, 24);
+  Matrix c(n, n);
+  expect_null_arena_is_the_process_arena([&](WorkspaceArena* arena) {
+    GemmOptions opts;
+    opts.arena = arena;
+    abft::guarded_gemm(a.view(), b.view(), c.view(), opts,
+                       {.mode = abft::AbftMode::kDetect});
+  });
+}
+
+TEST(Workspace, NullArenaStrassenLeasesFromTheProcessArena) {
+  const std::size_t n = 161;
+  const Matrix a = random_matrix(n, n, 25), b = random_matrix(n, n, 26);
+  Matrix c(n, n);
+  expect_null_arena_is_the_process_arena([&](WorkspaceArena* arena) {
+    strassen::StrassenOptions opts;
+    opts.base_cutoff = 32;
+    opts.arena = arena;
+    strassen::multiply(a.view(), b.view(), c.view(), opts);
+  });
+}
+
+TEST(Workspace, NullArenaCapsLeasesFromTheProcessArena) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 27), b = random_matrix(n, n, 28);
+  Matrix c(n, n);
+  expect_null_arena_is_the_process_arena([&](WorkspaceArena* arena) {
+    capsalg::CapsOptions opts;
+    opts.base_cutoff = 16;
+    opts.bfs_cutoff_depth = 2;
+    opts.arena = arena;
+    capsalg::multiply(a.view(), b.view(), c.view(), opts);
+  });
 }
 
 // On a pool, sibling products lease in the order they are scheduled,

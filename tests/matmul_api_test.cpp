@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "capow/linalg/random.hpp"
 #include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
+#include "capow/telemetry/tracer.hpp"
 
 namespace capow {
 namespace {
@@ -122,6 +124,16 @@ TEST(MatmulApi, ProfileIgnoresWhatTheModelsDoNotModel) {
   }
 }
 
+// The structured binding compiles only while MatmulOptions holds
+// exactly these three members.
+TEST(MatmulApi, OptionsHoldOnlyAlgorithmPoolAndAbft) {
+  const MatmulOptions opts;
+  const auto& [algorithm, pool, abft_cfg] = opts;
+  EXPECT_EQ(algorithm, AlgorithmId::kOpenBlas);
+  EXPECT_EQ(pool, nullptr);
+  EXPECT_FALSE(abft_cfg.mode.has_value());
+}
+
 TEST(MatmulFacade, DefaultsToBlockedGemm) {
   const std::size_t n = 96;
   Matrix a = random_matrix(n, n, 1), b = random_matrix(n, n, 2);
@@ -202,6 +214,70 @@ TEST(MatmulFacade, LeasesOnlyFromTheProcessArenaAndReturnsEveryLease) {
         << core::algorithm_name(id);
     EXPECT_EQ(after.outstanding_bytes, 0u) << core::algorithm_name(id);
   }
+}
+
+// Concurrent matmul() calls share the process arena: each thread gets
+// the serial result bit for bit, and no lease outlives the calls.
+TEST(MatmulFacade, ConcurrentCallsReturnEveryLease) {
+  const std::size_t n = 128;
+  const Matrix a = random_matrix(n, n, 71), b = random_matrix(n, n, 72);
+  const abft::AbftConfig off{.mode = abft::AbftMode::kOff};
+  std::vector<Matrix> expect;
+  for (const AlgorithmId id : core::kAllAlgorithms) {
+    expect.emplace_back(n, n);
+    matmul(a.view(), b.view(), expect.back().view(),
+           {.algorithm = id, .abft = off});
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Matrix>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (const AlgorithmId id : core::kAllAlgorithms) {
+        got[t].emplace_back(n, n);
+        matmul(a.view(), b.view(), got[t].back().view(),
+               {.algorithm = id, .abft = off});
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(blas::WorkspaceArena::process_arena().stats().outstanding_bytes,
+            0u);
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(std::memcmp(got[t][i].data(), expect[i].data(),
+                            n * n * sizeof(double)),
+                0)
+          << "thread " << t << ", "
+          << core::algorithm_name(core::kAllAlgorithms[i]);
+    }
+  }
+}
+
+// The matmul span carries the algorithm and the resolved kernel, and
+// nothing else.
+TEST(MatmulFacade, SpanCarriesTheAlgorithmAndKernelOnly) {
+  const std::size_t n = 96;
+  const Matrix a = random_matrix(n, n, 73), b = random_matrix(n, n, 74);
+  Matrix c(n, n);
+  const MatmulOptions opts{.algorithm = AlgorithmId::kStrassen};
+  telemetry::Tracer tracer;
+  {
+    telemetry::TracingScope scope(tracer);
+    matmul(a.view(), b.view(), c.view(), opts);
+  }
+  const blas::MicroKernel* kern = matmul_kernel(opts);
+  int spans = 0;
+  for (const telemetry::TraceEvent& e : tracer.collect()) {
+    if (std::string(e.rec.name) != "matmul") continue;
+    ++spans;
+    ASSERT_STREQ(e.rec.arg_name[0], "algorithm");
+    EXPECT_EQ(e.rec.arg[0], static_cast<int>(AlgorithmId::kStrassen));
+    ASSERT_STREQ(e.rec.arg_name[1], "kernel");
+    EXPECT_EQ(e.rec.arg[1], kern != nullptr ? static_cast<int>(kern->id) : -1);
+    EXPECT_EQ(e.rec.arg_name[2], nullptr);
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 // A matmul() is its algorithm's entry point at default options, bit for

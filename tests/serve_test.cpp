@@ -631,6 +631,34 @@ TEST(ServeOne, MismatchedOperandsSpendNoBudget) {
             Outcome::kCompleted);
 }
 
+// Operands must be n x n, not merely conformable: an n x (n+1) B and C
+// make a valid product, but not the one req.n prices, so they are
+// rejected before the debit too.
+TEST(ServeOne, NonSquareOperandsAreRejectedAsOversized) {
+  const std::size_t n = 128;
+  CostPredictor model(machine::haswell_e3_1225(), 4);
+  const double request_j =
+      model.predict(core::AlgorithmId::kOpenBlas, n).package_j;
+  const linalg::Matrix a = linalg::random_matrix(n, n, 1);
+  const linalg::Matrix b = linalg::random_matrix(n, n, 2);
+  const linalg::Matrix tall_b = linalg::random_matrix(n, n + 1, 3);
+  linalg::Matrix c(n, n);
+  linalg::Matrix tall_c(n, n + 1);
+
+  ServeOptions one_call;
+  one_call.budget.budget_w = 1e-6;
+  one_call.budget.capacity_j = request_j / 0.70;
+  Request be = one_request(n);
+  be.tier = QosTier::kBestEffort;
+
+  Server server(one_call);
+  EXPECT_EQ(server.serve_one(be, a.view(), tall_b.view(), tall_c.view()),
+            Outcome::kRejected);
+  EXPECT_EQ(server.last_reject_reason(), RejectReason::kOversized);
+  EXPECT_EQ(server.serve_one(be, a.view(), b.view(), c.view()),
+            Outcome::kCompleted);
+}
+
 // ---------------------------------------------------------------------------
 // ServeOptions::from_env: the strict CAPOW_SERVE_* grammar
 
