@@ -115,10 +115,10 @@ AbftGuard::AbftGuard(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
       k_(a.cols()),
       n_(b.cols()),
       sums_(arena.acquire(4 * a.cols() + 2 * a.rows() + 2 * b.cols())) {
-  if (b.rows() != k_) {
-    throw std::invalid_argument(
-        "abft: guard operands' inner dimensions disagree");
-  }
+  // C does not exist yet: a storage-less view of its shape leaves the
+  // contract only the inner dimension to decide.
+  linalg::check_product("abft::AbftGuard", a, b, {nullptr, m_, n_, n_},
+                        {.disjoint = false});
   telemetry::SpanScope span("abft.checksum", "abft", "m", m_, "n", n_);
   // Layout: the operand checksums, then the fully reduced reference
   // sums C must reproduce. Building the references here (one fused
@@ -144,9 +144,8 @@ AbftGuard::AbftGuard(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 }
 
 VerifyReport AbftGuard::verify(linalg::ConstMatrixView c) const {
-  if (c.rows() != m_ || c.cols() != n_) {
-    throw std::invalid_argument("abft: verified matrix shape mismatch");
-  }
+  linalg::check_product("abft::AbftGuard::verify", a_, b_, c,
+                        {.disjoint = false});
   telemetry::SpanScope span("abft.verify", "abft", "m", m_, "n", n_);
   VerifyReport rep;
   const double* rref = sums_.data() + 4 * k_;
@@ -204,6 +203,7 @@ void guarded_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
     return;
   }
 
+  linalg::check_product("abft::guarded_gemm", a, b, c);
   // Pin the resolved kernel + blocking so every recompute sub-sweep
   // replays the exact floating-point schedule of the original call.
   blas::GemmOptions pinned = opts;

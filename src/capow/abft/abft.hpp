@@ -181,7 +181,8 @@ inline std::size_t inject_flip(fault::Site site, std::uint64_t block_key,
 /// replays the identical floating-point schedule — the corrected result
 /// is bit-identical to a fault-free run. Throws AbftError when the
 /// damage survives localized recomputation and cfg.max_retries full
-/// re-runs (or immediately in detect mode).
+/// re-runs (or immediately in detect mode). Validates through
+/// linalg::check_product before the guard's checksum pass.
 void guarded_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                   linalg::MatrixView c, const blas::GemmOptions& opts = {},
                   const AbftConfig& cfg = {});

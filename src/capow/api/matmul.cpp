@@ -1,7 +1,6 @@
 #include "capow/api/matmul.hpp"
 
 #include <optional>
-#include <stdexcept>
 
 #include "capow/blas/blocked_gemm.hpp"
 #include "capow/blas/cost_model.hpp"
@@ -35,10 +34,6 @@ sim::WorkProfile matmul_profile(std::size_t n,
 
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts) {
-  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
-    throw std::invalid_argument("matmul: C shares storage with A or B");
-  }
-
   blas::WorkspaceArena& arena = blas::WorkspaceArena::process_arena();
 
   const blas::MicroKernel* kern = matmul_kernel(opts);

@@ -50,11 +50,11 @@ struct MatmulOptions {
   abft::AbftConfig abft{};
 };
 
-/// C = A * B via the selected algorithm. Validation, border peeling and
-/// instrumentation follow the selected algorithm's contract, and a C
-/// that shares storage with A or B throws std::invalid_argument; all
-/// three count logical traffic through capow::trace identically to
-/// their closed-form cost models.
+/// C = A * B via the selected algorithm. Validation (the entry point's
+/// linalg::check_product, no check of the facade's own), border peeling
+/// and instrumentation follow the selected algorithm; all three count
+/// logical traffic through capow::trace identically to their
+/// closed-form cost models.
 void matmul(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
             linalg::MatrixView c, const MatmulOptions& opts = {});
 

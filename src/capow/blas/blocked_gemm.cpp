@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "capow/blas/gemm_ref.hpp"
 #include "capow/fault/fault.hpp"
 #include "capow/tasking/parallel_for.hpp"
 #include "capow/telemetry/tracer.hpp"
@@ -85,10 +84,7 @@ BlockingParams resolve_blocking(const GemmOptions& opts) {
 
 void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
           linalg::MatrixView c, const GemmOptions& opts) {
-  check_gemm_shapes(a, b, c);
-  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
-    throw std::invalid_argument("blocked_gemm: C shares storage with A or B");
-  }
+  linalg::check_product("blas::gemm", a, b, c);
   const MicroKernel& kern = resolve_kernel(opts);
   const BlockingParams bp = resolve_blocking(opts);
   WorkspaceArena& arena =
@@ -160,7 +156,7 @@ void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 void small_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                 linalg::MatrixView c, const MicroKernel& kern,
                 WorkspaceArena& arena, bool accumulate) {
-  check_gemm_shapes(a, b, c);
+  linalg::check_product("blas::small_gemm", a, b, c, {.disjoint = false});
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();

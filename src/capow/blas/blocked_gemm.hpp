@@ -53,8 +53,8 @@ struct GemmOptions {
   std::uint64_t fault_salt = 0;
 };
 
-/// C = A * B through the packed, blocked path. Shapes are validated, and
-/// a C that shares storage with A or B throws std::invalid_argument.
+/// C = A * B through the packed, blocked path, for any m x k by k x n
+/// that passes linalg::check_product (else std::invalid_argument).
 void gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
           linalg::MatrixView c, const GemmOptions& opts = {});
 
@@ -77,7 +77,7 @@ BlockingParams resolve_blocking(const GemmOptions& opts);
 /// buffer. Traffic accounting is identical to strassen::base_gemm
 /// (2*m*n*k flops, (m*k + k*n) bytes read, m*n written) so it can stand
 /// in for the recursion base case without moving the cost-model
-/// cross-checks.
+/// cross-checks. Checks shapes only: its caller checked the product.
 void small_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                 linalg::MatrixView c, const MicroKernel& kernel,
                 WorkspaceArena& arena, bool accumulate = false);

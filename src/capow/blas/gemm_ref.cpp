@@ -1,26 +1,13 @@
 #include "capow/blas/gemm_ref.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace capow::blas {
-
-void check_gemm_shapes(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                       linalg::ConstMatrixView c) {
-  if (a.cols() != b.rows() || c.rows() != a.rows() || c.cols() != b.cols()) {
-    throw std::invalid_argument(
-        "gemm: incompatible shapes A=" + std::to_string(a.rows()) + "x" +
-        std::to_string(a.cols()) + " B=" + std::to_string(b.rows()) + "x" +
-        std::to_string(b.cols()) + " C=" + std::to_string(c.rows()) + "x" +
-        std::to_string(c.cols()));
-  }
-}
 
 namespace {
 
-void gemm_ref_impl(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                   linalg::MatrixView c, bool accumulate) {
-  check_gemm_shapes(a, b, c);
+void gemm_ref_impl(const char* who, linalg::ConstMatrixView a,
+                   linalg::ConstMatrixView b, linalg::MatrixView c,
+                   bool accumulate) {
+  linalg::check_product(who, a, b, c);
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
@@ -42,13 +29,14 @@ void gemm_ref_impl(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
 
 void gemm_reference(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                     linalg::MatrixView c) {
-  gemm_ref_impl(a, b, c, /*accumulate=*/false);
+  gemm_ref_impl("blas::gemm_reference", a, b, c, /*accumulate=*/false);
 }
 
 void gemm_reference_accumulate(linalg::ConstMatrixView a,
                                linalg::ConstMatrixView b,
                                linalg::MatrixView c) {
-  gemm_ref_impl(a, b, c, /*accumulate=*/true);
+  gemm_ref_impl("blas::gemm_reference_accumulate", a, b, c,
+                /*accumulate=*/true);
 }
 
 }  // namespace capow::blas

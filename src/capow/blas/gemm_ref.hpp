@@ -6,18 +6,15 @@
 namespace capow::blas {
 
 /// C = A * B using the ijk triple loop. O(n^3), no blocking, no
-/// instrumentation; exists purely as the correctness oracle.
-/// Throws std::invalid_argument on shape mismatch.
+/// instrumentation; exists purely as the correctness oracle. Operands
+/// that break linalg::check_product (any shape, C disjoint) throw
+/// std::invalid_argument.
 void gemm_reference(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                     linalg::MatrixView c);
 
-/// C += A * B, reference version.
+/// C += A * B, reference version; the same check.
 void gemm_reference_accumulate(linalg::ConstMatrixView a,
                                linalg::ConstMatrixView b,
                                linalg::MatrixView c);
-
-/// Validates shapes for C = A(m x k) * B(k x n); throws on mismatch.
-void check_gemm_shapes(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                       linalg::ConstMatrixView c);
 
 }  // namespace capow::blas

@@ -75,7 +75,8 @@ struct CapsStats {
 /// C = A * B for square matrices via CAPS. Border peeling, validation
 /// and instrumentation conventions match strassen::multiply. `stats`
 /// (optional) receives the traversal statistics. Throws
-/// std::invalid_argument for non-square operands or zero cutoffs.
+/// std::invalid_argument, before any work, for operands that break
+/// linalg::check_product with `square` on, or zero cutoffs.
 void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
               linalg::MatrixView c, const CapsOptions& opts = {},
               tasking::ThreadPool* pool = nullptr,

@@ -1,9 +1,7 @@
 #include "capow/dist/dist_caps.hpp"
 
 #include <array>
-#include <stdexcept>
 
-#include "capow/blas/gemm_ref.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/partition.hpp"
 #include "capow/strassen/base_kernel.hpp"
@@ -170,16 +168,11 @@ void solve_group(Communicator& comm, const Group& group,
 void dist_caps_multiply(Communicator& comm, ConstMatrixView a,
                         ConstMatrixView b, MatrixView c,
                         const DistCapsOptions& opts) {
-  if (comm.rank() == 0) {
-    if (!a.square() || !b.square() || !c.square() ||
-        a.rows() != b.rows() || a.rows() != c.rows()) {
-      throw std::invalid_argument(
-          "dist_caps_multiply: operands must be square, equal dimension");
-    }
-  }
   // Announce the dimension (deterministic buffer sizing everywhere).
   std::vector<double> shape{0.0};
   if (comm.rank() == 0) {
+    linalg::check_product("dist_caps_multiply", a, b, c,
+                          {.square = true, .disjoint = false});
     shape[0] = static_cast<double>(a.rows());
   }
   comm.broadcast(0, shape);
@@ -198,7 +191,7 @@ void dist_block_gemm(Communicator& comm, ConstMatrixView a,
 
   std::vector<double> dims(3);
   if (rank == 0) {
-    blas::check_gemm_shapes(a, b, c);
+    linalg::check_product("dist_block_gemm", a, b, c, {.disjoint = false});
     dims = {static_cast<double>(a.rows()), static_cast<double>(a.cols()),
             static_cast<double>(b.cols())};
   }

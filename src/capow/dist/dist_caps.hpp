@@ -36,7 +36,8 @@ struct DistCapsOptions {
 /// Collective: every rank of `comm` must call it. Rank 0 passes A, B and
 /// receives C = A * B; other ranks pass empty matrices (their views are
 /// ignored). Dimensions must be even above the distribution threshold.
-/// Throws std::invalid_argument on rank-0 shape errors.
+/// Rank 0 validates through linalg::check_product (`square` on,
+/// `disjoint` off).
 ///
 /// Any communicator size works: the seven sub-products spread over
 /// however many ranks `comm` holds (round-robin below seven ranks, a
@@ -56,7 +57,8 @@ void dist_caps_multiply(Communicator& comm, linalg::ConstMatrixView a,
 
 /// Classical distributed baseline: block-row decomposition. Rank 0
 /// scatters row blocks of A, broadcasts all of B, ranks compute their C
-/// rows with the dense base kernel, root gathers. Collective.
+/// rows with the dense base kernel, root gathers. Collective; rank 0
+/// validates as dist_caps_multiply does, square or not.
 void dist_block_gemm(Communicator& comm, linalg::ConstMatrixView a,
                      linalg::ConstMatrixView b, linalg::MatrixView c);
 

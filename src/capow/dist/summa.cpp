@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "capow/abft/checksum.hpp"
-#include "capow/blas/gemm_ref.hpp"
 #include "capow/fault/fault.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/strassen/base_kernel.hpp"
@@ -239,21 +238,18 @@ void summa_step(Communicator& comm, const GridSpec& g, const AbftState& st,
   }
 }
 
-bool root_operands_valid(ConstMatrixView a, ConstMatrixView b,
-                         ConstMatrixView c, const GridSpec& g) {
-  return a.square() && b.square() && c.square() && a.rows() == b.rows() &&
-         a.rows() == c.rows() && a.rows() > 0 && a.rows() % g.rows == 0;
-}
-
-// Rank 0 validates and announces the dimension; 0 means "abort", which
-// every rank turns into the same exception. Validating *before* any
+// Rank 0 validates and announces the dimension; 0 (also an empty
+// product's) means "abort", which every rank turns into the same
+// exception. Validating *before* any
 // point-to-point traffic is what keeps a bad root call from deadlocking
 // the other ranks in recv().
 std::size_t negotiate_dim(Communicator& comm, ConstMatrixView a,
                           ConstMatrixView b, ConstMatrixView c,
                           const GridSpec& g) {
   std::vector<double> dims(1, 0.0);
-  if (comm.rank() == 0 && root_operands_valid(a, b, c, g)) {
+  if (comm.rank() == 0 &&
+      !linalg::product_error(a, b, c, {.square = true, .disjoint = false}) &&
+      a.rows() % g.rows == 0) {
     dims[0] = static_cast<double>(a.rows());
   }
   comm.broadcast(0, dims);

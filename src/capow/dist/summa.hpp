@@ -74,8 +74,9 @@ struct PanelCacheSet {
 };
 
 /// Collective SUMMA: C = A * B on a rows x cols grid (layers must be 1).
-/// Rank 0 passes the operands; n must be divisible by grid.rows and
-/// grid.cols. Every rank of `comm` must call it, and comm.size() must
+/// Rank 0 passes operands that pass linalg::product_error with `square`
+/// on and `disjoint` off; n must be nonzero and divisible by grid.rows
+/// and grid.cols. Every rank of `comm` must call it, and comm.size() must
 /// be at least grid.ranks(): every rank takes part in the dimension
 /// broadcast, then ranks beyond grid.ranks() idle while the first
 /// grid.ranks() run the grid.

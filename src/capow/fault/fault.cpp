@@ -6,18 +6,15 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "capow/splitmix64.hpp"
+
 namespace capow::fault {
 
 namespace {
 
-// splitmix64 (Steele, Lea, Flood): the standard 64-bit finalizer-style
-// mixer — every input bit avalanches, cheap enough for per-message use.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// The splitmix64 step applied to a copy: a stateless hash, cheap enough
+// for per-message use.
+std::uint64_t mix(std::uint64_t x) noexcept { return splitmix64(x); }
 
 // Top 53 bits as a uniform double in [0, 1).
 double to_unit(std::uint64_t h) noexcept {
@@ -349,10 +346,10 @@ bool FaultInjector::fire(Site site, std::uint64_t draw_key) const noexcept {
   const double p = plan_.probability(site);
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
-  std::uint64_t h = splitmix64(
+  std::uint64_t h = mix(
       plan_.seed ^ (static_cast<std::uint64_t>(site) * 0x9e3779b97f4a7c15ull));
-  h = splitmix64(h ^ run_key_.load(std::memory_order_relaxed));
-  h = splitmix64(h ^ draw_key);
+  h = mix(h ^ run_key_.load(std::memory_order_relaxed));
+  h = mix(h ^ draw_key);
   return to_unit(h) < p;
 }
 
@@ -389,9 +386,9 @@ FaultScope::~FaultScope() {
 
 std::uint64_t key(std::uint64_t a, std::uint64_t b,
                   std::uint64_t c) noexcept {
-  std::uint64_t h = splitmix64(a);
-  h = splitmix64(h ^ b);
-  h = splitmix64(h ^ c);
+  std::uint64_t h = mix(a);
+  h = mix(h ^ b);
+  h = mix(h ^ c);
   return h;
 }
 

@@ -128,4 +128,32 @@ bool views_overlap(ConstMatrixView x, ConstMatrixView y) noexcept {
   return false;
 }
 
+const char* product_error(ConstMatrixView a, ConstMatrixView b,
+                          ConstMatrixView c, ProductRules rules) noexcept {
+  if (a.cols() != b.rows()) return "inner dimensions disagree";
+  if (c.rows() != a.rows() || c.cols() != b.cols()) {
+    return "C is not A.rows x B.cols";
+  }
+  // With conforming shapes, square A and B make all three n x n.
+  if (rules.square && !(a.square() && b.square())) {
+    return "operands must be square with equal dimension";
+  }
+  if (rules.disjoint && (views_overlap(c, a) || views_overlap(c, b))) {
+    return "C shares storage with A or B";
+  }
+  return nullptr;
+}
+
+void check_product(const char* who, ConstMatrixView a, ConstMatrixView b,
+                   ConstMatrixView c, ProductRules rules) {
+  const char* error = product_error(a, b, c, rules);
+  if (error == nullptr) return;
+  const auto shape = [](ConstMatrixView v) {
+    return std::to_string(v.rows()) + "x" + std::to_string(v.cols());
+  };
+  throw std::invalid_argument(std::string(who) + ": " + error + " (A=" +
+                              shape(a) + " B=" + shape(b) + " C=" + shape(c) +
+                              ")");
+}
+
 }  // namespace capow::linalg

@@ -202,4 +202,20 @@ class ConstMatrixView {
 /// interleaved column panels) never count as overlapping.
 bool views_overlap(ConstMatrixView x, ConstMatrixView y) noexcept;
 
+/// What a multiply requires of C = A·B beyond A m x k, B k x n, C m x n.
+struct ProductRules {
+  bool square = false;   ///< all three n x n (Strassen, Winograd, CAPS)
+  bool disjoint = true;  ///< C shares no element with A or B
+};
+
+/// The operand contract of every multiply: why C = A·B cannot run, or
+/// null when it can.
+const char* product_error(ConstMatrixView a, ConstMatrixView b,
+                          ConstMatrixView c, ProductRules rules = {}) noexcept;
+
+/// product_error() as a precondition: throws std::invalid_argument
+/// "<who>: <reason> (A=mxk B=kxn C=mxn)".
+void check_product(const char* who, ConstMatrixView a, ConstMatrixView b,
+                   ConstMatrixView c, ProductRules rules = {});
+
 }  // namespace capow::linalg

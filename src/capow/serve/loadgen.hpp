@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "capow/serve/request.hpp"
+#include "capow/splitmix64.hpp"
 
 namespace capow::serve {
 
@@ -52,7 +53,7 @@ struct LoadGenOptions {
 /// outside [0, 1].
 std::vector<Request> generate_trace(const LoadGenOptions& opts);
 
-/// The splitmix64 step (public for tests pinning the stream).
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// The step the trace draws from (named here for tests pinning it).
+using capow::splitmix64;
 
 }  // namespace capow::serve

@@ -459,8 +459,8 @@ Outcome Server::serve_one(const Request& req, linalg::ConstMatrixView a,
   // debit at the running serve_one clock) but executes inline: with an
   // idle service and a full bucket this is a pass-through to
   // capow::matmul() — the unloaded bit-identity contract. All three
-  // operands are checked before the debit, so a shape matmul() would
-  // throw on never spends budget.
+  // operands are checked before the debit, so operands matmul() would
+  // throw on never spend budget.
   serve_one_clock_s_ += 1e-6;
   bucket_.advance(serve_one_clock_s_);
   const auto n_by_n = [n = req.n](const auto& v) {
@@ -471,6 +471,7 @@ Outcome Server::serve_one(const Request& req, linalg::ConstMatrixView a,
     last_reject_ = RejectReason::kOversized;
     return Outcome::kRejected;
   }
+  linalg::check_product("serve_one", a, b, c);
   if (bucket_.level() >= DegradeLevel::kShed &&
       req.tier == QosTier::kBestEffort) {
     last_reject_ = RejectReason::kShedding;

@@ -167,7 +167,9 @@ class Server {
   /// energy debit, algorithm choice at the current ladder level), then
   /// the matmul executes inline via capow::matmul() with pass-through
   /// options — bit-identical to a direct call with the same options.
-  /// Returns kCompleted or kRejected (c untouched when rejected).
+  /// Returns kCompleted or kRejected (c untouched when rejected). Before
+  /// the debit, operands not n x n for req.n are rejected kOversized and
+  /// linalg::check_product throws on the rest as matmul() would.
   Outcome serve_one(const Request& req, linalg::ConstMatrixView a,
                     linalg::ConstMatrixView b, linalg::MatrixView c);
 

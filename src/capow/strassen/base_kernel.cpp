@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "capow/blas/gemm_ref.hpp"
 #include "capow/linalg/cpu_features.hpp"
 #include "capow/trace/counters.hpp"
 
@@ -159,7 +158,7 @@ constexpr detail::BotsClone kClones[] = {{"baseline", bots_generic},
 
 void base_gemm_impl(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                     linalg::MatrixView c, bool accumulate) {
-  blas::check_gemm_shapes(a, b, c);
+  linalg::check_product("strassen::base_gemm", a, b, c, {.disjoint = false});
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();

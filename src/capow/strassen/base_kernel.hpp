@@ -32,7 +32,7 @@ namespace capow::strassen {
 
 /// C = A * B for small square-ish blocks. Instrumented: counts
 /// 2*m*n*k flops, 2 operand reads and one result write of logical
-/// traffic. Shapes validated.
+/// traffic. Checks shapes only: its caller checked the product.
 void base_gemm(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
                linalg::MatrixView c);
 

@@ -13,37 +13,9 @@
 
 namespace capow::strassen {
 
-inline void counted_add(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                        linalg::MatrixView dst) {
-  linalg::add(a, b, dst);
-  const std::uint64_t s = dst.size();
-  trace::count_flops(s);
-  trace::count_dram_read(2 * s * sizeof(double));
-  trace::count_dram_write(s * sizeof(double));
-}
-
-inline void counted_sub(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
-                        linalg::MatrixView dst) {
-  linalg::sub(a, b, dst);
-  const std::uint64_t s = dst.size();
-  trace::count_flops(s);
-  trace::count_dram_read(2 * s * sizeof(double));
-  trace::count_dram_write(s * sizeof(double));
-}
-
-inline void counted_add_inplace(linalg::MatrixView dst,
-                                linalg::ConstMatrixView src) {
-  linalg::add_inplace(dst, src);
-  const std::uint64_t s = dst.size();
-  trace::count_flops(s);
-  trace::count_dram_read(2 * s * sizeof(double));
-  trace::count_dram_write(s * sizeof(double));
-}
-
-inline void counted_sub_inplace(linalg::MatrixView dst,
-                                linalg::ConstMatrixView src) {
-  linalg::sub_inplace(dst, src);
-  const std::uint64_t s = dst.size();
+/// Books an add or subtract of s elements, in place or not: s flops,
+/// two operands read and one result written.
+inline void count_binary(std::uint64_t s) {
   trace::count_flops(s);
   trace::count_dram_read(2 * s * sizeof(double));
   trace::count_dram_write(s * sizeof(double));
@@ -56,31 +28,30 @@ inline void count_copy(std::uint64_t s) {
   trace::count_dram_write(s * sizeof(double));
 }
 
-inline void counted_copy(linalg::ConstMatrixView src, linalg::MatrixView dst) {
-  linalg::copy(src, dst);
-  count_copy(dst.size());
-}
-
-/// The counted ops as the op set scheme::evaluate drives.
+/// The linalg ops, each booked as above, as the op set scheme::evaluate
+/// drives.
 struct CountedOps {
   void copy(linalg::ConstMatrixView src, linalg::MatrixView dst) const {
-    counted_copy(src, dst);
+    linalg::copy(src, dst);
+    count_copy(dst.size());
   }
   void binary(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
               linalg::MatrixView dst, bool subtract) const {
     if (subtract) {
-      counted_sub(a, b, dst);
+      linalg::sub(a, b, dst);
     } else {
-      counted_add(a, b, dst);
+      linalg::add(a, b, dst);
     }
+    count_binary(dst.size());
   }
   void accumulate(linalg::MatrixView dst, linalg::ConstMatrixView src,
                   bool subtract) const {
     if (subtract) {
-      counted_sub_inplace(dst, src);
+      linalg::sub_inplace(dst, src);
     } else {
-      counted_add_inplace(dst, src);
+      linalg::add_inplace(dst, src);
     }
+    count_binary(dst.size());
   }
 };
 

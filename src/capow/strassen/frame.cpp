@@ -41,15 +41,7 @@ Frame open_frame(const char* who, linalg::ConstMatrixView a,
                  std::optional<blas::MicroKernelId> base_kernel,
                  blas::WorkspaceArena* arena, const abft::AbftConfig& abft,
                  tasking::ThreadPool* pool) {
-  if (!a.square() || !b.square() || !c.square() || a.rows() != b.rows() ||
-      a.rows() != c.rows()) {
-    throw std::invalid_argument(
-        std::string(who) + ": operands must be square with equal dimension");
-  }
-  if (linalg::views_overlap(c, a) || linalg::views_overlap(c, b)) {
-    throw std::invalid_argument(std::string(who) +
-                                ": C shares storage with A or B");
-  }
+  linalg::check_product(who, a, b, c, {.square = true});
   if (base_cutoff == 0) {
     throw std::invalid_argument(std::string(who) + ": base_cutoff == 0");
   }

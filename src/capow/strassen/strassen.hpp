@@ -69,8 +69,8 @@ struct StrassenOptions {
 /// blocks, m = peel_dimension(n, base_cutoff), and the border n - m rows
 /// and columns are folded in by dense base products, without copying the
 /// operands. `pool` may be null for serial execution. Throws
-/// std::invalid_argument for non-square inputs, shape mismatches, or a
-/// zero base_cutoff.
+/// std::invalid_argument, before any work, for operands that break
+/// linalg::check_product with `square` on, or a zero base_cutoff.
 void multiply(linalg::ConstMatrixView a, linalg::ConstMatrixView b,
               linalg::MatrixView c, const StrassenOptions& opts = {},
               tasking::ThreadPool* pool = nullptr);

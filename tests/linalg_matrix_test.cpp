@@ -2,6 +2,7 @@
 #include "capow/linalg/matrix.hpp"
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -225,6 +226,39 @@ TEST(ViewsOverlap, SeparateStorageAndEmptyViewsNeverOverlap) {
   EXPECT_FALSE(views_overlap(a.view(), b.view()));
   EXPECT_FALSE(views_overlap(a.view(), a.block(1, 1, 0, 2)));
   EXPECT_FALSE(views_overlap(ConstMatrixView(), a.view()));
+}
+
+TEST(ProductContract, EachRuleNamesItsReason) {
+  Matrix a(4, 3, 0.0), b(3, 5, 0.0), c(4, 5, 0.0), sq(4, 4, 0.0);
+  EXPECT_EQ(product_error(a.view(), b.view(), c.view()), nullptr);
+  EXPECT_STREQ(product_error(a.view(), c.view(), c.view()),
+               "inner dimensions disagree");
+  EXPECT_STREQ(product_error(a.view(), b.view(), sq.view()),
+               "C is not A.rows x B.cols");
+  EXPECT_STREQ(product_error(a.view(), b.view(), c.view(), {.square = true}),
+               "operands must be square with equal dimension");
+  EXPECT_EQ(product_error(sq.view(), sq.view(), Matrix(4, 4).view(),
+                          {.square = true}),
+            nullptr);
+  // C = A is a conforming square product; only the disjointness rule
+  // rejects it, and the shape-only form accepts it.
+  EXPECT_STREQ(product_error(sq.view(), sq.view(), sq.view()),
+               "C shares storage with A or B");
+  EXPECT_EQ(product_error(sq.view(), sq.view(), sq.view(), {.disjoint = false}),
+            nullptr);
+}
+
+TEST(ProductContract, CheckNamesTheCallerAndTheShapes) {
+  Matrix a(4, 3, 0.0), c(4, 5, 0.0);
+  try {
+    check_product("caller", a.view(), c.view(), c.view());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "caller: inner dimensions disagree (A=4x3 B=4x5 C=4x5)");
+  }
+  EXPECT_NO_THROW(check_product("caller", a.view(), Matrix(3, 5).view(),
+                                c.view()));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -22,6 +24,7 @@
 #include "capow/core/algorithms.hpp"
 #include "capow/linalg/ops.hpp"
 #include "capow/linalg/random.hpp"
+#include "capow/serve/server.hpp"
 #include "capow/strassen/cost_model.hpp"
 #include "capow/strassen/strassen.hpp"
 #include "capow/telemetry/tracer.hpp"
@@ -361,6 +364,27 @@ std::vector<std::pair<std::string, Multiply>> multiply_entry_points() {
   entries.emplace_back("capsalg::multiply", [](auto a, auto b, auto c) {
     capsalg::multiply(a, b, c);
   });
+  entries.emplace_back("abft::guarded_gemm", [](auto a, auto b, auto c) {
+    abft::guarded_gemm(a, b, c, {}, {.mode = abft::AbftMode::kCorrect});
+  });
+  entries.emplace_back("blas::gemm_reference", [](auto a, auto b, auto c) {
+    blas::gemm_reference(a, b, c);
+  });
+  // serve_one prices an n x n request, so the wrapper asks for A's rows.
+  // Operands that are not that product are rejected (kOversized) rather
+  // than thrown on; the wrapper surfaces any rejection as the
+  // std::invalid_argument the other entry points throw.
+  entries.emplace_back("serve::Server::serve_one", [](auto a, auto b, auto c) {
+    serve::Server server{serve::ServeOptions{}};
+    serve::Request req;
+    req.n = a.rows();
+    req.tier = serve::QosTier::kGuaranteed;
+    if (server.serve_one(req, a, b, c) != serve::Outcome::kCompleted) {
+      throw std::invalid_argument(
+          std::string("serve_one rejected: ") +
+          serve::reject_reason_name(server.last_reject_reason()));
+    }
+  });
   return entries;
 }
 
@@ -389,6 +413,54 @@ TEST(OutputAliasing, EveryEntryPointRejectsAnOutputSharingAnInput) {
     expect_alias_rejected(multiply, m.block(0, 0, n, n), b.view(),
                           m.block(n / 2, n / 2, n, n),
                           name + " C a block of A");
+  }
+}
+
+// Each bad operand set is rejected before any work: std::invalid_argument,
+// C's bytes untouched, and every arena lease returned.
+TEST(OperandContract, EveryEntryPointRejectsBadShapesBeforeAnyWork) {
+  constexpr std::size_t n = 96;
+  struct Case {
+    const char* what;
+    std::size_t a_rows, a_cols, b_rows, b_cols, c_rows, c_cols;
+    bool square_only;  // rejected only by the square-only entry points
+  };
+  const Case cases[] = {
+      {"inner dimension mismatch", n, n, n - 16, n, n, n, false},
+      {"wrong C shape", n, n, n, n, n, n - 16, false},
+      {"non-square operands", n, n - 16, n - 16, n, n, n, true},
+  };
+  // The entry points that take square operands only; the others run any
+  // m x k by k x n product.
+  const std::set<std::string> square_only_entries{
+      "matmul/strassen", "matmul/caps", "strassen::multiply",
+      "capsalg::multiply", "serve::Server::serve_one"};
+  const blas::WorkspaceArena& arena = blas::WorkspaceArena::process_arena();
+  for (const auto& [name, multiply] : multiply_entry_points()) {
+    const bool square_only = square_only_entries.count(name) > 0;
+    for (const Case& k : cases) {
+      const Matrix a = random_matrix(k.a_rows, k.a_cols, 5);
+      const Matrix b = random_matrix(k.b_rows, k.b_cols, 6);
+      Matrix c = random_matrix(k.c_rows, k.c_cols, 7);
+      const Matrix c_before = c;
+      if (k.square_only && !square_only) {
+        ASSERT_NO_THROW(multiply(a.view(), b.view(), c.view()))
+            << name << ": " << k.what;
+        Matrix expect(k.c_rows, k.c_cols);
+        blas::gemm_reference(a.view(), b.view(), expect.view());
+        EXPECT_TRUE(allclose(c.view(), expect.view(), 1e-10, 1e-10)) << name;
+        continue;
+      }
+      EXPECT_THROW(multiply(a.view(), b.view(), c.view()),
+                   std::invalid_argument)
+          << name << ": " << k.what;
+      EXPECT_EQ(std::memcmp(c.data(), c_before.data(),
+                            c.size() * sizeof(double)),
+                0)
+          << name << ": " << k.what;
+      EXPECT_EQ(arena.stats().outstanding_bytes, 0u)
+          << name << ": " << k.what;
+    }
   }
 }
 

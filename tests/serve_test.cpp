@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -655,6 +656,35 @@ TEST(ServeOne, NonSquareOperandsAreRejectedAsOversized) {
   EXPECT_EQ(server.serve_one(be, a.view(), tall_b.view(), tall_c.view()),
             Outcome::kRejected);
   EXPECT_EQ(server.last_reject_reason(), RejectReason::kOversized);
+  EXPECT_EQ(server.serve_one(be, a.view(), b.view(), c.view()),
+            Outcome::kCompleted);
+}
+
+// A C that shares storage with A or B throws before the energy debit,
+// as matmul() would, so the budget stays for the next valid call.
+TEST(ServeOne, AliasedOutputSpendsNoBudget) {
+  const std::size_t n = 128;
+  CostPredictor model(machine::haswell_e3_1225(), 4);
+  const double request_j =
+      model.predict(core::AlgorithmId::kOpenBlas, n).package_j;
+  linalg::Matrix a = linalg::random_matrix(n, n, 1);
+  linalg::Matrix b = linalg::random_matrix(n, n, 2);
+  const linalg::Matrix a_before = a;
+  linalg::Matrix c(n, n);
+
+  ServeOptions one_call;
+  one_call.budget.budget_w = 1e-6;
+  one_call.budget.capacity_j = request_j / 0.70;
+  Request be = one_request(n);
+  be.tier = QosTier::kBestEffort;
+
+  Server server(one_call);
+  EXPECT_THROW(server.serve_one(be, a.view(), b.view(), a.view()),
+               std::invalid_argument);
+  EXPECT_THROW(server.serve_one(be, a.view(), b.view(), b.view()),
+               std::invalid_argument);
+  EXPECT_EQ(std::memcmp(a.data(), a_before.data(), n * n * sizeof(double)),
+            0);
   EXPECT_EQ(server.serve_one(be, a.view(), b.view(), c.view()),
             Outcome::kCompleted);
 }
